@@ -20,6 +20,7 @@ from . import invariants, io_json, latexout, lie, pencil
 from . import operators as ops
 from .errors import (
     DarbouxOpsError,
+    InvalidFieldError,
     InvalidOperandError,
     MetricIncompatibleError,
     NotACocycleError,
@@ -184,7 +185,7 @@ def cmd_operator(args) -> int:
             ring = ops.field_ring(g.dim, params, d=validate_field_tag(d))
             eta = _parse_block(ring, args.eta, g.dim, "eta")
             f = _parse_block(ring, args.f, g.dim, "f")
-        except (ParseError, OSError, NotALieAlgebraError) as exc:
+        except (ParseError, OSError, NotALieAlgebraError, InvalidFieldError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         try:
@@ -459,7 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    args.config = SessionConfig.from_args(args)
+    try:
+        args.config = SessionConfig.from_args(args)
+    except InvalidFieldError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return args.func(args)
 
 

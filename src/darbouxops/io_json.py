@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import List
 
-from .errors import ParseError
+from .errors import InvalidFieldError, ParseError
 from .lie import LieAlgebra
 from .operators import PolyOperator, field_ring
 from .scalars import Scalar, parse_scalar
@@ -94,9 +94,9 @@ def operator_from_dict(data: dict) -> PolyOperator:
         ring = field_ring(dim, params, d=d)
         g = [[ring.parse(str(x)) for x in row] for row in data["g"]]
         omega = [[ring.parse(str(x)) for x in row] for row in data["omega"]]
-        if len(g) != dim or len(omega) != dim:
-            raise ParseError("matrix size disagrees with dim")
-    except (KeyError, TypeError, ValueError) as exc:
+        if any(len(m) != dim or any(len(row) != dim for row in m) for m in (g, omega)):
+            raise ParseError("g and omega must be dim x dim")
+    except (KeyError, TypeError, ValueError, InvalidFieldError) as exc:
         raise ParseError(f"malformed operator data: {exc}") from exc
     return PolyOperator(ring, g, omega)
 

@@ -188,7 +188,7 @@ def _span_basis(vectors: Sequence[linalg.Vector]) -> List[linalg.Vector]:
     if not vectors:
         return []
     red, pivots, rank = linalg.rref(vectors)
-    return [red[i] for i in range(rank)]
+    return red[:rank]
 
 
 def _bracket_span(g: LieAlgebra, s1: Sequence[linalg.Vector],
@@ -414,37 +414,41 @@ def kdv_w_algebra() -> LieAlgebra:
 
 
 def _matrix_algebra_from_basis(basis: List[List[List[Fraction]]]) -> LieAlgebra:
-    """Structure constants of a matrix Lie algebra given a spanning basis."""
+    """Structure constants of a matrix Lie algebra given a spanning basis.
+
+    One sparse reduction of [basis columns | all commutators] gives every
+    coordinate vector.  Its RREF is [R | E C], with E the row operations
+    that take the basis columns to R, so a commutator's coordinates are its
+    column of E C on the pivot rows, with free (dependent) basis directions
+    set to 0.  A pivot in a commutator column means it leaves the span.
+    """
     dim = len(basis)
     size = len(basis[0])
-    flat = [[Scalar.of(x) for row in m for x in row] for m in basis]
-
-    def coords(mat: List[List[Fraction]]) -> List[Scalar]:
-        # solve sum_k x_k basis_k = mat: rref of [basis columns | mat]
-        vec = [Scalar.of(x) for row in mat for x in row]
-        system = [[flat[i][j] for i in range(dim)] + [vec[j]] for j in range(size * size)]
-        red, pivots, rank = linalg.rref(system)
-        sol = [Scalar(0)] * dim
-        for r, col in enumerate(pivots):
-            if col == dim:
-                raise ShapeMismatchError("commutator leaves the span of the basis")
-            sol[col] = red[r][dim]
-        return sol
-
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    rows: List[Dict[int, Scalar]] = [{} for _ in range(size * size)]
+    for k, m in enumerate(basis):
+        for r in range(size):
+            for s in range(size):
+                if m[r][s]:
+                    rows[r * size + s][k] = Scalar(m[r][s])
+    for p, (i, j) in enumerate(pairs):
+        for r in range(size):
+            for s in range(size):
+                acc = Fraction(0)
+                for t in range(size):
+                    acc += basis[i][r][t] * basis[j][t][s] - basis[j][r][t] * basis[i][t][s]
+                if acc:
+                    rows[r * size + s][dim + p] = Scalar(acc)
+    pivots = linalg.sparse_rref(rows)
+    if any(col >= dim for col in pivots):
+        raise ShapeMismatchError("commutator leaves the span of the basis")
     c = [[[Scalar(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = [[Fraction(0)] * size for _ in range(size)]
-            for r in range(size):
-                for s in range(size):
-                    acc = Fraction(0)
-                    for t in range(size):
-                        acc += basis[i][r][t] * basis[j][t][s] - basis[j][r][t] * basis[i][t][s]
-                    comm[r][s] = acc
-            vec = coords(comm)
-            for k in range(dim):
-                c[i][j][k] = vec[k]
-                c[j][i][k] = -vec[k]
+    for p, (i, j) in enumerate(pairs):
+        for k, prow in pivots.items():
+            x = prow.get(dim + p)
+            if x:
+                c[i][j][k] = x
+                c[j][i][k] = -x
     return LieAlgebra(c)
 
 

@@ -1,13 +1,17 @@
 """Exact linear algebra over Q(sqrt(d)).
 
-Matrices are plain lists of lists of Scalar.  Elimination is fraction-free
-in Bareiss style (exact division by the previous pivot) with deterministic
-first-nonzero pivoting, followed by exact back-substitution, so the reduced
-form, pivot set and the derived nullspace bases are canonical.
+Matrices are plain lists of lists of Scalar; the large solver systems are
+lists of sparse rows {column: Scalar}.  Every elimination goes through one
+sparse row-insertion reducer: each row, taken in order, is reduced against
+the pivot rows kept so far (leading column first), and whatever is left is
+normalized and kept as the pivot row of its leading column.  `sparse_rref`
+then back-substitutes to the reduced row echelon form.  The RREF is unique,
+so pivots, nullspace bases (one vector per free column, free entry 1) and
+everything derived from them are canonical.
 
-A sparse row-insertion reducer backs the large solver systems; it produces
-the same canonical reduced rows and is cross-checked against the dense path
-in the test suite.
+`rref`, `nullspace` and `inverse` (which reduces [A | I]) are dense views of
+that result.  `det` is the product of the leading coefficients met during
+insertion times the sign of the permutation from row order to pivot column.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ShapeMismatchError, SingularMatrixError
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar
 
 Matrix = List[List[Scalar]]
 Vector = List[Scalar]
+SparseRow = Dict[int, Scalar]
 
 
 def _as_scalar_rows(m: Sequence[Sequence]) -> Matrix:
@@ -29,11 +34,11 @@ def _as_scalar_rows(m: Sequence[Sequence]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return [[Scalar(1) if i == j else Scalar(0) for j in range(n)] for i in range(n)]
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def zeros(r: int, c: int) -> Matrix:
-    return [[Scalar(0) for _ in range(c)] for _ in range(r)]
+    return [[ZERO] * c for _ in range(r)]
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -48,7 +53,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _dot(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
-    total = Scalar(0)
+    total = ZERO
     for a, b in zip(x, y):
         if a and b:
             total = total + a * b
@@ -82,155 +87,106 @@ def is_skew(m: Matrix) -> bool:
     )
 
 
-def rref(m: Sequence[Sequence]) -> Tuple[Matrix, Tuple[int, ...], int]:
-    """Reduced row echelon form with pivot columns and rank.
+def _sparse_rows(m: Sequence[Sequence]) -> Tuple[List[SparseRow], int]:
+    rows = _as_scalar_rows(m)
+    return [{j: x for j, x in enumerate(row) if x} for row in rows], len(rows[0]) if rows else 0
 
-    Forward elimination is fraction-free: after step k every entry is a
-    minor of the input, and the division by the previous pivot is exact.
-    Back-substitution then clears above the pivots and normalizes them to 1.
-    """
-    a = _as_scalar_rows(m)
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots: List[int] = []
-    prev = Scalar(1)
-    r = 0
-    for col in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][col]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        pivot = a[r][col]
-        for i in range(r + 1, nrows):
-            ai = a[i][col]
-            for j in range(ncols):
-                a[i][j] = (pivot * a[i][j] - ai * a[r][j]) / prev
-        prev = pivot
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    rank = r
-    # exact back-substitution: normalize pivots, clear entries above them
-    for k in range(rank - 1, -1, -1):
-        col = pivots[k]
-        inv = a[k][col].inverse()
-        a[k] = [x * inv if x else x for x in a[k]]
-        for i in range(k):
-            f = a[i][col]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    for i in range(rank, nrows):
-        a[i] = [Scalar(0)] * ncols
-    return a, tuple(pivots), rank
+
+def rref(m: Sequence[Sequence]) -> Tuple[Matrix, Tuple[int, ...], int]:
+    """Reduced row echelon form with pivot columns and rank."""
+    rows, ncols = _sparse_rows(m)
+    pivots = sparse_rref(rows)
+    cols = tuple(sorted(pivots))
+    red = [[pivots[p].get(j, ZERO) for j in range(ncols)] for p in cols]
+    red += [[ZERO] * ncols for _ in range(len(rows) - len(cols))]
+    return red, cols, len(cols)
 
 
 def nullspace(m: Sequence[Sequence], ncols: int | None = None) -> List[Vector]:
     """Canonical kernel basis: one vector per free column, free entry 1."""
-    rows = _as_scalar_rows(m)
+    rows, width = _sparse_rows(m)
     if ncols is None:
         if not rows:
             raise ShapeMismatchError("nullspace of empty matrix needs ncols")
-        ncols = len(rows[0])
-    if not rows:
-        rows = [[Scalar(0)] * ncols]
-    red, pivots, rank = rref(rows)
-    piv_set = set(pivots)
-    basis: List[Vector] = []
-    for free in range(ncols):
-        if free in piv_set:
-            continue
-        v = [Scalar(0)] * ncols
-        v[free] = Scalar(1)
-        for k, col in enumerate(pivots):
-            v[col] = -red[k][free]
-        basis.append(v)
-    return basis
+        ncols = width
+    return sparse_nullspace(rows, ncols)
 
 
 def det(m: Sequence[Sequence]) -> Scalar:
-    """Fraction-free Bareiss determinant."""
-    a = _as_scalar_rows(m)
-    n = len(a)
-    if any(len(r) != n for r in a):
+    rows, n = _sparse_rows(m)
+    if len(rows) != n:
         raise ShapeMismatchError("determinant of non-square matrix")
-    if n == 0:
-        return Scalar(1)
-    sign = 1
-    prev = Scalar(1)
-    for k in range(n - 1):
-        if not a[k][k]:
-            pr = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pr is None:
-                return Scalar(0)
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Scalar(0)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign > 0 else -d
+    pivots: Dict[int, SparseRow] = {}
+    out = ONE
+    for row in rows:
+        lead = _insert_row(row, pivots)
+        if not lead:
+            return ZERO
+        out = out * lead
+    # normalized rows sorted by pivot column form a unit upper triangle
+    order = list(pivots)
+    swaps = sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n))
+    return -out if swaps % 2 else out
 
 
 def inverse(m: Sequence[Sequence]) -> Matrix:
-    a = _as_scalar_rows(m)
-    n = len(a)
-    if any(len(r) != n for r in a):
+    rows, n = _sparse_rows(m)
+    if len(rows) != n:
         raise ShapeMismatchError("inverse of non-square matrix")
-    aug = [row + ident_row for row, ident_row in zip(a, identity(n))]
-    red, pivots, rank = rref(aug)
-    if rank < n or any(p >= n for p in pivots):
+    for i, row in enumerate(rows):
+        row[n + i] = ONE
+    pivots = sparse_rref(rows)
+    if any(p >= n for p in pivots):
         raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[pivots[i].get(n + j, ZERO) for j in range(n)] for i in range(n)]
 
 
-# -- sparse reducer for the big linear systems ---------------------------
-
-SparseRow = Dict[int, Scalar]
+# -- the sparse reducer ---------------------------------------------------
 
 
-def _reduce_row(row: SparseRow, pivots: Dict[int, SparseRow]) -> SparseRow:
+def _subtract(row: SparseRow, f: Scalar, other: SparseRow) -> None:
+    """row -= f * other in place, dropping entries that cancel."""
+    nf = -f
+    for c, v in other.items():
+        w = row.get(c)
+        w = nf * v if w is None else w + nf * v
+        if w:
+            row[c] = w
+        elif c in row:
+            del row[c]
+
+
+def _insert_row(row: SparseRow, pivots: Dict[int, SparseRow]) -> Scalar:
+    """Reduce a copy of `row` against `pivots` and keep the remainder.
+
+    The remainder, divided by its leading coefficient, becomes the pivot row
+    of its leading column.  Returns that coefficient, or ZERO when the row is
+    in the span of the pivot rows.
+    """
+    row = {c: v for c, v in row.items() if v}
     while row:
         c0 = min(row)
+        f = row[c0]
         piv = pivots.get(c0)
         if piv is None:
-            inv = row[c0].inverse()
-            return {c: v * inv for c, v in row.items()}
-        f = row[c0]
-        for c, v in piv.items():
-            w = row.get(c)
-            w = -f * v if w is None else w - f * v
-            if w:
-                row[c] = w
-            elif c in row:
-                del row[c]
-    return {}
+            inv = f.inverse()
+            pivots[c0] = {c: v * inv for c, v in row.items()}
+            return f
+        _subtract(row, f, piv)
+    return ZERO
 
 
 def sparse_rref(rows: Sequence[SparseRow]) -> Dict[int, SparseRow]:
     """Canonical reduced pivot rows (pivot -> normalized row)."""
     pivots: Dict[int, SparseRow] = {}
     for row in rows:
-        red = _reduce_row({c: v for c, v in row.items() if v}, pivots)
-        if red:
-            pivots[min(red)] = red
+        _insert_row(row, pivots)
     # full back-substitution so the pivot rows form the unique RREF
     for p in sorted(pivots, reverse=True):
         prow = pivots[p]
         for q, qrow in pivots.items():
-            if q >= p or p not in qrow:
-                continue
-            f = qrow[p]
-            for c, v in prow.items():
-                w = qrow.get(c)
-                w = -f * v if w is None else w - f * v
-                if w:
-                    qrow[c] = w
-                elif c in qrow:
-                    del qrow[c]
+            if q < p and p in qrow:
+                _subtract(qrow, qrow[p], prow)
     return pivots
 
 
@@ -240,8 +196,8 @@ def sparse_nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
     for free in range(ncols):
         if free in pivots:
             continue
-        v = [Scalar(0)] * ncols
-        v[free] = Scalar(1)
+        v = [ZERO] * ncols
+        v[free] = ONE
         for p, prow in pivots.items():
             coeff = prow.get(free)
             if coeff:

@@ -24,8 +24,9 @@ class PolyRing:
     __slots__ = ("names", "kinds", "d", "_index", "_zero_exp")
 
     def __init__(self, field_vars: Iterable[str], params: Iterable[str] = (), d: int = 0):
-        names = tuple(field_vars) + tuple(params)
-        kinds = (FIELD,) * len(tuple(field_vars)) + (PARAM,) * len(tuple(params))
+        field_vars, params = tuple(field_vars), tuple(params)
+        names = field_vars + params
+        kinds = (FIELD,) * len(field_vars) + (PARAM,) * len(params)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate indeterminate names in {names}")
         object.__setattr__(self, "names", names)

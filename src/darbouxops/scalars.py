@@ -17,6 +17,12 @@ from .errors import FieldMismatchError, InvalidFieldError, ParseError
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+# `_is_square_free` trial-divides up to sqrt(d), about 5 * 10**5 steps just
+# below this bound; larger tags would stall input parsing, so they are
+# rejected instead of tested.
+MAX_FIELD_TAG = 10**12
+
+
 def _is_square_free(d: int) -> bool:
     if d < 0:
         return False
@@ -25,8 +31,6 @@ def _is_square_free(d: int) -> bool:
             break
         if d % (p * p) == 0:
             return False
-    # d < 2209 is fully covered by the list above; larger tags are rejected
-    # elsewhere, this routine only ever sees small d in practice.
     k = _SMALL_PRIMES[-1] + 2
     while k * k <= d:
         if d % (k * k) == 0:
@@ -39,6 +43,8 @@ def validate_field_tag(d: int) -> int:
     d = int(d)
     if d in (0, 1):
         return 0
+    if d >= MAX_FIELD_TAG:
+        raise InvalidFieldError(f"field tag {d} is too large (limit {MAX_FIELD_TAG})")
     if not _is_square_free(d):
         raise InvalidFieldError(f"field tag {d} is not square-free")
     return d
@@ -101,6 +107,10 @@ class Scalar:
         return self.a
 
     # -- arithmetic ----------------------------------------------------
+    #
+    # Results are built by `_make`/`_rational` from parts that are already
+    # normalized, so the hot path never re-runs `__init__`.  With d == 0 on
+    # both sides (every computation over Q) only the rational part is touched.
 
     @staticmethod
     def _coerce(other):
@@ -111,35 +121,45 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        d = self._join(other)
-        return Scalar(self.a + other.a, self.b + other.b, d)
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not (self.d or other.d):
+            return _rational(self.a + other.a)
+        return _make(self.a + other.a, self.b + other.b, self._join(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b, self.d)
+        if not self.d:
+            return _rational(-self.a)
+        return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not (self.d or other.d):
+            return _rational(self.a - other.a)
+        return _make(self.a - other.a, self.b - other.b, self._join(other))
 
     def __rsub__(self, other):
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not (self.d or other.d):
+            return _rational(self.a * other.a)
         d = self._join(other)
-        return Scalar(
+        return _make(
             self.a * other.a + d * self.b * other.b,
             self.a * other.b + self.b * other.a,
             d,
@@ -150,10 +170,12 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("scalar inverse of zero")
+        if not self.d:
+            return _rational(1 / self.a)
         # (a + b sqrt(d))^-1 = (a - b sqrt(d)) / (a^2 - d b^2); the norm is
         # nonzero because sqrt(d) is irrational for square-free d > 1.
         norm = self.a * self.a - self.d * self.b * self.b
-        return Scalar(self.a / norm, -self.b / norm, self.d)
+        return _make(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         other = Scalar._coerce(other)
@@ -182,14 +204,15 @@ class Scalar:
     # -- comparisons ---------------------------------------------------
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        # normalization keeps b != 0 exactly when d != 0
+        return bool(self.d) or bool(self.a)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.d == other.d and self.a == other.a and self.b == other.b
 
     def __hash__(self):
         return hash((self.a, self.b, self.d))
@@ -197,8 +220,9 @@ class Scalar:
     # -- formatting ----------------------------------------------------
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
+        if not self.d:
+            # a shared literal: zeros are the bulk of printed output
+            return str(self.a) if self.a else "0"
         rad = f"sqrt({self.d})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.d})"
         rad = ("-" if self.b < 0 else "") + rad
         if self.a == 0:
@@ -227,6 +251,35 @@ class Scalar:
         if self.a == 0:
             return rad
         return frac(self.a) + ("+" if self.b > 0 else "") + rad
+
+
+_new = object.__new__
+_set_a = Scalar.a.__set__
+_set_b = Scalar.b.__set__
+_set_d = Scalar.d.__set__
+_FRACTION_ZERO = Fraction(0)
+
+
+def _rational(a: Fraction) -> Scalar:
+    """Internal constructor for a + 0*sqrt(d); `a` must be a Fraction."""
+    s = _new(Scalar)
+    _set_a(s, a)
+    _set_b(s, _FRACTION_ZERO)
+    _set_d(s, 0)
+    return s
+
+
+def _make(a: Fraction, b: Fraction, d: int) -> Scalar:
+    """Internal constructor from Fraction parts and an already validated tag.
+
+    The only normalization left is the one arithmetic can undo: when b
+    cancels to zero the value is rational and d drops to 0.
+    """
+    s = _new(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d if b else 0)
+    return s
 
 
 ZERO = Scalar(0)

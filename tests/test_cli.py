@@ -11,11 +11,12 @@ from darbouxops.latexout import operator_latex
 from darbouxops.scalars import Scalar
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "darbouxops.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -115,6 +116,30 @@ def test_operator_build_and_verify(tmp_path, so3_file):
     assert data["params"] == ["alpha"]
     assert data["omega"][0][1] == "u3"
     assert run_cli(["operator", "verify", str(out)]).returncode == 0
+
+
+_SQUARE = {"g": [["1", "0"], ["0", "1"]], "omega": [["0", "u1"], ["-u1", "0"]]}
+
+
+@pytest.mark.parametrize("bad", [
+    {"field_sqrt": 1000000000000000000000000000007},  # used to hang in trial division
+    {"field_sqrt": 4},
+    {"g": [["1", "0"], ["0"]]},
+    {"omega": [["0", "u1"], ["-u1"]]},
+])
+def test_operator_verify_rejects_bad_files(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 2, "field_sqrt": 0, **_SQUARE, **bad}))
+    proc = run_cli(["operator", "verify", str(path)], timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_global_field_sqrt_rejected():
+    proc = run_cli(["--field-sqrt", "1000000000000000000000000000007", "catalog", "list"],
+                   timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_operator_build_rejects_bad_metric(so3_file):

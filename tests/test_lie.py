@@ -7,6 +7,7 @@ from darbouxops.errors import (
     FieldMismatchError,
     NotACasimirError,
     NotALieAlgebraError,
+    ShapeMismatchError,
     SingularMatrixError,
 )
 from darbouxops.invariants import casimir_residual, quadratic_casimir_space
@@ -87,6 +88,13 @@ def test_killing_son_scalars():
         for i in range(dim):
             for j in range(dim):
                 assert k[i][j] == Scalar(expected if i == j else 0)
+
+
+def test_matrix_basis_not_closed_under_commutators():
+    e12 = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
+    e21 = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]
+    with pytest.raises(ShapeMismatchError):
+        lie._matrix_algebra_from_basis([e12, e21])  # [E12, E21] = H is missing
 
 
 def test_center_examples():

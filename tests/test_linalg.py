@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -88,18 +89,84 @@ def test_rref_idempotent_and_rank_nullity(m):
         assert all(not x for x in linalg.mat_vec([[Scalar.of(e) for e in row] for row in m], v))
 
 
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sp, x: Scalar):
+    return sp.Rational(x.a.numerator, x.a.denominator) + sp.Rational(
+        x.b.numerator, x.b.denominator) * sp.sqrt(x.d)
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices(min_n=1, max_n=4))
-def test_sparse_matches_dense(m):
-    ncols = len(m[0])
-    rows = [
-        {j: Scalar.of(x) for j, x in enumerate(row) if Scalar.of(x)} for row in m
-    ]
-    sparse = linalg.sparse_nullspace(rows, ncols)
-    dense = linalg.nullspace(m)
-    assert len(sparse) == len(dense)
-    for a, b in zip(sparse, dense):
-        assert a == b
+def test_matches_sympy(sp, m):
+    """rref, nullspace, det and inverse against sympy over Q."""
+    ref = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in m])
+    ref_red, ref_pivots = ref.rref()
+    red, pivots, rank = linalg.rref(m)
+    assert pivots == ref_pivots and rank == len(ref_pivots)
+    assert [[_to_sympy(sp, x) for x in row] for row in red] == ref_red.tolist()
+    ref_null = [list(v) for v in ref.nullspace()]
+    assert [[_to_sympy(sp, x) for x in v] for v in linalg.nullspace(m)] == ref_null
+    rows = [{j: Scalar(x) for j, x in enumerate(row) if x} for row in m]
+    sparse = linalg.sparse_nullspace(rows, len(m[0]))
+    assert [[_to_sympy(sp, x) for x in v] for v in sparse] == ref_null
+    if len(m) != len(m[0]):
+        return
+    assert _to_sympy(sp, linalg.det(m)) == ref.det()
+    if ref.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            linalg.inverse(m)
+    else:
+        inv = [[_to_sympy(sp, x) for x in row] for row in linalg.inverse(m)]
+        assert inv == ref.inv().tolist()
+
+
+small = st.integers(-3, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.tuples(small, small), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_inverse_sqrt2_match_sympy(sp, pairs):
+    """det and inverse over Q(sqrt(2)) against sympy's algebraic field."""
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sp.QQ.algebraic_field(sp.sqrt(2))
+    m = [[Scalar(a, b, 2) for a, b in row] for row in pairs]
+    n = len(m)
+    ref = DomainMatrix(
+        [[field.from_sympy(_to_sympy(sp, x)) for x in row] for row in m], (n, n), field)
+    ref_det = ref.det()
+    assert field.from_sympy(_to_sympy(sp, linalg.det(m))) == ref_det
+    if not ref_det:
+        with pytest.raises(SingularMatrixError):
+            linalg.inverse(m)
+        return
+    ref_inv = ref.inv()
+    inv = linalg.inverse(m)
+    for i in range(n):
+        for j in range(n):
+            assert field.from_sympy(_to_sympy(sp, inv[i][j])) == ref_inv[i, j].element
+
+
+def test_det_sign_of_permutation_matrices():
+    for perm in itertools.permutations(range(4)):
+        m = [[1 if perm[i] == j else 0 for j in range(4)] for i in range(4)]
+        # parity from the cycle decomposition, independent of inversion counting
+        seen, cycles = set(), 0
+        for start in range(4):
+            if start not in seen:
+                cycles += 1
+                k = start
+                while k not in seen:
+                    seen.add(k)
+                    k = perm[k]
+        sign = 1 if (4 - cycles) % 2 == 0 else -1
+        assert linalg.det(m) == Scalar(sign)
+        assert linalg.det([[3 * x for x in row] for row in m]) == Scalar(81 * sign)
 
 
 @settings(max_examples=100, deadline=None)

@@ -49,6 +49,13 @@ def test_parse_print_roundtrip_with_radicals():
     assert ring.parse(str(q)) == q
 
 
+def test_ring_from_generators():
+    ring = PolyRing((x for x in ["u1", "u2"]), (p for p in ["a"]))
+    assert ring.names == ("u1", "u2", "a")
+    assert ring.field_indices() == (0, 1)
+    assert ring.param_indices() == (2,)
+
+
 def test_ring_mismatch_rejected(ring):
     other = PolyRing(["u1", "u2", "u3"], ["alpha"])
     with pytest.raises(ShapeMismatchError):

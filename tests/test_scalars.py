@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from darbouxops.errors import FieldMismatchError, InvalidFieldError, ParseError
-from darbouxops.scalars import Scalar, parse_scalar
+from darbouxops.scalars import Scalar, parse_scalar, validate_field_tag
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
@@ -23,6 +23,13 @@ def test_square_free_rejected():
     with pytest.raises(InvalidFieldError):
         Scalar(0, 1, 12)
     Scalar(0, 1, 30)  # 2*3*5 is fine
+
+
+def test_large_field_tags_rejected_without_factoring():
+    assert validate_field_tag(999999999989) == 999999999989  # prime, below the bound
+    for d in (10**12, 10**12 + 39, 1000000000000000000000000000007):
+        with pytest.raises(InvalidFieldError):
+            validate_field_tag(d)
 
 
 def test_conjugate_product_is_norm():
@@ -45,6 +52,10 @@ def test_field_mixing_rejected():
         Scalar(0, 1, 2) + Scalar(0, 1, 3)
     with pytest.raises(FieldMismatchError):
         Scalar(0, 1, 2) * Scalar(0, 1, 3)
+    with pytest.raises(FieldMismatchError):
+        Scalar(0, 1, 2) - Scalar(1, 1, 3)
+    with pytest.raises(FieldMismatchError):
+        Scalar(1, 1, 2) / Scalar(0, 1, 3)
     # rationals embed into any extension
     assert Scalar(2) * Scalar(0, 1, 3) == Scalar(0, 2, 3)
 
@@ -86,3 +97,30 @@ def test_print_parse_roundtrip(a, b):
     for d in (0, 2, 3):
         s = Scalar(a, b, d)
         assert parse_scalar(str(s)) == s
+
+
+def _parts(s):
+    return (s.a, s.b, s.d, hash(s), str(s), type(s.a), type(s.b))
+
+
+@given(rationals, rationals, rationals, rationals, st.sampled_from([0, 2, 3]), st.booleans())
+def test_arithmetic_results_are_normalized(a1, b1, a2, b2, d, cancel):
+    """Every result equals the normalizing constructor applied to its exact parts."""
+    if cancel:
+        b2 = -b1  # the radical parts of x + y cancel
+    if not d:
+        b1 = b2 = Fraction(0)
+    x, y = Scalar(a1, b1, d), Scalar(a2, b2, d)
+
+    def product(p, q):  # parts of (p0 + p1 sqrt(d)) (q0 + q1 sqrt(d))
+        return p[0] * q[0] + d * p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    assert _parts(x + y) == _parts(Scalar(a1 + a2, b1 + b2, d))
+    assert _parts(x - y) == _parts(Scalar(a1 - a2, b1 - b2, d))
+    assert _parts(x * y) == _parts(Scalar(*product((a1, b1), (a2, b2)), d))
+    assert _parts(-x) == _parts(Scalar(-a1, -b1, d))
+    if y:
+        norm = a2 * a2 - d * b2 * b2
+        inv = (a2 / norm, -b2 / norm)
+        assert _parts(y.inverse()) == _parts(Scalar(*inv, d))
+        assert _parts(x / y) == _parts(Scalar(*product((a1, b1), inv), d))
