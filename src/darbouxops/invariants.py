@@ -14,13 +14,30 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .lie import LieAlgebra
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, dot
 from .scalars import Scalar
 
 Matrix = linalg.Matrix
 
 
 # -- residual checks (generic over Scalar or Poly entries) -----------------
+
+
+def sum_of_products(pairs):
+    """The sum of x*y over a non-empty list of pairs.
+
+    Polynomial entries go through the integer kernel `poly.dot`; Scalar
+    entries are summed with Scalar arithmetic.
+    """
+    x, y = pairs[0]
+    if type(x) is Poly:
+        return dot(x.ring, pairs)
+    if type(y) is Poly:
+        return dot(y.ring, pairs)
+    tot = x * y
+    for x, y in pairs[1:]:
+        tot = tot + x * y
+    return tot
 
 
 def jacobi_residual(c) -> Optional[tuple]:
@@ -30,17 +47,17 @@ def jacobi_residual(c) -> Optional[tuple]:
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 for m in range(n):
-                    tot = None
-                    for s in range(n):
+                    pairs = [
+                        (x, y)
+                        for s in range(n)
                         for x, y in (
                             (c[i][j][s], c[s][k][m]),
                             (c[j][k][s], c[s][i][m]),
                             (c[k][i][s], c[s][j][m]),
-                        ):
-                            if x and y:
-                                term = x * y
-                                tot = term if tot is None else tot + term
-                    if tot is not None and tot:
+                        )
+                        if x and y
+                    ]
+                    if pairs and sum_of_products(pairs):
                         return (i, j, k, m)
     return None
 
@@ -51,13 +68,13 @@ def casimir_residual(c, a) -> Optional[tuple]:
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
-                tot = None
-                for s in range(n):
-                    for x, y in ((a[i][s], c[s][k][j]), (a[j][s], c[s][k][i])):
-                        if x and y:
-                            term = x * y
-                            tot = term if tot is None else tot + term
-                if tot is not None and tot:
+                pairs = [
+                    (x, y)
+                    for s in range(n)
+                    for x, y in ((a[i][s], c[s][k][j]), (a[j][s], c[s][k][i]))
+                    if x and y
+                ]
+                if pairs and sum_of_products(pairs):
                     return (i, j, k)
     return None
 
@@ -68,13 +85,13 @@ def metric_residual(c, eta) -> Optional[tuple]:
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
-                tot = None
-                for s in range(n):
-                    for x, y in ((eta[i][s], c[j][k][s]), (eta[j][s], c[i][k][s])):
-                        if x and y:
-                            term = x * y
-                            tot = term if tot is None else tot + term
-                if tot is not None and tot:
+                pairs = [
+                    (x, y)
+                    for s in range(n)
+                    for x, y in ((eta[i][s], c[j][k][s]), (eta[j][s], c[i][k][s]))
+                    if x and y
+                ]
+                if pairs and sum_of_products(pairs):
                     return (i, j, k)
     return None
 
@@ -85,17 +102,13 @@ def cocycle_residual(c, f) -> Optional[tuple]:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                tot = None
-                for s in range(n):
-                    for x, y in (
-                        (c[i][j][s], f[s][k]),
-                        (c[j][k][s], f[s][i]),
-                        (c[k][i][s], f[s][j]),
-                    ):
-                        if x and y:
-                            term = x * y
-                            tot = term if tot is None else tot + term
-                if tot is not None and tot:
+                pairs = [
+                    (x, y)
+                    for s in range(n)
+                    for x, y in ((c[i][j][s], f[s][k]), (c[j][k][s], f[s][i]), (c[k][i][s], f[s][j]))
+                    if x and y
+                ]
+                if pairs and sum_of_products(pairs):
                     return (i, j, k)
     return None
 
@@ -284,8 +297,8 @@ def _det_minor_expansion(ring: PolyRing, m: Sequence[Sequence[Poly]]) -> Poly:
         return ring.one
     cache = {(): ring.one}
 
-    def minor(rows_done: int, cols: tuple) -> Poly:
-        # determinant of rows rows_done..n-1 against the remaining columns
+    def minor(cols: tuple) -> Poly:
+        # determinant of the last len(cols) rows against the columns `cols`
         if cols in cache:
             return cache[cols]
         i = n - len(cols)
@@ -295,7 +308,7 @@ def _det_minor_expansion(ring: PolyRing, m: Sequence[Sequence[Poly]]) -> Poly:
             entry = m[i][cjx]
             if entry:
                 rest = cols[:pos] + cols[pos + 1 :]
-                sub = minor(rows_done + 1, rest)
+                sub = minor(rest)
                 if sub:
                     term = entry * sub
                     total = total + (term if sign > 0 else -term)
@@ -303,7 +316,7 @@ def _det_minor_expansion(ring: PolyRing, m: Sequence[Sequence[Poly]]) -> Poly:
         cache[cols] = total
         return total
 
-    return minor(0, tuple(range(n)))
+    return minor(tuple(range(n)))
 
 
 def nondegenerate_witness(basis: Sequence[Matrix]) -> Optional[Tuple[Tuple[int, ...], Matrix]]:

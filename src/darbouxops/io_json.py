@@ -22,7 +22,7 @@ from typing import List
 from .errors import InvalidFieldError, ParseError
 from .lie import LieAlgebra
 from .operators import PolyOperator, field_ring
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar, parse_scalar, validate_field_tag
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
@@ -40,8 +40,10 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
 
 
 def algebra_from_dict(data: dict) -> LieAlgebra:
+    """Algebra from file data; every sqrt coefficient must use the declared field_sqrt."""
     try:
         dim = int(data["dim"])
+        d = validate_field_tag(data.get("field_sqrt", 0))
         raw = data.get("brackets", [])
         brackets = {}
         for item in raw:
@@ -53,9 +55,15 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
                 kk = int(k) - 1
                 if not 0 <= kk < dim:
                     raise ParseError(f"bracket output index {k} out of range")
-                out[kk] = parse_scalar(str(val))
+                coeff = parse_scalar(str(val))
+                if coeff.d and coeff.d != d:
+                    raise ParseError(
+                        f"bracket coefficient {val!r} is not in Q(sqrt({d}))"
+                        if d else f"bracket coefficient {val!r} is not rational (field_sqrt 0)"
+                    )
+                out[kk] = coeff
             brackets[(i, j)] = out
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidFieldError) as exc:
         raise ParseError(f"malformed algebra data: {exc}") from exc
     return LieAlgebra.from_brackets(dim, brackets)
 

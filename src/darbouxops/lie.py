@@ -38,24 +38,21 @@ def jacobi_defect(c: Sequence[Sequence[Sequence]]) -> Dict[tuple, Scalar]:
     n = len(c)
     if any(len(plane) != n or any(len(row) != n for row in plane) for plane in c):
         raise ShapeMismatchError("structure tensor must be n x n x n")
+    # nonzero c^{ab}_s, listed once per pair (a, b)
+    nz = [[[(s, x) for s, x in enumerate(c[a][b]) if x] for b in range(n)] for a in range(n)]
+    zero = Scalar(0)
     out: Dict[tuple, Scalar] = {}
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                for m in range(n):
-                    total = Scalar(0)
-                    for s in range(n):
-                        cij = c[i][j][s]
-                        if cij:
-                            total = total + cij * c[s][k][m]
-                        cjk = c[j][k][s]
-                        if cjk:
-                            total = total + cjk * c[s][i][m]
-                        cki = c[k][i][s]
-                        if cki:
-                            total = total + cki * c[s][j][m]
-                    if total:
-                        out[(i, j, k, m)] = total
+                totals: Dict[int, Scalar] = {}
+                for (a, b), last in (((i, j), k), ((j, k), i), ((k, i), j)):
+                    for s, x in nz[a][b]:
+                        for m, y in nz[s][last]:
+                            totals[m] = totals.get(m, zero) + x * y
+                for m in sorted(totals):
+                    if totals[m]:
+                        out[(i, j, k, m)] = totals[m]
     return out
 
 

@@ -32,9 +32,10 @@ from .invariants import (
     cocycle_residual,
     jacobi_residual,
     metric_residual,
+    sum_of_products,
 )
 from .lie import LieAlgebra
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, dot
 from .scalars import Scalar
 
 PolyMatrix = List[List[Poly]]
@@ -149,17 +150,12 @@ class DarbouxOperator:
     def omega(self) -> PolyMatrix:
         ring = self.ring
         uvars = [ring.var(ring.names[i]) for i in ring.field_indices()]
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                entry = self.f[i][j]
-                for k in range(self.n):
-                    if self.c[i][j][k]:
-                        entry = entry + self.c[i][j][k] * uvars[k]
-                row.append(entry)
-            out.append(row)
-        return out
+        n = self.n
+        return [
+            [self.f[i][j] + dot(ring, [(self.c[i][j][k], uvars[k]) for k in range(n)])
+             for j in range(n)]
+            for i in range(n)
+        ]
 
     def to_poly_operator(self) -> "PolyOperator":
         return PolyOperator(self.ring, self.eta, self.omega(), _checked=True)
@@ -232,13 +228,13 @@ def _first_skew_violation(m: PolyMatrix) -> Optional[tuple]:
 
 def _jacobi_value(c, key):
     i, j, k, m = key
-    tot = None
-    for s in range(len(c)):
-        for x, y in ((c[i][j][s], c[s][k][m]), (c[j][k][s], c[s][i][m]), (c[k][i][s], c[s][j][m])):
-            if x and y:
-                term = x * y
-                tot = term if tot is None else tot + term
-    return tot
+    pairs = [
+        (x, y)
+        for s in range(len(c))
+        for x, y in ((c[i][j][s], c[s][k][m]), (c[j][k][s], c[s][i][m]), (c[k][i][s], c[s][j][m]))
+        if x and y
+    ]
+    return sum_of_products(pairs) if pairs else None
 
 
 class PolyOperator:
@@ -275,20 +271,12 @@ def phi_tensor(op: PolyOperator):
     n = op.n
     fidx = ring.field_indices()
     domega = [[[op.omega[j][k].partial(fidx[s]) for s in range(n)] for k in range(n)] for j in range(n)]
-    phi = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                tot = ring.zero
-                for s in range(n):
-                    if op.g[i][s] and domega[j][k][s]:
-                        tot = tot + op.g[i][s] * domega[j][k][s]
-                row.append(tot)
-            plane.append(row)
-        phi.append(plane)
-    return phi
+    g = op.g
+    return [
+        [[dot(ring, [(g[i][s], domega[j][k][s]) for s in range(n)]) for k in range(n)]
+         for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def schouten_residual(ring: PolyRing, omega: PolyMatrix) -> Optional[tuple]:
@@ -299,16 +287,16 @@ def schouten_residual(ring: PolyRing, omega: PolyMatrix) -> Optional[tuple]:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                tot = ring.zero
-                for s in range(n):
-                    for left, dright in (
+                pairs = [
+                    pair
+                    for s in range(n)
+                    for pair in (
                         (omega[i][s], domega[j][k][s]),
                         (omega[j][s], domega[k][i][s]),
                         (omega[k][s], domega[i][j][s]),
-                    ):
-                        if left and dright:
-                            tot = tot + left * dright
-                if not tot.is_zero():
+                    )
+                ]
+                if dot(ring, pairs):
                     return (i, j, k)
     return None
 
@@ -370,22 +358,9 @@ def apply_to_density(op: PolyOperator, h: Poly) -> Tuple[PolyMatrix, List[Poly]]
     fidx = ring.field_indices()
     grad = [h.partial(fidx[j]) for j in range(n)]
     hess = [[grad[j].partial(fidx[k]) for k in range(n)] for j in range(n)]
-    v = []
-    w = []
-    for i in range(n):
-        vrow = []
-        for k in range(n):
-            tot = ring.zero
-            for j in range(n):
-                if op.g[i][j] and hess[j][k]:
-                    tot = tot + op.g[i][j] * hess[j][k]
-            vrow.append(tot)
-        v.append(vrow)
-        tot = ring.zero
-        for j in range(n):
-            if op.omega[i][j] and grad[j]:
-                tot = tot + op.omega[i][j] * grad[j]
-        w.append(tot)
+    v = [[dot(ring, [(op.g[i][j], hess[j][k]) for j in range(n)]) for k in range(n)]
+         for i in range(n)]
+    w = [dot(ring, [(op.omega[i][j], grad[j]) for j in range(n)]) for i in range(n)]
     return v, w
 
 
@@ -418,41 +393,25 @@ def transform_darboux(op: DarbouxOperator, a: Sequence[Sequence],
         raise ShapeMismatchError("transformation matrix has wrong shape")
     b = linalg.inverse(amat)
     ring = op.ring
-    ap = lift_matrix(ring, amat)
-    bp = lift_matrix(ring, b)
-
-    def two_tensor(m: PolyMatrix) -> PolyMatrix:
-        out = [[ring.zero for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                tot = ring.zero
-                for k in range(n):
-                    if not ap[i][k]:
-                        continue
-                    for l in range(n):
-                        if m[k][l] and ap[j][l]:
-                            tot = tot + ap[i][k] * m[k][l] * ap[j][l]
-                out[i][j] = tot
-        return out
-
-    eta_new = two_tensor(op.eta)
-    f_new = two_tensor(op.f)
-    c_new = [[[ring.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                tot = ring.zero
-                for l in range(n):
-                    if not ap[i][l]:
-                        continue
-                    for m in range(n):
-                        if not op.c[l][m] or not ap[j][m]:
-                            continue
-                        for s in range(n):
-                            if op.c[l][m][s] and bp[s][k]:
-                                tot = tot + ap[i][l] * ap[j][m] * op.c[l][m][s] * bp[s][k]
-                c_new[i][j][k] = tot
+    eta_new = _two_tensor(ring, amat, op.eta)
+    f_new = _two_tensor(ring, amat, op.f)
+    c_new = [[[dot(ring, [
+        (amat[i][l] * amat[j][m] * b[s][k], op.c[l][m][s])
+        for l in range(n) if amat[i][l]
+        for m in range(n) if amat[j][m]
+        for s in range(n) if b[s][k] and op.c[l][m][s]
+    ]) for k in range(n)] for j in range(n)] for i in range(n)]
     return DarbouxOperator(ring, c_new, eta_new, f_new, _checked=not validate)
+
+
+def _two_tensor(ring: PolyRing, a, m: PolyMatrix) -> PolyMatrix:
+    """(2,0) law: a^i_k m^{kl} a^j_l, with a a Scalar matrix."""
+    n = len(a)
+    return [[dot(ring, [
+        (a[i][k] * a[j][l], m[k][l])
+        for k in range(n) if a[i][k]
+        for l in range(n) if a[j][l] and m[k][l]
+    ]) for j in range(n)] for i in range(n)]
 
 
 def transform_poly_operator(op: PolyOperator, a: Sequence[Sequence]) -> PolyOperator:
@@ -462,32 +421,13 @@ def transform_poly_operator(op: PolyOperator, a: Sequence[Sequence]) -> PolyOper
     b = linalg.inverse(amat)
     ring = op.ring
     fnames = [ring.names[i] for i in ring.field_indices()]
+    uvars = [ring.var(name) for name in fnames]
     subs_map = {
-        fnames[l]: sum(
-            (ring.const(b[l][m]) * ring.var(fnames[m]) for m in range(n)), ring.zero
-        )
-        for l in range(n)
+        fnames[l]: dot(ring, [(b[l][m], uvars[m]) for m in range(n)]) for l in range(n)
     }
     omega_sub = [[op.omega[k][l].subs(subs_map) for l in range(n)] for k in range(n)]
-    ap = lift_matrix(ring, amat)
-    g_new = [[ring.zero for _ in range(n)] for _ in range(n)]
-    omega_new = [[ring.zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            tg = ring.zero
-            to = ring.zero
-            for k in range(n):
-                if not ap[i][k]:
-                    continue
-                for l in range(n):
-                    if ap[j][l]:
-                        if op.g[k][l]:
-                            tg = tg + ap[i][k] * op.g[k][l] * ap[j][l]
-                        if omega_sub[k][l]:
-                            to = to + ap[i][k] * omega_sub[k][l] * ap[j][l]
-            g_new[i][j] = tg
-            omega_new[i][j] = to
-    return PolyOperator(ring, g_new, omega_new, _checked=True)
+    return PolyOperator(ring, _two_tensor(ring, amat, op.g),
+                        _two_tensor(ring, amat, omega_sub), _checked=True)
 
 
 def operator_casimir_functionals(op: DarbouxOperator) -> List[linalg.Vector]:

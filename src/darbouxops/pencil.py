@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import InvalidOperandError, ShapeMismatchError
+from .invariants import sum_of_products
 from .operators import (
     DarbouxOperator,
     PolyOperator,
@@ -74,8 +75,9 @@ def mixed_jacobi_residual(c1, c2) -> Optional[tuple]:
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 for s in range(n):
-                    tot = None
-                    for p in range(n):
+                    pairs = [
+                        (x, y)
+                        for p in range(n)
                         for x, y in (
                             (c2[i][j][p], c1[p][k][s]),
                             (c2[j][k][p], c1[p][i][s]),
@@ -83,11 +85,10 @@ def mixed_jacobi_residual(c1, c2) -> Optional[tuple]:
                             (c1[i][j][p], c2[p][k][s]),
                             (c1[j][k][p], c2[p][i][s]),
                             (c1[k][i][p], c2[p][j][s]),
-                        ):
-                            if x and y:
-                                term = x * y
-                                tot = term if tot is None else tot + term
-                    if tot is not None and tot:
+                        )
+                        if x and y
+                    ]
+                    if pairs and sum_of_products(pairs):
                         return (i, j, k, s)
     return None
 
@@ -98,8 +99,9 @@ def mixed_cocycle_residual(c1, f1, c2, f2) -> Optional[tuple]:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                tot = None
-                for p in range(n):
+                pairs = [
+                    (x, y)
+                    for p in range(n)
                     for x, y in (
                         (c2[i][j][p], f1[p][k]),
                         (c2[j][k][p], f1[p][i]),
@@ -107,11 +109,10 @@ def mixed_cocycle_residual(c1, f1, c2, f2) -> Optional[tuple]:
                         (c1[i][j][p], f2[p][k]),
                         (c1[j][k][p], f2[p][i]),
                         (c1[k][i][p], f2[p][j]),
-                    ):
-                        if x and y:
-                            term = x * y
-                            tot = term if tot is None else tot + term
-                if tot is not None and tot:
+                    )
+                    if x and y
+                ]
+                if pairs and sum_of_products(pairs):
                     return (i, j, k)
     return None
 
@@ -122,18 +123,18 @@ def mixed_metric_residual(g1, c1, g2, c2) -> Optional[tuple]:
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
-                tot = None
-                for s in range(n):
+                pairs = [
+                    (x, y)
+                    for s in range(n)
                     for x, y in (
                         (g1[i][s], c2[j][k][s]),
                         (g1[j][s], c2[i][k][s]),
                         (g2[i][s], c1[j][k][s]),
                         (g2[j][s], c1[i][k][s]),
-                    ):
-                        if x and y:
-                            term = x * y
-                            tot = term if tot is None else tot + term
-                if tot is not None and tot:
+                    )
+                    if x and y
+                ]
+                if pairs and sum_of_products(pairs):
                     return (i, j, k)
     return None
 

@@ -5,16 +5,43 @@ u^i of the operator) or PARAM (a formal parameter such as alpha, f23 or a
 pencil weight lambda).  Monomials are exponent tuples; the canonical order
 is graded lexicographic with field variables first, parameters after, in
 declaration order.  Zero coefficients are never stored.
+
+Products and sums of products go through one integer kernel, `dot`.  Each
+operand is written once as integer numerator pairs (A, B) over a common
+denominator D, one pair per term, so that a coefficient is
+(A + B*sqrt(d))/D; this form is cached on the polynomial, because the
+entries of a structure tensor or an operator are multiplied many times.  A
+sum of products then accumulates plain integers keyed by exponent, each
+product scaled to the lcm L of the operand denominators, and builds one
+`Scalar` per nonzero output term.  The contract is the one of Scalar
+arithmetic summed term by term: the same terms and no stored zeros, with
+ShapeMismatchError for operands from different rings and FieldMismatchError
+for sqrt(d) against sqrt(d') with d != d'.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ShapeMismatchError, UnknownIndeterminateError
-from .scalars import Scalar, parse_scalar, validate_field_tag
+from .errors import (
+    FieldMismatchError,
+    ParseError,
+    ShapeMismatchError,
+    UnknownIndeterminateError,
+)
+from .scalars import (
+    ONE,
+    Scalar,
+    _fraction,
+    _make,
+    _rational,
+    parse_scalar,
+    validate_field_tag,
+)
 
 FIELD = "field"
 PARAM = "param"
@@ -102,11 +129,13 @@ def _grlex_key(exp):
 
 
 class Poly:
-    __slots__ = ("ring", "terms")
+    # `_ints` caches the integer form used by `dot`; None until first needed.
+    __slots__ = ("ring", "terms", "_ints")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple, Scalar]):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -182,19 +211,7 @@ class Poly:
             if not s:
                 return self.ring.zero
             return Poly(self.ring, {e: c * s for e, c in self.terms.items()})
-        other = self._coerce(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                c = c if s is None else s + c
-                if c:
-                    out[e] = c
-                elif s is not None:
-                    del out[e]
-        return Poly(self.ring, out)
+        return dot(self.ring, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -250,19 +267,20 @@ class Poly:
         out = self.ring.zero
         pow_cache: dict = {}
         for e, c in self.terms.items():
-            term = self.ring.const(c)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                if i in sub:
+            # indeterminates that are not substituted stay in the monomial
+            kept = list(e)
+            powers = []
+            for i, value in sub.items():
+                k = e[i]
+                if k:
+                    kept[i] = 0
                     key = (i, k)
                     if key not in pow_cache:
-                        pow_cache[key] = sub[i] ** k
-                    term = term * pow_cache[key]
-                else:
-                    mono = [0] * self.ring.nvars
-                    mono[i] = k
-                    term = term * Poly(self.ring, {tuple(mono): Scalar(1)})
+                        pow_cache[key] = value**k
+                    powers.append(pow_cache[key])
+            term = _poly(self.ring, {tuple(kept): c})
+            for power in powers:
+                term = term * power
             out = out + term
         return out
 
@@ -358,6 +376,107 @@ class Poly:
         return "".join(pieces)
 
 
+_new = object.__new__
+_set_ring = Poly.ring.__set__
+_set_terms = Poly.terms.__set__
+_set_ints = Poly._ints.__set__
+
+
+def _poly(ring: PolyRing, terms: dict) -> Poly:
+    """Internal constructor for a terms dict that holds no zero coefficient."""
+    p = _new(Poly)
+    _set_ring(p, ring)
+    _set_terms(p, terms)
+    _set_ints(p, None)
+    return p
+
+
+def _int_form(p: Poly) -> tuple:
+    """(d, D, ((exp, A, B), ...)) with each coefficient (A + B*sqrt(d))/D."""
+    form = p._ints
+    if form is not None:
+        return form
+    d = 0
+    den = 1
+    for c in p.terms.values():
+        if c.d:
+            if d and c.d != d:
+                raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({c.d})")
+            d = c.d
+            den = lcm(den, c.a.denominator, c.b.denominator)
+        else:
+            den = lcm(den, c.a.denominator)
+    form = (d, den, tuple(
+        (e, c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
+        for e, c in p.terms.items()
+    ))
+    _set_ints(p, form)
+    return form
+
+
+def _operand_form(ring: PolyRing, x) -> tuple:
+    if type(x) is not Poly:
+        x = ring.const(x)
+    elif x.ring is not ring and x.ring != ring:
+        raise ShapeMismatchError("polynomials from different rings")
+    return _int_form(x)
+
+
+def dot(ring: PolyRing, pairs) -> Poly:
+    """The sum of x*y over the (x, y) pairs, all polynomials of `ring`.
+
+    Operands that are not polynomials are taken as constants of `ring`.
+    """
+    operands = []
+    d = 0
+    den = 1
+    for x, y in pairs:
+        dx, den_x, xs = _operand_form(ring, x)
+        dy, den_y, ys = _operand_form(ring, y)
+        if not (xs and ys):
+            continue
+        for tag in (dx, dy):
+            if tag:
+                if d and tag != d:
+                    raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({tag})")
+                d = tag
+        scale = den_x * den_y
+        den = lcm(den, scale)
+        operands.append((xs, ys, scale))
+    acc: dict = {}
+    terms = {}
+    if not d:
+        for xs, ys, scale in operands:
+            k = den // scale
+            for e1, a1, _ in xs:
+                ka1 = k * a1
+                for e2, a2, _ in ys:
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = acc.get(e, 0) + ka1 * a2
+        for e, a in acc.items():
+            if a:
+                terms[e] = _rational(Fraction(a, den))
+        return _poly(ring, terms)
+    # (a1 + b1 r)(a2 + b2 r) = a1 a2 + d b1 b2 + (a1 b2 + b1 a2) r, r = sqrt(d)
+    acc_b: dict = {}
+    for xs, ys, scale in operands:
+        k = den // scale
+        for e1, a1, b1 in xs:
+            ka1, kb1 = k * a1, k * b1
+            dkb1 = d * kb1
+            for e2, a2, b2 in ys:
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + ka1 * a2 + dkb1 * b2
+                acc_b[e] = acc_b.get(e, 0) + ka1 * b2 + kb1 * a2
+    for e, a in acc.items():
+        b = acc_b[e]
+        if b:
+            terms[e] = _make(Fraction(a, den), Fraction(b, den), d)
+        elif a:
+            terms[e] = _rational(Fraction(a, den))
+    return _poly(ring, terms)
+
+
 def _latex_name(name: str) -> str:
     if name.startswith("u") and name[1:].isdigit():
         return f"u^{{{name[1:]}}}"
@@ -371,22 +490,20 @@ def _latex_name(name: str) -> str:
 # -- parsing -------------------------------------------------------------
 
 
-def _split_top_level(s: str, seps: str):
-    """Split on separators not nested inside parentheses, keeping signs."""
+def _split_factors(term: str):
+    """Split a term at the "*" signs that are not nested inside parentheses."""
     chunks = []
     depth = 0
     start = 0
-    for i, ch in enumerate(s):
+    for i, ch in enumerate(term):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif depth == 0 and ch in seps and i > start:
-            chunks.append(s[start:i])
-            start = i + (0 if ch in "+-" else 1)
-            if ch in "+-":
-                start = i
-    chunks.append(s[start:])
+        elif depth == 0 and ch == "*" and i > start:
+            chunks.append(term[start:i])
+            start = i + 1
+    chunks.append(term[start:])
     return chunks
 
 
@@ -394,12 +511,12 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
     """Parse a signed sum of terms "coef*var1^e1*var2^e2".
 
     Bare variable names, parenthesised scalar coefficients and sqrt(d)
-    factors are accepted; whitespace is ignored.
+    factors are accepted; whitespace is ignored.  Each term is read as one
+    coefficient and one exponent tuple.
     """
     s = "".join(text.split())
     if not s:
         raise ParseError("empty polynomial literal")
-    total = ring.zero
     # carve into signed terms at top-level +/- (not following * or ( or ^ ...)
     terms = []
     depth = 0
@@ -413,6 +530,7 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
             terms.append(s[start:i])
             start = i
     terms.append(s[start:])
+    out: dict = {}
     for term in terms:
         sign = 1
         while term and term[0] in "+-":
@@ -421,20 +539,37 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
             term = term[1:]
         if not term:
             raise ParseError(f"dangling sign in {text!r}")
-        value = ring.const(sign)
-        for factor in _split_top_level(term, "*"):
+        coef = ONE if sign > 0 else -ONE
+        exp = list(ring._zero_exp)
+        for factor in _split_factors(term):
             if not factor:
                 raise ParseError(f"empty factor in {term!r}")
-            value = value * _parse_factor(ring, factor, text)
-        total = total + value
-    return total
+            value = _parse_factor(ring, factor, text)
+            if type(value) is Scalar:
+                coef = coef * value
+            else:
+                exp[value[0]] += value[1]
+        if not coef:
+            continue
+        e = tuple(exp)
+        prev = out.get(e)
+        if prev is None:
+            out[e] = coef
+        else:
+            coef = prev + coef
+            if coef:
+                out[e] = coef
+            else:
+                del out[e]
+    return _poly(ring, out)
 
 
-def _parse_factor(ring: PolyRing, factor: str, context: str) -> Poly:
+def _parse_factor(ring: PolyRing, factor: str, context: str):
+    """A coefficient factor as a Scalar, or a variable power as (index, power)."""
     if factor.startswith("(") and factor.endswith(")"):
-        return ring.const(parse_scalar(factor[1:-1]))
+        return parse_scalar(factor[1:-1])
     if factor.startswith("sqrt(") and factor.endswith(")"):
-        return ring.const(parse_scalar(factor))
+        return parse_scalar(factor)
     name, caret, exp = factor.partition("^")
     if caret:
         if not exp.isdigit():
@@ -443,7 +578,7 @@ def _parse_factor(ring: PolyRing, factor: str, context: str) -> Poly:
     else:
         power = 1
     if re.fullmatch(r"-?\d+(/\d+)?", name):
-        return ring.const(Fraction(name)) ** power
+        return _rational(_fraction(name, context)) ** power
     if name in ring._index:
-        return ring.var(name) ** power
+        return (ring._index[name], power)
     raise UnknownIndeterminateError(f"{name!r} not in ring {ring.names} ({context!r})")

@@ -294,6 +294,14 @@ _TERM_RE = re.compile(
 )
 
 
+def _fraction(literal: str, context: str) -> Fraction:
+    """A "p" or "p/q" literal; a zero denominator is a ParseError."""
+    try:
+        return Fraction(literal)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {literal!r} ({context!r})") from None
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse "p/q", "p/q+r/s*sqrt(d)" and friends (whitespace ignored)."""
     s = re.sub(r"\s+", "", text)
@@ -317,7 +325,7 @@ def parse_scalar(text: str) -> Scalar:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coef") is None and m.group("d") is None):
             raise ParseError(f"bad scalar term {chunk!r} in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = _fraction(m.group("coef"), text) if m.group("coef") else Fraction(1)
         coef *= sign
         if m.group("d") is not None:
             term = Scalar(0, coef, int(m.group("d")))

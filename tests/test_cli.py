@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 import helpers
-from darbouxops import cli, io_json, lie
+from darbouxops import catalog, cli, io_json, lie
 from darbouxops import operators as ops
 from darbouxops.latexout import operator_latex
 from darbouxops.scalars import Scalar
@@ -126,6 +127,7 @@ _SQUARE = {"g": [["1", "0"], ["0", "1"]], "omega": [["0", "u1"], ["-u1", "0"]]}
     {"field_sqrt": 4},
     {"g": [["1", "0"], ["0"]]},
     {"omega": [["0", "u1"], ["-u1"]]},
+    {"omega": [["0", "1/0*u1"], ["-u1", "0"]]},
 ])
 def test_operator_verify_rejects_bad_files(tmp_path, bad):
     path = tmp_path / "bad.json"
@@ -133,6 +135,40 @@ def test_operator_verify_rejects_bad_files(tmp_path, bad):
     proc = run_cli(["operator", "verify", str(path)], timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+_SQRT3_BRACKET = {"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"2": "sqrt(3)"}}]}
+
+
+@pytest.mark.parametrize("field_sqrt", [
+    4,  # not square-free
+    2,  # declared sqrt(2), coefficient in sqrt(3)
+    0,  # declared plain Q
+])
+@pytest.mark.parametrize("command", [["check"], ["spaces", "--which", "metrics"]])
+def test_algebra_file_field_tag_validated(tmp_path, field_sqrt, command):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({**_SQRT3_BRACKET, "field_sqrt": field_sqrt}))
+    proc = run_cli([command[0], str(path), *command[1:]], timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "valid Lie algebra" not in proc.stdout
+
+
+def test_algebra_file_zero_denominator_rejected(tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"2": "1/0"}}]}))
+    proc = run_cli(["check", str(path)], timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_algebra_file_declared_tag_accepted(tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({**_SQRT3_BRACKET, "field_sqrt": 3}))
+    proc = run_cli(["check", str(path)], timeout=60)
+    assert proc.returncode == 0
+    assert "valid Lie algebra" in proc.stdout
 
 
 def test_global_field_sqrt_rejected():
@@ -265,3 +301,56 @@ def test_latex_golden_a32_a33():
 
 def test_cli_main_function_directly(so3_file):
     assert cli.main(["check", so3_file]) == 0
+
+
+# An invertible matrix over Q(sqrt(3)); transporting A_{6,11} by it puts
+# radicals in every block, so both pencil routes run the sqrt(3) kernel.
+_SQRT3_MATRIX = [
+    ["0", "1-sqrt(3)", "0", "1-sqrt(3)", "0", "0"],
+    ["0", "0", "1", "-1", "sqrt(3)", "0"],
+    ["1", "sqrt(3)", "1", "1-sqrt(3)", "-1", "sqrt(3)"],
+    ["-1", "0", "1", "0", "sqrt(3)", "1"],
+    ["0", "sqrt(3)", "-1", "1-sqrt(3)", "sqrt(3)", "-1"],
+    ["sqrt(3)", "1", "sqrt(3)", "0", "0", "-1"],
+]
+
+
+def test_pencil_both_pins_moduli_entry_over_sqrt3(tmp_path):
+    """A moduli entry against its renamed copy is incompatible on both routes.
+
+    The verdicts, first violations and the transported file are pinned.
+    """
+    entry = catalog.catalog_get("A_{6,11}")
+    a, m, t = (tmp_path / f"{stem}.json" for stem in "AMT")
+    a.write_text(json.dumps({
+        "dim": entry.dim,
+        "field_sqrt": 3,
+        "g": [[str(x) for x in row] for row in entry.eta],
+        "omega": [[str(x) for x in row] for row in entry.omega],
+        "params": entry.eta_params + entry.f_params + list(entry.moduli),
+    }))
+    m.write_text(json.dumps(_SQRT3_MATRIX))
+    proc = run_cli(["operator", "transform", str(a), "--matrix", str(m), "--out", str(t)],
+                   timeout=120)
+    assert proc.returncode == 0
+    assert hashlib.sha256(t.read_bytes()).hexdigest() == (
+        "4d83f3d51b61bb6d8690a915d846c319edd61712a052506bd5136b9d92f0fae9"
+    )
+    proc = run_cli(["--format", "json", "pencil", str(t), str(t), "--mode", "both"],
+                   timeout=120)
+    assert proc.returncode == 1
+    data = json.loads(proc.stdout)
+    assert data["darboux"]["compatible"] is False
+    assert [(c["name"], c["first_violation"]) for c in data["darboux"]["conditions"]] == [
+        ("mixed-jacobi", None),
+        ("mixed-cocycle", None),
+        ("mixed-metric", [1, 2, 2]),
+    ]
+    lam = data["lambda"]["lambda_check"]
+    assert data["lambda"]["compatible"] is False
+    assert [(c["name"], c["first_violation"], c["residual"]) for c in lam["conditions"]] == [
+        ("omega-skew", None, None),
+        ("schouten", None, None),
+        ("phi-cyclic-symmetry", [1, 2, 2], None),
+        ("phi-constant", None, None),
+    ]

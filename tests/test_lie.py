@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from darbouxops import linalg, lie
+from darbouxops import catalog, linalg, lie
 from darbouxops.errors import (
     FieldMismatchError,
     NotACasimirError,
@@ -38,6 +40,72 @@ def test_jacobi_defect_detects_violation():
     assert defect == {(0, 1, 2, 0): Scalar(2)}
     with pytest.raises(NotALieAlgebraError):
         lie.LieAlgebra(c)
+
+
+def _jacobi_defect_dense(c):
+    """The dense loop over all (i<j<k, m, s), kept as the reference."""
+    n = len(c)
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for m in range(n):
+                    total = Scalar(0)
+                    for s in range(n):
+                        cij = c[i][j][s]
+                        if cij:
+                            total = total + cij * c[s][k][m]
+                        cjk = c[j][k][s]
+                        if cjk:
+                            total = total + cjk * c[s][i][m]
+                        cki = c[k][i][s]
+                        if cki:
+                            total = total + cki * c[s][j][m]
+                    if total:
+                        out[(i, j, k, m)] = total
+    return out
+
+
+def _assert_same_defect(c):
+    got, want = lie.jacobi_defect(c), _jacobi_defect_dense(c)
+    assert got == want
+    assert list(got) == list(want)
+    if want:
+        assert min(got) == min(want)
+
+
+def test_jacobi_defect_matches_dense_loop_on_catalog():
+    for name in catalog.catalog_list():
+        _assert_same_defect(catalog.catalog_get(name).algebra.c)
+
+
+_ENTRY = st.sampled_from([Scalar(0)] * 6 + [Scalar(1), Scalar(-2), Scalar(Fraction(1, 3)),
+                                            Scalar(0, 1, 2), Scalar(Fraction(-1, 2), 3, 2)])
+
+
+@st.composite
+def _tensors(draw, skew):
+    n = draw(st.integers(2, 5))
+    c = [[[Scalar(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(0 if not skew else i + 1, n):
+            for k in range(n):
+                c[i][j][k] = draw(_ENTRY)
+                if skew:
+                    c[j][i][k] = -c[i][j][k]
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tensors(skew=True))
+def test_jacobi_defect_matches_dense_loop_on_skew_tensors(c):
+    _assert_same_defect(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tensors(skew=False))
+def test_jacobi_defect_matches_dense_loop_on_raw_tensors(c):
+    _assert_same_defect(c)
 
 
 def test_hyperbolic_rotation_tensor_is_a_lie_algebra():

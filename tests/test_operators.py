@@ -399,3 +399,19 @@ def test_darboux_general_equivalence_on_samples(rng):
         op = ops.DarbouxOperator(ring, g.c, eta, f, _checked=True)
         assert ops.verify_darboux(op).passed
         assert ops.verify_hamiltonian(op.to_poly_operator()).passed
+
+
+def test_jacobi_residual_string_over_sqrt2_with_parameter():
+    """The reported Jacobi residual is the pinned polynomial, radicals and all."""
+    ring = ops.field_ring(3, ["alpha"], d=2)
+    c = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j, k), v, w in (((0, 1, 1), "alpha", "-alpha"),
+                            ((0, 2, 2), "1/2*sqrt(2)", "-1/2*sqrt(2)"),
+                            ((1, 2, 0), "1+sqrt(2)*alpha", "-1-sqrt(2)*alpha")):
+        c[i][j][k], c[j][i][k] = v, w
+    zero = [["0"] * 3 for _ in range(3)]
+    rep = ops.verify_darboux(ops.DarbouxOperator(ring, c, zero, zero, _checked=True))
+    jac = next(x for x in rep.conditions if x.name == "jacobi")
+    assert jac.first_violation == (0, 1, 2, 0)
+    assert jac.residual == "sqrt(2)*alpha^2+2*alpha+1/2*sqrt(2)"
+    assert rep.failed_names() == ["jacobi"]

@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darbouxops.errors import ShapeMismatchError, UnknownIndeterminateError
-from darbouxops.poly import Poly, PolyRing
+from darbouxops.errors import (
+    FieldMismatchError,
+    ParseError,
+    ShapeMismatchError,
+    UnknownIndeterminateError,
+)
+from darbouxops.poly import Poly, PolyRing, dot
 from darbouxops.scalars import Scalar
 
 
@@ -47,6 +52,55 @@ def test_parse_print_roundtrip_with_radicals():
     assert ring.parse(str(p)) == p
     q = ring.parse("(1/2+1/2*sqrt(2))*u1")
     assert ring.parse(str(q)) == q
+
+
+def test_parse_reads_terms_directly():
+    ring = PolyRing(["u1", "u2"], ["alpha"], d=2)
+    u1, u2, alpha = ring.var("u1"), ring.var("u2"), ring.var("alpha")
+    r2 = Scalar.sqrt(2)
+    cases = {
+        "2*u1^2*u2-3/4*alpha": 2 * u1 * u1 * u2 - Fraction(3, 4) * alpha,
+        "-(1/2+sqrt(2))*u1*u1+u1^2": (Scalar(Fraction(1, 2)) - r2) * u1 * u1,
+        "u1*u2-u2*u1": ring.zero,
+        "0*u1+0": ring.zero,
+        "--u1": u1,
+        "2*-3*u1": -6 * u1,
+        "u1^0*3": ring.const(3),
+        "0^0": ring.one,
+        "2^3*alpha": 8 * alpha,
+        "sqrt(2)*sqrt(2)*u2": 2 * u2,
+        "u1^2*u1^3": u1**5,
+    }
+    for text, want in cases.items():
+        got = ring.parse(text)
+        assert got.terms == want.terms, text
+        assert all(c for c in got.terms.values())
+    assert ring.parse("sqrt(2)*sqrt(2)*u2").terms[(0, 1, 0)].d == 0
+
+
+@pytest.mark.parametrize("text, error", [
+    ("", ParseError),
+    ("u1+", ParseError),
+    ("+", ParseError),
+    ("u1*", ParseError),
+    ("u1^x", ParseError),
+    ("u1^-1", ParseError),
+    ("(u1)", ParseError),
+    ("()", ParseError),
+    ("sqrt(x)", ParseError),
+    ("1/0*u1", ParseError),
+    ("(1/0)*u1", ParseError),
+    ("u9", UnknownIndeterminateError),
+    ("u1**u2", UnknownIndeterminateError),
+    ("(2)^2*u1", UnknownIndeterminateError),
+    ("u1()", UnknownIndeterminateError),
+    ("sqrt(2)*sqrt(3)", FieldMismatchError),
+    ("sqrt(3)*u1+sqrt(2)*u1", FieldMismatchError),
+])
+def test_parse_errors(text, error):
+    ring = PolyRing(["u1", "u2"], ["alpha"], d=2)
+    with pytest.raises(error):
+        ring.parse(text)
 
 
 def test_ring_from_generators():
@@ -125,3 +179,110 @@ def test_ring_axioms(items_p, items_q):
     assert p + q == q + p
     assert p * q == q * p
     assert p * (q + ring.one) == p * q + p
+
+
+# -- the integer sum-of-products kernel ---------------------------------------
+
+
+def _reference_dot(ring, pairs):
+    """Term-by-term Scalar arithmetic, kept as the reference for `dot`."""
+    out = {}
+    for x, y in pairs:
+        for e1, c1 in x.terms.items():
+            for e2, c2 in y.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, Scalar(0)) + c1 * c2
+    return Poly(ring, out)
+
+
+def _assert_same_poly(got, want):
+    assert got.terms == want.terms
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
+    for c in got.terms.values():
+        assert c
+        assert type(c.a) is Fraction and type(c.b) is Fraction
+        assert (c.d == 0) == (c.b == 0)
+
+
+_FRACS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _sqrt_polys(draw, ring):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        e = (draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 1)))
+        b = draw(_FRACS) if ring.d and draw(st.booleans()) else 0
+        terms[e] = terms.get(e, Scalar(0)) + Scalar(draw(_FRACS), b, ring.d)
+    return Poly(ring, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dot_and_mul_match_scalar_reference(data):
+    ring = PolyRing(["u1", "u2"], ["a"], d=data.draw(st.sampled_from([0, 2, 3])))
+    polys = st.lists(st.tuples(_sqrt_polys(ring), _sqrt_polys(ring)), max_size=4)
+    pairs = data.draw(polys)
+    _assert_same_poly(dot(ring, pairs), _reference_dot(ring, pairs))
+    for x, y in pairs:
+        _assert_same_poly(x * y, _reference_dot(ring, [(x, y)]))
+    if pairs:
+        x, y = pairs[0]
+        # the negated pair cancels every product, rational and radical parts alike
+        assert dot(ring, pairs + [(-x, y)]) == dot(ring, pairs[1:])
+
+
+def test_dot_cancellations_and_zero_operands():
+    ring = PolyRing(["u1", "u2"], d=2)
+    u1, u2 = ring.var("u1"), ring.var("u2")
+    r2 = ring.const(Scalar.sqrt(2))
+    assert dot(ring, []) == ring.zero
+    assert dot(ring, [(u1, ring.zero), (ring.zero, u2)]).is_zero()
+    assert (u1 * ring.zero).is_zero() and (ring.zero * u1).is_zero()
+    assert dot(ring, [(u1, u2), (-u2, u1)]).is_zero()
+    # the sqrt(2) parts cancel: the coefficient drops back to plain Q
+    sq = (r2 * u1) * (r2 * u1)
+    assert sq.terms == {(2, 0): Scalar(2)}
+    assert sq.terms[(2, 0)].d == 0
+    conj = (ring.one + r2 * u1) * (ring.one - r2 * u1)
+    assert str(conj) == "-2*u1^2+1"
+    assert all(c.d == 0 for c in conj.terms.values())
+    mixed = dot(ring, [(r2, u1), (ring.one, u2), (-r2, u1)])
+    assert mixed == u2 and mixed.terms[(0, 1)].d == 0
+
+
+def test_dot_rejects_mixed_radicals_and_rings():
+    ring = PolyRing(["u1"])
+    r2 = ring.const(Scalar.sqrt(2)) * ring.var("u1")
+    r3 = ring.const(Scalar.sqrt(3))
+    with pytest.raises(FieldMismatchError):
+        r2 * r3
+    with pytest.raises(FieldMismatchError):
+        dot(ring, [(r2, ring.one), (r3, ring.one)])
+    other = PolyRing(["u1"], ["a"])
+    with pytest.raises(ShapeMismatchError):
+        ring.var("u1") * other.var("u1")
+    with pytest.raises(ShapeMismatchError):
+        dot(ring, [(ring.one, other.one)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mul_matches_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    d = data.draw(st.sampled_from([0, 2, 3]))
+    ring = PolyRing(["u1", "u2"], ["a"], d=d)
+    x, y = data.draw(_sqrt_polys(ring)), data.draw(_sqrt_polys(ring))
+    syms = sympy.symbols("u1 u2 a")
+
+    def to_sympy(p):
+        total = sympy.Integer(0)
+        for e, c in p.terms.items():
+            coeff = sympy.Rational(c.a.numerator, c.a.denominator)
+            if c.d:
+                coeff += sympy.Rational(c.b.numerator, c.b.denominator) * sympy.sqrt(c.d)
+            total += coeff * sympy.Mul(*(s**k for s, k in zip(syms, e)))
+        return total
+
+    assert sympy.expand(to_sympy(x) * to_sympy(y) - to_sympy(x * y)) == 0
