@@ -9,6 +9,7 @@ checks bi-Hamiltonian pencils and ships a verified low-dimensional catalog.
 
 from .errors import (
     DarbouxOpsError,
+    ExponentOverflowError,
     FieldMismatchError,
     InvalidOperandError,
     MetricIncompatibleError,
@@ -23,7 +24,7 @@ from .errors import (
     UnknownIndeterminateError,
 )
 from .scalars import Scalar, parse_scalar
-from .poly import FIELD, PARAM, Poly, PolyRing
+from .poly import FIELD, MAX_EXPONENT, PARAM, Poly, PolyRing
 from .lie import (
     LieAlgebra,
     StructureTags,

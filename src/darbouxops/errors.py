@@ -55,3 +55,7 @@ class InvalidOperandError(DarbouxOpsError):
 
 class UnknownEntryError(DarbouxOpsError):
     pass
+
+
+class ExponentOverflowError(DarbouxOpsError):
+    """A product operand has an exponent outside 0..poly.MAX_EXPONENT."""

@@ -11,6 +11,9 @@ Operator files:
       "params": ["alpha", ...] }
 with g and omega given entrywise as scalar/polynomial strings.
 
+In both formats every sqrt coefficient must use the declared field_sqrt
+(default 0, plain Q); any other radical is a ParseError.
+
 Both formats round-trip exactly over Q and Q(sqrt(d)).
 """
 
@@ -19,7 +22,13 @@ from __future__ import annotations
 import json
 from typing import List
 
-from .errors import InvalidFieldError, ParseError
+from .errors import (
+    FieldMismatchError,
+    InvalidFieldError,
+    ParseError,
+    ShapeMismatchError,
+    UnknownIndeterminateError,
+)
 from .lie import LieAlgebra
 from .operators import PolyOperator, field_ring
 from .scalars import Scalar, parse_scalar, validate_field_tag
@@ -37,6 +46,13 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
             if out:
                 brackets.append({"i": i + 1, "j": j + 1, "out": out})
     return {"dim": g.dim, "field_sqrt": g.field_tag(), "brackets": brackets}
+
+
+def _field_error(d: int, what: str) -> ParseError:
+    """The error for a radical other than the declared sqrt(d)."""
+    return ParseError(
+        f"{what} is not in Q(sqrt({d}))" if d else f"{what} is not rational (field_sqrt 0)"
+    )
 
 
 def algebra_from_dict(data: dict) -> LieAlgebra:
@@ -57,13 +73,10 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
                     raise ParseError(f"bracket output index {k} out of range")
                 coeff = parse_scalar(str(val))
                 if coeff.d and coeff.d != d:
-                    raise ParseError(
-                        f"bracket coefficient {val!r} is not in Q(sqrt({d}))"
-                        if d else f"bracket coefficient {val!r} is not rational (field_sqrt 0)"
-                    )
+                    raise _field_error(d, f"bracket coefficient {val!r}")
                 out[kk] = coeff
             brackets[(i, j)] = out
-    except (KeyError, TypeError, ValueError, InvalidFieldError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidFieldError, FieldMismatchError) as exc:
         raise ParseError(f"malformed algebra data: {exc}") from exc
     return LieAlgebra.from_brackets(dim, brackets)
 
@@ -95,6 +108,7 @@ def operator_to_dict(op: PolyOperator) -> dict:
 
 
 def operator_from_dict(data: dict) -> PolyOperator:
+    """Operator from file data; every sqrt coefficient must use the declared field_sqrt."""
     try:
         dim = int(data["dim"])
         d = int(data.get("field_sqrt", 0))
@@ -104,9 +118,15 @@ def operator_from_dict(data: dict) -> PolyOperator:
         omega = [[ring.parse(str(x)) for x in row] for row in data["omega"]]
         if any(len(m) != dim or any(len(row) != dim for row in m) for m in (g, omega)):
             raise ParseError("g and omega must be dim x dim")
-    except (KeyError, TypeError, ValueError, InvalidFieldError) as exc:
+        for name, m in (("g", g), ("omega", omega)):
+            for i, row in enumerate(m):
+                for j, x in enumerate(row):
+                    if any(c.d and c.d != ring.d for c in x.terms.values()):
+                        raise _field_error(ring.d, f"{name}[{i}][{j}] = {str(x)!r}")
+        return PolyOperator(ring, g, omega)
+    except (KeyError, TypeError, ValueError, InvalidFieldError, FieldMismatchError,
+            UnknownIndeterminateError, ShapeMismatchError) as exc:
         raise ParseError(f"malformed operator data: {exc}") from exc
-    return PolyOperator(ring, g, omega)
 
 
 def load_operator(path: str) -> PolyOperator:

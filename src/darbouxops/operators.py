@@ -265,12 +265,22 @@ class PolyOperator:
         raise AttributeError("PolyOperator is immutable")
 
 
-def phi_tensor(op: PolyOperator):
-    """Phi^{ijk} = g^{is} d omega^{jk} / d u^s (b = 0)."""
+def field_jacobian(ring: PolyRing, omega: PolyMatrix):
+    """d omega^{jk} / d u^s, indexed [j][k][s]."""
+    n = len(omega)
+    fidx = ring.field_indices()
+    return [[[omega[j][k].partial(fidx[s]) for s in range(n)] for k in range(n)] for j in range(n)]
+
+
+def phi_tensor(op: PolyOperator, domega=None):
+    """Phi^{ijk} = g^{is} d omega^{jk} / d u^s (b = 0).
+
+    `domega` is `field_jacobian(op.ring, op.omega)`, computed when not given.
+    """
     ring = op.ring
     n = op.n
-    fidx = ring.field_indices()
-    domega = [[[op.omega[j][k].partial(fidx[s]) for s in range(n)] for k in range(n)] for j in range(n)]
+    if domega is None:
+        domega = field_jacobian(ring, op.omega)
     g = op.g
     return [
         [[dot(ring, [(g[i][s], domega[j][k][s]) for s in range(n)]) for k in range(n)]
@@ -279,11 +289,14 @@ def phi_tensor(op: PolyOperator):
     ]
 
 
-def schouten_residual(ring: PolyRing, omega: PolyMatrix) -> Optional[tuple]:
-    """First (i, j, k) violating the Schouten-Jacobi identity for omega."""
+def schouten_residual(ring: PolyRing, omega: PolyMatrix, domega=None) -> Optional[tuple]:
+    """First (i, j, k) violating the Schouten-Jacobi identity for omega.
+
+    `domega` is `field_jacobian(ring, omega)`, computed when not given.
+    """
     n = len(omega)
-    fidx = ring.field_indices()
-    domega = [[[omega[j][k].partial(fidx[s]) for s in range(n)] for k in range(n)] for j in range(n)]
+    if domega is None:
+        domega = field_jacobian(ring, omega)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -306,41 +319,29 @@ def verify_hamiltonian(op: PolyOperator) -> VerificationReport:
 
     Conditions: omega skew; Schouten-Jacobi identity; Phi^{ijk} = Phi^{kij};
     Phi constant in u.  A pass means every identity holds identically in the
-    field variables and all formal parameters.
+    field variables and all formal parameters.  The Jacobian of omega is
+    taken once and shared by the Schouten and Phi checks; Poly terms are
+    canonical, so equal terms mean a zero difference and a term with a
+    positive exponent of u^r means a nonzero d/du^r.
     """
+    ring = op.ring
+    n = op.n
+    domega = field_jacobian(ring, op.omega)
     report = VerificationReport()
     report.add("omega-skew", _first_skew_violation(op.omega))
-    report.add("schouten", schouten_residual(op.ring, op.omega))
-    phi = phi_tensor(op)
-    n = op.n
-    viol = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not (phi[i][j][k] - phi[k][i][j]).is_zero():
-                    viol = (i, j, k)
-                    break
-            if viol:
-                break
-        if viol:
-            break
-    report.add("phi-cyclic-symmetry", viol)
-    fidx = op.ring.field_indices()
-    viol = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for r in range(n):
-                    if not phi[i][j][k].partial(fidx[r]).is_zero():
-                        viol = (i, j, k, r)
-                        break
-                if viol:
-                    break
-            if viol:
-                break
-        if viol:
-            break
-    report.add("phi-constant", viol)
+    report.add("schouten", schouten_residual(ring, op.omega, domega))
+    phi = phi_tensor(op, domega)
+    report.add("phi-cyclic-symmetry", next(
+        ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+         if phi[i][j][k].terms != phi[k][i][j].terms),
+        None,
+    ))
+    fidx = ring.field_indices()
+    report.add("phi-constant", next(
+        ((i, j, k, r) for i in range(n) for j in range(n) for k in range(n) for r in range(n)
+         if phi[i][j][k].depends_on(fidx[r])),
+        None,
+    ))
     return report
 
 

@@ -28,7 +28,7 @@ from .operators import (
     verify_darboux,
     verify_hamiltonian,
 )
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, _poly
 
 
 @dataclass
@@ -163,7 +163,7 @@ def pencil_operator(a: PolyOperator, b: PolyOperator, lam: str = "lam") -> PolyO
     if a.n != b.n:
         raise ShapeMismatchError("pencil operands disagree in dimension")
     ring = a.ring.extend_params([lam])
-    lift = _ring_injector(a.ring, ring)
+    lift = _ring_embedding(a.ring, ring)
     lpoly = ring.var(lam)
     n = a.n
     g = [[lift(a.g[i][j]) + lpoly * lift(b.g[i][j]) for j in range(n)] for i in range(n)]
@@ -171,21 +171,26 @@ def pencil_operator(a: PolyOperator, b: PolyOperator, lam: str = "lam") -> PolyO
     return PolyOperator(ring, g, om, _checked=True)
 
 
-def _ring_injector(src: PolyRing, dst: PolyRing):
-    mapping = [dst.names.index(name) for name in src.names]
-    pad = dst.nvars
+def _ring_embedding(src: PolyRing, dst: PolyRing, renames=None):
+    """Map polynomials of `src` into `dst`, matching indeterminates by name.
 
-    def inject(p: Poly) -> Poly:
+    `renames` maps a name of `src` to the name it takes in `dst`.
+    """
+    renames = renames or {}
+    mapping = [dst.index(renames.get(name, name)) for name in src.names]
+    zero = dst._zero_exp
+
+    def embed(p: Poly) -> Poly:
         terms = {}
         for e, coeff in p.terms.items():
-            exp = [0] * pad
+            exp = list(zero)
             for pos, k in enumerate(e):
                 if k:
                     exp[mapping[pos]] = k
             terms[tuple(exp)] = coeff
-        return Poly(dst, terms)
+        return _poly(dst, terms)
 
-    return inject
+    return embed
 
 
 def pencil_compatible_general(a: PolyOperator, b: PolyOperator) -> PencilReport:
@@ -238,25 +243,8 @@ def unify_operators(a: PolyOperator, b: PolyOperator) -> Tuple[PolyOperator, Pol
         params_b.append(q)
     fields = [a.ring.names[i] for i in a.ring.field_indices()]
     ring = PolyRing(fields, params_a + params_b, d=d)
-
-    def mover(src: PolyRing, renames) -> "callable":
-        mapping = [ring.names.index(renames.get(nm, nm)) for nm in src.names]
-
-        def move(p: Poly) -> Poly:
-            terms = {}
-            for e, coeff in p.terms.items():
-                exp = [0] * ring.nvars
-                for pos, k in enumerate(e):
-                    if k:
-                        exp[mapping[pos]] = k
-                terms[tuple(exp)] = coeff
-            return Poly(ring, terms)
-
-        return move
-
-    ma = mover(a.ring, {})
-    mb = mover(b.ring, rename)
-    n = a.n
+    ma = _ring_embedding(a.ring, ring)
+    mb = _ring_embedding(b.ring, ring, rename)
     a2 = PolyOperator(ring, [[ma(x) for x in r] for r in a.g],
                       [[ma(x) for x in r] for r in a.omega], _checked=True)
     b2 = PolyOperator(ring, [[mb(x) for x in r] for r in b.g],

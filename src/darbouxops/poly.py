@@ -9,25 +9,36 @@ declaration order.  Zero coefficients are never stored.
 Products and sums of products go through one integer kernel, `dot`.  Each
 operand is written once as integer numerator pairs (A, B) over a common
 denominator D, one pair per term, so that a coefficient is
-(A + B*sqrt(d))/D; this form is cached on the polynomial, because the
-entries of a structure tensor or an operator are multiplied many times.  A
-sum of products then accumulates plain integers keyed by exponent, each
-product scaled to the lcm L of the operand denominators, and builds one
-`Scalar` per nonzero output term.  The contract is the one of Scalar
-arithmetic summed term by term: the same terms and no stored zeros, with
-ShapeMismatchError for operands from different rings and FieldMismatchError
-for sqrt(d) against sqrt(d') with d != d'.
+(A + B*sqrt(d))/D, and each monomial is packed into one int with a 16-bit
+field per indeterminate.  `dot` caches this form on the polynomial, because
+the entries of a structure tensor or an operator are multiplied many times;
+a single product `*` does not keep it.  A sum of products then multiplies
+monomials by adding their packed ints, accumulates plain integers keyed by
+the packed monomial, each product scaled to the lcm L of the operand
+denominators, and unpacks and builds one `Scalar` per nonzero output term.
+The contract is the one of Scalar arithmetic summed term by term: the same
+terms and no stored zeros, with ShapeMismatchError for operands from
+different rings and FieldMismatchError for sqrt(d) against sqrt(d') with
+d != d'.
+
+Packed fields never carry into each other: an operand exponent is at most
+MAX_EXPONENT = 2**15 - 1, so a product exponent stays below 2**16.  A
+product operand with a larger exponent raises ExponentOverflowError, and
+the parser rejects larger exponents with ParseError.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from operator import add
+from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import (
+    ExponentOverflowError,
     FieldMismatchError,
     ParseError,
     ShapeMismatchError,
@@ -46,9 +57,12 @@ from .scalars import (
 FIELD = "field"
 PARAM = "param"
 
+# Largest exponent of a product operand; see the module docstring.
+MAX_EXPONENT = 2**15 - 1
+
 
 class PolyRing:
-    __slots__ = ("names", "kinds", "d", "_index", "_zero_exp")
+    __slots__ = ("names", "kinds", "d", "_index", "_zero_exp", "_exp_struct", "_exp_high")
 
     def __init__(self, field_vars: Iterable[str], params: Iterable[str] = (), d: int = 0):
         field_vars, params = tuple(field_vars), tuple(params)
@@ -61,6 +75,10 @@ class PolyRing:
         object.__setattr__(self, "d", validate_field_tag(d))
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(self, "_zero_exp", (0,) * len(names))
+        # packed monomials: one little-endian 16-bit field per indeterminate;
+        # `_exp_high` has the top bit of every field set
+        object.__setattr__(self, "_exp_struct", struct.Struct(f"<{len(names)}H"))
+        object.__setattr__(self, "_exp_high", int.from_bytes(b"\x00\x80" * len(names), "little"))
 
     def __setattr__(self, *_):
         raise AttributeError("PolyRing is immutable")
@@ -211,7 +229,7 @@ class Poly:
             if not s:
                 return self.ring.zero
             return Poly(self.ring, {e: c * s for e, c in self.terms.items()})
-        return dot(self.ring, ((self, other),))
+        return dot(self.ring, ((self, other),), keep=False)
 
     __rmul__ = __mul__
 
@@ -241,29 +259,23 @@ class Poly:
 
     def partial(self, var) -> "Poly":
         i = var if isinstance(var, int) else self.ring.index(var)
-        out: dict = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if not k:
-                continue
-            de = list(e)
-            de[i] = k - 1
-            de = tuple(de)
-            c2 = c * k
-            s = out.get(de)
-            c2 = c2 if s is None else s + c2
-            if c2:
-                out[de] = c2
-            elif s is not None:
-                del out[de]
-        return Poly(self.ring, out)
+        # lowering e[i] by one is one-to-one on the terms with e[i] > 0, so
+        # no two results meet and no coefficient cancels
+        return _poly(self.ring, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]
+        })
 
     def subs(self, mapping: Mapping) -> "Poly":
-        """Substitute ring elements for indeterminates (same ring)."""
+        """Substitute ring elements for indeterminates (same ring).
+
+        Powers of constant values are multiplied into the coefficient as
+        Scalars; powers of the other values are multiplied in as polynomials.
+        """
         sub = {}
         for key, val in mapping.items():
             i = key if isinstance(key, int) else self.ring.index(key)
-            sub[i] = val if isinstance(val, Poly) else self.ring.const(val)
+            val = self._coerce(val)
+            sub[i] = val.constant_value() if val.is_constant() else val
         out = self.ring.zero
         pow_cache: dict = {}
         for e, c in self.terms.items():
@@ -275,9 +287,15 @@ class Poly:
                 if k:
                     kept[i] = 0
                     key = (i, k)
-                    if key not in pow_cache:
-                        pow_cache[key] = value**k
-                    powers.append(pow_cache[key])
+                    power = pow_cache.get(key)
+                    if power is None:
+                        power = pow_cache[key] = value**k
+                    if type(power) is Scalar:
+                        c = c * power
+                    else:
+                        powers.append(power)
+            if not c:
+                continue
             term = _poly(self.ring, {tuple(kept): c})
             for power in powers:
                 term = term * power
@@ -392,10 +410,11 @@ def _poly(ring: PolyRing, terms: dict) -> Poly:
 
 
 def _int_form(p: Poly) -> tuple:
-    """(d, D, ((exp, A, B), ...)) with each coefficient (A + B*sqrt(d))/D."""
-    form = p._ints
-    if form is not None:
-        return form
+    """(d, D, ((key, A, B), ...)) with each coefficient (A + B*sqrt(d))/D.
+
+    `key` is the packed monomial; an exponent outside 0..MAX_EXPONENT
+    raises ExponentOverflowError.
+    """
     d = 0
     den = 1
     for c in p.terms.values():
@@ -406,33 +425,52 @@ def _int_form(p: Poly) -> tuple:
             den = lcm(den, c.a.denominator, c.b.denominator)
         else:
             den = lcm(den, c.a.denominator)
+    ring = p.ring
+    pack = ring._exp_struct.pack
+    from_bytes = int.from_bytes
+    try:
+        keys = [from_bytes(pack(*e), "little") for e in p.terms]
+    except struct.error:
+        keys = None
+    if keys is None or reduce(or_, keys, 0) & ring._exp_high:
+        raise ExponentOverflowError(
+            f"a product operand has an exponent outside 0..MAX_EXPONENT = {MAX_EXPONENT}"
+        )
     form = (d, den, tuple(
-        (e, c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
-        for e, c in p.terms.items()
+        (key, c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
+        for key, c in zip(keys, p.terms.values())
     ))
-    _set_ints(p, form)
     return form
 
 
-def _operand_form(ring: PolyRing, x) -> tuple:
+def _operand_form(ring: PolyRing, x, keep: bool) -> tuple:
     if type(x) is not Poly:
         x = ring.const(x)
     elif x.ring is not ring and x.ring != ring:
         raise ShapeMismatchError("polynomials from different rings")
-    return _int_form(x)
+    form = x._ints
+    if form is None:
+        form = _int_form(x)
+        if keep:
+            _set_ints(x, form)
+    return form
 
 
-def dot(ring: PolyRing, pairs) -> Poly:
+def dot(ring: PolyRing, pairs, keep: bool = True) -> Poly:
     """The sum of x*y over the (x, y) pairs, all polynomials of `ring`.
 
     Operands that are not polynomials are taken as constants of `ring`.
+    The integer form of each operand is cached on it unless `keep` is
+    false, as for a single product (`Poly.__mul__`): its operands are often
+    temporaries, such as substitution terms or the memoized minors of the
+    witness search, where cached forms would only hold memory.
     """
     operands = []
     d = 0
     den = 1
     for x, y in pairs:
-        dx, den_x, xs = _operand_form(ring, x)
-        dy, den_y, ys = _operand_form(ring, y)
+        dx, den_x, xs = _operand_form(ring, x, keep)
+        dy, den_y, ys = _operand_form(ring, y, keep)
         if not (xs and ys):
             continue
         for tag in (dx, dy):
@@ -445,17 +483,19 @@ def dot(ring: PolyRing, pairs) -> Poly:
         operands.append((xs, ys, scale))
     acc: dict = {}
     terms = {}
+    unpack = ring._exp_struct.unpack
+    nbytes = ring._exp_struct.size
     if not d:
         for xs, ys, scale in operands:
             k = den // scale
             for e1, a1, _ in xs:
                 ka1 = k * a1
                 for e2, a2, _ in ys:
-                    e = tuple(map(add, e1, e2))
+                    e = e1 + e2
                     acc[e] = acc.get(e, 0) + ka1 * a2
         for e, a in acc.items():
             if a:
-                terms[e] = _rational(Fraction(a, den))
+                terms[unpack(e.to_bytes(nbytes, "little"))] = _rational(Fraction(a, den))
         return _poly(ring, terms)
     # (a1 + b1 r)(a2 + b2 r) = a1 a2 + d b1 b2 + (a1 b2 + b1 a2) r, r = sqrt(d)
     acc_b: dict = {}
@@ -465,15 +505,18 @@ def dot(ring: PolyRing, pairs) -> Poly:
             ka1, kb1 = k * a1, k * b1
             dkb1 = d * kb1
             for e2, a2, b2 in ys:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 acc[e] = acc.get(e, 0) + ka1 * a2 + dkb1 * b2
                 acc_b[e] = acc_b.get(e, 0) + ka1 * b2 + kb1 * a2
     for e, a in acc.items():
         b = acc_b[e]
         if b:
-            terms[e] = _make(Fraction(a, den), Fraction(b, den), d)
+            c = _make(Fraction(a, den), Fraction(b, den), d)
         elif a:
-            terms[e] = _rational(Fraction(a, den))
+            c = _rational(Fraction(a, den))
+        else:
+            continue
+        terms[unpack(e.to_bytes(nbytes, "little"))] = c
     return _poly(ring, terms)
 
 
@@ -539,18 +582,28 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
             term = term[1:]
         if not term:
             raise ParseError(f"dangling sign in {text!r}")
-        coef = ONE if sign > 0 else -ONE
+        coef = None
         exp = list(ring._zero_exp)
         for factor in _split_factors(term):
             if not factor:
                 raise ParseError(f"empty factor in {term!r}")
             value = _parse_factor(ring, factor, text)
             if type(value) is Scalar:
-                coef = coef * value
+                coef = value if coef is None else coef * value
             else:
-                exp[value[0]] += value[1]
-        if not coef:
+                i, power = value
+                exp[i] += power
+                if exp[i] > MAX_EXPONENT:
+                    raise ParseError(
+                        f"exponent {exp[i]} of {ring.names[i]} above MAX_EXPONENT = {MAX_EXPONENT}"
+                        f" ({text!r})"
+                    )
+        if coef is None:
+            coef = ONE
+        elif not coef:
             continue
+        if sign < 0:
+            coef = -coef
         e = tuple(exp)
         prev = out.get(e)
         if prev is None:
@@ -572,9 +625,11 @@ def _parse_factor(ring: PolyRing, factor: str, context: str):
         return parse_scalar(factor)
     name, caret, exp = factor.partition("^")
     if caret:
-        if not exp.isdigit():
+        if not exp.isdecimal():  # isdigit() also admits "²", which int() rejects
             raise ParseError(f"bad exponent in {factor!r} ({context!r})")
         power = int(exp)
+        if power > MAX_EXPONENT:
+            raise ParseError(f"exponent {exp} above MAX_EXPONENT = {MAX_EXPONENT} ({context!r})")
     else:
         power = 1
     if re.fullmatch(r"-?\d+(/\d+)?", name):

@@ -153,6 +153,10 @@ class Scalar:
 
     def __mul__(self, other):
         if type(other) is not Scalar:
+            if type(other) is int:
+                if not self.d:
+                    return _rational(self.a * other)
+                return _make(self.a * other, self.b * other, self.d)
             other = Scalar._coerce(other)
             if other is None:
                 return NotImplemented
@@ -285,13 +289,11 @@ def _make(a: Fraction, b: Fraction, d: int) -> Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 
-_TERM_RE = re.compile(
-    r"""^
-    (?:(?P<coef>-?\d+(?:/\d+)?)\*?)?          # optional rational factor
-    (?:sqrt\((?P<d>\d+)\))?                   # optional radical
-    $""",
-    re.VERBOSE,
-)
+# One signed term of a scalar literal: signs, an optional rational factor
+# p or p/q, and an optional radical sqrt(r).  A "*" after the factor is
+# accepted before the radical or at the end of the literal only.
+_SCALAR_TERM_RE = re.compile(r"([+-]*)(?:(\d+)(?:/(\d+))?(?:\*(?=sqrt\(|$))?)?(?:sqrt\((\d+)\))?")
+_SPACE_RE = re.compile(r"\s+")
 
 
 def _fraction(literal: str, context: str) -> Fraction:
@@ -303,33 +305,43 @@ def _fraction(literal: str, context: str) -> Fraction:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse "p/q", "p/q+r/s*sqrt(d)" and friends (whitespace ignored)."""
-    s = re.sub(r"\s+", "", text)
+    """Parse "p/q", "p/q+r/s*sqrt(d)" and friends (whitespace ignored).
+
+    The terms are read left to right with integer numerators and
+    denominators, as a sum of Scalars would combine them: a radical with a
+    zero factor, sqrt(0) and sqrt(1) need no valid tag, and two radicals
+    clash only while the sqrt part of the sum so far is nonzero.
+    """
+    s = _SPACE_RE.sub("", text)
     if not s:
         raise ParseError("empty scalar literal")
-    # split into signed chunks
-    chunks = []
-    start = 0
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > start and s[i - 1] not in "+-*/(":
-            chunks.append(s[start:i])
-            start = i
-    chunks.append(s[start:])
-    total = Scalar(0)
-    for chunk in chunks:
-        sign = 1
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:]
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coef") is None and m.group("d") is None):
-            raise ParseError(f"bad scalar term {chunk!r} in {text!r}")
-        coef = _fraction(m.group("coef"), text) if m.group("coef") else Fraction(1)
-        coef *= sign
-        if m.group("d") is not None:
-            term = Scalar(0, coef, int(m.group("d")))
-        else:
-            term = Scalar(coef)
-        total = total + term
-    return total
+    an, ad = 0, 1  # rational part an/ad
+    bn, bd = 0, 1  # sqrt(d) part bn/bd
+    d = 0
+    pos = 0
+    match = _SCALAR_TERM_RE.match
+    while pos < len(s):
+        m = match(s, pos)
+        signs, num, den, rad = m.groups()
+        end = m.end()
+        # a term ends at the end of the literal or where the next term's sign starts
+        if (num is None and rad is None) or (end < len(s) and s[end] not in "+-"):
+            raise ParseError(f"bad scalar term at {s[pos:]!r} in {text!r}")
+        pos = end
+        p = int(num) if num is not None else 1
+        q = int(den) if den is not None else 1
+        if not q:
+            raise ParseError(f"zero denominator in {num + '/' + den!r} ({text!r})")
+        if signs.count("-") % 2:
+            p = -p
+        r = 0 if rad is None else int(rad)
+        if rad is None or r == 1:
+            an, ad = an * q + p * ad, ad * q
+        elif r and p:
+            r = validate_field_tag(r)
+            if bn and r != d:
+                raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({r})")
+            bn, bd = bn * q + p * bd, bd * q
+            d = r if bn else 0
+    a = Fraction(an, ad)
+    return _make(a, Fraction(bn, bd), d) if bn else _rational(a)

@@ -128,6 +128,9 @@ _SQUARE = {"g": [["1", "0"], ["0", "1"]], "omega": [["0", "u1"], ["-u1", "0"]]}
     {"g": [["1", "0"], ["0"]]},
     {"omega": [["0", "u1"], ["-u1"]]},
     {"omega": [["0", "1/0*u1"], ["-u1", "0"]]},
+    {"omega": [["0", "u1^40000"], ["-u1", "0"]]},
+    {"omega": [["0", "v1"], ["-v1", "0"]]},  # unknown indeterminate
+    {"g": [["u1", "0"], ["0", "1"]]},  # leading coefficient not constant
 ])
 def test_operator_verify_rejects_bad_files(tmp_path, bad):
     path = tmp_path / "bad.json"
@@ -135,6 +138,33 @@ def test_operator_verify_rejects_bad_files(tmp_path, bad):
     proc = run_cli(["operator", "verify", str(path)], timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+_SQRT3_OMEGA = {"dim": 2, "g": [["1", "0"], ["0", "1"]],
+                "omega": [["0", "sqrt(3)"], ["-sqrt(3)", "0"]]}
+
+
+@pytest.mark.parametrize("declared", [
+    {"field_sqrt": 2},  # declared sqrt(2), coefficient in sqrt(3)
+    {},  # undeclared: plain Q
+    {"field_sqrt": 0},  # declared plain Q
+])
+def test_operator_file_field_tag_validated(tmp_path, declared):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({**_SQRT3_OMEGA, **declared}))
+    for args in (["operator", "verify", str(path)], ["pencil", str(path), str(path)]):
+        proc = run_cli(args, timeout=60)
+        assert proc.returncode == 2, args
+        assert "Traceback" not in proc.stderr
+        assert "not rational" in proc.stderr or "not in Q(sqrt(2))" in proc.stderr
+
+
+def test_operator_file_declared_tag_accepted(tmp_path):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({**_SQRT3_OMEGA, "field_sqrt": 3}))
+    proc = run_cli(["operator", "verify", str(path)], timeout=60)
+    assert proc.returncode == 0
+    assert "PASS" in proc.stdout
 
 
 _SQRT3_BRACKET = {"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"2": "sqrt(3)"}}]}

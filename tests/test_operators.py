@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from darbouxops import invariants as inv
@@ -415,3 +417,77 @@ def test_jacobi_residual_string_over_sqrt2_with_parameter():
     assert jac.first_violation == (0, 1, 2, 0)
     assert jac.residual == "sqrt(2)*alpha^2+2*alpha+1/2*sqrt(2)"
     assert rep.failed_names() == ["jacobi"]
+
+
+# -- verify_hamiltonian against the difference and derivative loops ------------
+
+
+def _reference_verify_hamiltonian(op):
+    """Phi - Phi' and d/du^r loops, each check taking its own Jacobian of omega:
+    kept as the reference for verify_hamiltonian."""
+    n = op.n
+    fidx = op.ring.field_indices()
+    report = ops.VerificationReport()
+    report.add("omega-skew", ops._first_skew_violation(op.omega))
+    report.add("schouten", ops.schouten_residual(op.ring, op.omega))
+    phi = ops.phi_tensor(op)
+    report.add("phi-cyclic-symmetry", next(
+        ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+         if not (phi[i][j][k] - phi[k][i][j]).is_zero()),
+        None,
+    ))
+    report.add("phi-constant", next(
+        ((i, j, k, r) for i in range(n) for j in range(n) for k in range(n) for r in range(n)
+         if not phi[i][j][k].partial(fidx[r]).is_zero()),
+        None,
+    ))
+    return report
+
+
+def _skew_operator(ring, g, upper):
+    n = len(g)
+    omega = [[ring.zero] * n for _ in range(n)]
+    for (i, j), text in upper.items():
+        omega[i][j] = ring.parse(text)
+        omega[j][i] = -omega[i][j]
+    return ops.PolyOperator(ring, g, omega)
+
+
+@pytest.mark.parametrize("ring, g, upper, violations", [
+    (ops.field_ring(3, d=2),
+     [[1, 0, 0], [0, "sqrt(2)", 0], [0, 0, 0]],
+     {(0, 1): "sqrt(2)*u1^2+u3", (0, 2): "u2*u3", (1, 2): "(1+sqrt(2))*u1"},
+     {"schouten": (0, 1, 2), "phi-cyclic-symmetry": (0, 0, 1), "phi-constant": (0, 0, 1, 0)}),
+    (ops.field_ring(3, ["alpha"]),
+     [[0, 1, 0], [1, 0, 0], [0, 0, "alpha"]],
+     {(0, 1): "alpha*u2^2+u1", (1, 2): "u3-alpha", (0, 2): "alpha^2*u2"},
+     {"schouten": (0, 1, 2), "phi-cyclic-symmetry": (0, 0, 1), "phi-constant": (0, 0, 1, 1)}),
+])
+def test_verify_hamiltonian_first_violations_match_reference(ring, g, upper, violations):
+    op = _skew_operator(ring, g, upper)
+    rep = ops.verify_hamiltonian(op)
+    assert rep.as_dict() == _reference_verify_hamiltonian(op).as_dict()
+    got = {c.name: c.first_violation for c in rep.conditions if not c.ok}
+    assert got == violations
+
+
+_ENTRY_TEXTS = ["0", "u1", "-u2", "u1*u3", "sqrt(2)*u2^2", "alpha*u1", "(1-sqrt(2))*alpha",
+                "u3+alpha^2", "1/2*u1*u2", "2"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_verify_hamiltonian_matches_reference_on_random_operators(data):
+    ring = ops.field_ring(3, ["alpha"], d=2)
+    entry = st.lists(st.sampled_from(_ENTRY_TEXTS), min_size=1, max_size=3).map("+".join)
+    upper = {(i, j): data.draw(entry) for i in range(3) for j in range(i + 1, 3)}
+    diag = data.draw(st.lists(st.sampled_from(["0", "1", "-1", "sqrt(2)", "alpha"]),
+                              min_size=3, max_size=3))
+    off = data.draw(st.sampled_from(["0", "1", "alpha"]))
+    g = [[diag[0], off, "0"], [off, diag[1], "0"], ["0", "0", diag[2]]]
+    op = _skew_operator(ring, g, upper)
+    if data.draw(st.booleans()):  # break skewness too
+        omega = [row[:] for row in op.omega]
+        omega[1][0] = omega[1][0] + ring.var("u1")
+        op = ops.PolyOperator(ring, g, omega)
+    assert ops.verify_hamiltonian(op).as_dict() == _reference_verify_hamiltonian(op).as_dict()

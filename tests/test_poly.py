@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darbouxops.errors import (
+    DarbouxOpsError,
+    ExponentOverflowError,
     FieldMismatchError,
     ParseError,
     ShapeMismatchError,
     UnknownIndeterminateError,
 )
-from darbouxops.poly import Poly, PolyRing, dot
+from darbouxops.poly import MAX_EXPONENT, Poly, PolyRing, dot
 from darbouxops.scalars import Scalar
 
 
@@ -96,11 +98,22 @@ def test_parse_reads_terms_directly():
     ("u1()", UnknownIndeterminateError),
     ("sqrt(2)*sqrt(3)", FieldMismatchError),
     ("sqrt(3)*u1+sqrt(2)*u1", FieldMismatchError),
+    ("u1^²", ParseError),
+    ("u1^40000", ParseError),
+    (f"u1^{MAX_EXPONENT + 1}", ParseError),
+    (f"u1^{MAX_EXPONENT}*u1", ParseError),
+    ("2^40000*u1", ParseError),
 ])
 def test_parse_errors(text, error):
     ring = PolyRing(["u1", "u2"], ["alpha"], d=2)
     with pytest.raises(error):
         ring.parse(text)
+
+
+def test_parse_accepts_max_exponent():
+    ring = PolyRing(["u1", "u2"])
+    p = ring.parse(f"3*u1^{MAX_EXPONENT}*u2^{MAX_EXPONENT - 1}*u2")
+    assert p.terms == {(MAX_EXPONENT, MAX_EXPONENT): Scalar(3)}
 
 
 def test_ring_from_generators():
@@ -286,3 +299,111 @@ def test_mul_matches_sympy(data):
         return total
 
     assert sympy.expand(to_sympy(x) * to_sympy(y) - to_sympy(x * y)) == 0
+
+
+# -- packed monomials: wide rings, exponent bound, substitution ---------------
+
+_EXPONENTS = st.one_of(
+    st.sampled_from([1, 2, MAX_EXPONENT - 1, MAX_EXPONENT]), st.integers(0, MAX_EXPONENT)
+)
+
+
+@st.composite
+def _wide_polys(draw, ring):
+    """A few terms, each with a few nonzero exponents anywhere in 0..MAX_EXPONENT."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exp = [0] * ring.nvars
+        for i in draw(st.lists(st.integers(0, ring.nvars - 1), max_size=4)):
+            exp[i] = draw(_EXPONENTS)
+        b = draw(_FRACS) if ring.d and draw(st.booleans()) else 0
+        e = tuple(exp)
+        terms[e] = terms.get(e, Scalar(0)) + Scalar(draw(_FRACS), b, ring.d)
+    return Poly(ring, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dot_wide_ring_and_large_exponents(data):
+    # 30 indeterminates, the size of the witness ring of abelian(7)'s metric space
+    ring = PolyRing([f"u{i}" for i in range(1, 21)], [f"t{i}" for i in range(1, 11)],
+                    d=data.draw(st.sampled_from([0, 2])))
+    pairs = data.draw(st.lists(st.tuples(_wide_polys(ring), _wide_polys(ring)), max_size=3))
+    _assert_same_poly(dot(ring, pairs), _reference_dot(ring, pairs))
+    for x, y in pairs:
+        _assert_same_poly(x * y, _reference_dot(ring, [(x, y)]))
+
+
+def test_exponent_above_max_rejected_as_operand():
+    ring = PolyRing(["u1", "u2"], ["a"])
+    u1, u2 = ring.var("u1"), ring.var("u2")
+    top = u1**MAX_EXPONENT
+    assert top.terms == {(MAX_EXPONENT, 0, 0): Scalar(1)}
+    # the largest product exponent still fits its field: nothing carries into u2
+    assert (top * (top * u2)).terms == {(2 * MAX_EXPONENT, 1, 0): Scalar(1)}
+    over = top * u1
+    assert over.terms == {(MAX_EXPONENT + 1, 0, 0): Scalar(1)}
+    with pytest.raises(ExponentOverflowError):
+        u1 ** (MAX_EXPONENT + 1)
+    for bad in (over, Poly(ring, {(0, 70000, 0): Scalar(1)}), Poly(ring, {(0, 0, -1): Scalar(1)})):
+        with pytest.raises(ExponentOverflowError):
+            bad * u1
+        with pytest.raises(ExponentOverflowError):
+            dot(ring, [(u2, u1), (u1, bad)])
+    assert issubclass(ExponentOverflowError, DarbouxOpsError)
+
+
+def test_only_sums_of_products_cache_operand_forms():
+    ring = PolyRing(["u1", "u2"], d=2)
+    x, y = ring.parse("u1+sqrt(2)*u2"), ring.parse("u1-u2")
+    prod = x * y
+    assert x._ints is None and y._ints is None
+    assert dot(ring, [(x, y)]) == prod
+    assert x._ints is not None and y._ints is not None
+    assert x * y == prod
+
+
+def _reference_subs(p, mapping):
+    """One polynomial product per substituted power, kept as the reference for `subs`."""
+    ring = p.ring
+    sub = {ring.index(k): (v if isinstance(v, Poly) else ring.const(v)) for k, v in mapping.items()}
+    out = ring.zero
+    for e, c in p.terms.items():
+        kept = list(e)
+        powers = []
+        for i, value in sub.items():
+            if e[i]:
+                kept[i] = 0
+                powers.append(value ** e[i])
+        term = Poly(ring, {tuple(kept): c})
+        for power in powers:
+            term = term * power
+        out = out + term
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subs_matches_per_term_products(data):
+    ring = PolyRing(["u1", "u2"], ["a"], d=data.draw(st.sampled_from([0, 2])))
+    p = data.draw(_sqrt_polys(ring))
+    constants = st.sampled_from([0, 1, -2, Fraction(3, 4), Scalar(1, 1, ring.d)]).flatmap(
+        lambda v: st.sampled_from([v, ring.const(v)])
+    )
+    values = st.one_of(constants, _sqrt_polys(ring))
+    names = data.draw(st.lists(st.sampled_from(ring.names), unique=True, min_size=1))
+    mapping = {name: data.draw(values) for name in names}
+    _assert_same_poly(p.subs(mapping), _reference_subs(p, mapping))
+
+
+def test_subs_constant_and_polynomial_values():
+    ring = PolyRing(["u1", "u2"], ["a"], d=2)
+    p = ring.parse("(1+sqrt(2))*u1^2*a-3*u1*u2+a^3+sqrt(2)")
+    for mapping in (
+        {"a": 2},
+        {"a": Scalar.sqrt(2), "u1": 0},
+        {"u1": ring.parse("u1+u2"), "a": Fraction(1, 2)},
+        {"u2": ring.parse("sqrt(2)*a-u1"), "a": ring.parse("u1")},
+    ):
+        _assert_same_poly(p.subs(mapping), _reference_subs(p, mapping))
+    assert p.subs({"a": 0}) == ring.parse("-3*u1*u2+sqrt(2)")

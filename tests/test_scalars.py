@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darbouxops.errors import FieldMismatchError, InvalidFieldError, ParseError
@@ -96,7 +97,68 @@ def test_extension_arithmetic_matches_componentwise(a1, b1, a2, b2):
 def test_print_parse_roundtrip(a, b):
     for d in (0, 2, 3):
         s = Scalar(a, b, d)
-        assert parse_scalar(str(s)) == s
+        assert _parts(parse_scalar(str(s))) == _parts(s)
+
+
+def _reference_parse_scalar(text):
+    """One Scalar per signed chunk, summed: kept as the reference for parse_scalar."""
+    term_re = re.compile(r"^(?:(?P<coef>-?\d+(?:/\d+)?)\*?)?(?:sqrt\((?P<d>\d+)\))?$")
+    s = re.sub(r"\s+", "", text)
+    if not s:
+        raise ParseError("empty scalar literal")
+    chunks = []
+    start = 0
+    for i, ch in enumerate(s):
+        if ch in "+-" and i > start and s[i - 1] not in "+-*/(":
+            chunks.append(s[start:i])
+            start = i
+    chunks.append(s[start:])
+    total = Scalar(0)
+    for chunk in chunks:
+        sign = 1
+        while chunk and chunk[0] in "+-":
+            if chunk[0] == "-":
+                sign = -sign
+            chunk = chunk[1:]
+        m = term_re.match(chunk)
+        if not m or (m.group("coef") is None and m.group("d") is None):
+            raise ParseError(f"bad scalar term {chunk!r} in {text!r}")
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError("zero denominator") from None
+        coef *= sign
+        if m.group("d") is not None:
+            total = total + Scalar(0, coef, int(m.group("d")))
+        else:
+            total = total + Scalar(coef)
+    return total
+
+
+def _parse_outcome(parse, text):
+    try:
+        return _parts(parse(text))
+    except (ParseError, FieldMismatchError, InvalidFieldError) as exc:
+        return type(exc)
+
+
+_LITERAL_PIECES = ["0", "1", "2", "3", "12", "/", "+", "-", "*", " ", "(", ")", "x", "s",
+                   "sqrt(", "sqrt(0)", "sqrt(1)", "sqrt(2)", "sqrt(3)", "sqrt(4)", "1/0"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_LITERAL_PIECES), max_size=8).map("".join))
+@example("3*")
+@example("3sqrt(2)")
+@example("3*+2")
+@example("sqrt(2)-sqrt(2)+sqrt(3)")
+@example("sqrt(2)+sqrt(3)x")
+@example("0*sqrt(4)+1")
+@example("1/0*sqrt(4)")
+@example("--1+-+2/4")
+def test_parse_matches_reference(text):
+    """Same value (parts, types, hash, str) or the same error type as the reference."""
+    assert _parse_outcome(parse_scalar, text) == _parse_outcome(_reference_parse_scalar, text)
 
 
 def _parts(s):
@@ -119,6 +181,8 @@ def test_arithmetic_results_are_normalized(a1, b1, a2, b2, d, cancel):
     assert _parts(x - y) == _parts(Scalar(a1 - a2, b1 - b2, d))
     assert _parts(x * y) == _parts(Scalar(*product((a1, b1), (a2, b2)), d))
     assert _parts(-x) == _parts(Scalar(-a1, -b1, d))
+    for k in (0, 1, -3):
+        assert _parts(x * k) == _parts(x * Scalar(k)) == _parts(Scalar(a1 * k, b1 * k, d))
     if y:
         norm = a2 * a2 - d * b2 * b2
         inv = (a2 / norm, -b2 / norm)
