@@ -12,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import List, Optional
 
 from . import catalog as catalog_mod
@@ -20,12 +19,14 @@ from . import invariants, io_json, latexout, lie, pencil
 from . import operators as ops
 from .errors import (
     DarbouxOpsError,
+    FieldMismatchError,
     InvalidFieldError,
     InvalidOperandError,
     MetricIncompatibleError,
     NotACocycleError,
     NotALieAlgebraError,
     ParseError,
+    UnknownIndeterminateError,
 )
 from .poly import PolyRing
 from .scalars import validate_field_tag
@@ -33,25 +34,6 @@ from .scalars import validate_field_tag
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Global run settings: extension tag, output format, verbosity, seed."""
-
-    field_sqrt: int = 0
-    format: str = "text"
-    verbose: bool = False
-    seed: int = 0
-
-    @staticmethod
-    def from_args(args) -> "SessionConfig":
-        return SessionConfig(
-            field_sqrt=validate_field_tag(args.field_sqrt or 0),
-            format=args.format,
-            verbose=args.verbose,
-            seed=args.seed,
-        )
 
 
 def _emit(args, payload: dict, text_lines: List[str], latex: Optional[str] = None) -> None:
@@ -64,15 +46,26 @@ def _emit(args, payload: dict, text_lines: List[str], latex: Optional[str] = Non
             print(line)
 
 
-def cmd_check(args) -> int:
+def _load_algebra(path: str):
+    """(algebra, None), or (None, exit code) once the reason is printed.
+
+    A tensor failing skewness or Jacobi is an invalid operand (exit 1); an
+    unreadable file is a parse error (exit 2).
+    """
     try:
-        g = io_json.load_algebra(args.algebra)
+        return io_json.load_algebra(path), None
     except NotALieAlgebraError as exc:
         print(f"not a Lie algebra: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return None, EXIT_FAIL
     except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return None, EXIT_PARSE
+
+
+def cmd_check(args) -> int:
+    g, code = _load_algebra(args.algebra)
+    if g is None:
+        return code
     tags = lie.structure_tags(g)
     cas = invariants.quadratic_casimir_space(g)
     met = invariants.compatible_metric_space(g)
@@ -108,11 +101,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_spaces(args) -> int:
-    try:
-        g = io_json.load_algebra(args.algebra)
-    except (ParseError, OSError, NotALieAlgebraError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    g, code = _load_algebra(args.algebra)
+    if g is None:
+        return code
     which = args.which
     if which == "casimirs":
         space = invariants.quadratic_casimir_space(g)
@@ -150,11 +141,10 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _block_params(text: str, dim: int) -> List[str]:
+    fields = {f"u{i + 1}" for i in range(dim)}
     names = []
     for tok in _IDENT.findall(text):
-        if tok == "sqrt" or tok == "I" or tok == "zero":
-            continue
-        if re.fullmatch(r"u\d+", tok) and int(tok[1:]) <= dim:
+        if tok in ("sqrt", "I", "zero") or tok in fields:
             continue
         if tok not in names:
             names.append(tok)
@@ -162,31 +152,44 @@ def _block_params(text: str, dim: int) -> List[str]:
 
 
 def _parse_block(ring: PolyRing, text: str, n: int, kind: str):
+    """A constant n x n block: "zero", "I", "coeff*I" or ";"-separated rows.
+
+    Entries may carry parameters and the ring's sqrt(d), not field variables.
+    """
     text = text.strip()
     if text == "zero":
         return [[ring.zero for _ in range(n)] for _ in range(n)]
     if text == "I" or text.endswith("*I"):
         coeff = ring.one if text == "I" else ring.parse(text[:-2])
-        return [[coeff if i == j else ring.zero for j in range(n)] for i in range(n)]
-    rows = [r for r in text.split(";") if r.strip()]
-    if len(rows) != n:
-        raise ParseError(f"{kind} needs {n} rows, got {len(rows)}")
-    return [[ring.parse(x) for x in row.split(",")] for row in rows]
+        block = [[coeff if i == j else ring.zero for j in range(n)] for i in range(n)]
+    else:
+        rows = [r for r in text.split(";") if r.strip()]
+        if len(rows) != n:
+            raise ParseError(f"{kind} needs {n} rows, got {len(rows)}")
+        block = [[ring.parse(x) for x in row.split(",")] for row in rows]
+    io_json.check_radicals(ring, kind, block)
+    fidx = ring.field_indices()
+    for i, row in enumerate(block):
+        for j, x in enumerate(row):
+            if any(x.depends_on(r) for r in fidx):
+                raise ParseError(f"{kind}[{i}][{j}] = {x} depends on the field variables")
+    return block
 
 
 def cmd_operator(args) -> int:
     if args.op_command == "build":
+        g, code = _load_algebra(args.algebra)
+        if g is None:
+            return code
         try:
-            g = io_json.load_algebra(args.algebra)
-            params = _block_params(args.eta, g.dim) + [
-                p for p in _block_params(args.f, g.dim) if p not in _block_params(args.eta, g.dim)
-            ]
-            d = g.field_tag() or (args.field_sqrt or 0)
-            ring = ops.field_ring(g.dim, params, d=validate_field_tag(d))
+            eta_params = _block_params(args.eta, g.dim)
+            params = eta_params + [p for p in _block_params(args.f, g.dim) if p not in eta_params]
+            ring = ops.field_ring(g.dim, params, d=g.field_tag() or args.field_sqrt)
             eta = _parse_block(ring, args.eta, g.dim, "eta")
             f = _parse_block(ring, args.f, g.dim, "f")
-        except (ParseError, OSError, NotALieAlgebraError, InvalidFieldError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (ParseError, FieldMismatchError, InvalidFieldError,
+                UnknownIndeterminateError) as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         try:
             op = ops.DarbouxOperator(ring, g.c, eta, f)
@@ -405,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["text", "json", "latex"], default="text")
     parser.add_argument("--field-sqrt", type=int, default=0, metavar="D",
                         help="declared quadratic extension tag for built outputs")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized workflows (CLI commands are deterministic)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="include residual polynomials in failure reports")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -461,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.config = SessionConfig.from_args(args)
+        validate_field_tag(args.field_sqrt)
     except InvalidFieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,10 +1,13 @@
 """Linear solution spaces attached to a Lie algebra.
 
 Three spaces determine an operator in Darboux form: quadratic Casimirs
-(symmetric a with a_{is} c^{sk}_j + a_{js} c^{sk}_i = 0), compatible
-metrics (symmetric eta with eta^{is} c^{jk}_s + eta^{js} c^{ik}_s = 0) and
-2-cocycles (skew f with c^{ij}_s f^{sk} + cyclic = 0).  All solvers return
-canonical RREF-derived bases so dimensions and bases reproduce across runs.
+(symmetric a), compatible metrics (symmetric eta) and 2-cocycles (skew f).
+Their equations are the identities defined once in `lie`
+(`casimir_terms`, `metric_terms`, `cocycle_terms`): a solver evaluates an
+identity on a matrix of unknowns and reads the equations off as sparse
+rows, and a residual checker takes the first nonzero equation of its
+`lie.defect`.  All solvers return canonical RREF-derived bases so
+dimensions and bases reproduce across runs.
 """
 
 from __future__ import annotations
@@ -13,104 +16,65 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .lie import LieAlgebra
-from .poly import Poly, PolyRing, dot
+from .lie import (
+    LieAlgebra,
+    casimir_terms,
+    cocycle_terms,
+    direct_sum,
+    first_violation,
+    jacobi_terms,
+    metric_terms,
+)
+from .poly import Poly, PolyRing
 from .scalars import Scalar
 
 Matrix = linalg.Matrix
 
 
-# -- residual checks (generic over Scalar or Poly entries) -----------------
-
-
-def sum_of_products(pairs):
-    """The sum of x*y over a non-empty list of pairs.
-
-    Polynomial entries go through the integer kernel `poly.dot`; Scalar
-    entries are summed with Scalar arithmetic.
-    """
-    x, y = pairs[0]
-    if type(x) is Poly:
-        return dot(x.ring, pairs)
-    if type(y) is Poly:
-        return dot(y.ring, pairs)
-    tot = x * y
-    for x, y in pairs[1:]:
-        tot = tot + x * y
-    return tot
+# -- checkers and solvers derived from the identities in `lie` -------------
 
 
 def jacobi_residual(c) -> Optional[tuple]:
     """First (i, j, k, m) violating the Jacobi identity, else None."""
-    n = len(c)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for m in range(n):
-                    pairs = [
-                        (x, y)
-                        for s in range(n)
-                        for x, y in (
-                            (c[i][j][s], c[s][k][m]),
-                            (c[j][k][s], c[s][i][m]),
-                            (c[k][i][s], c[s][j][m]),
-                        )
-                        if x and y
-                    ]
-                    if pairs and sum_of_products(pairs):
-                        return (i, j, k, m)
-    return None
+    return first_violation(jacobi_terms(c, c))
 
 
 def casimir_residual(c, a) -> Optional[tuple]:
-    """First (i, j, k) violating a_{is} c^{sk}_j + a_{js} c^{sk}_i = 0."""
-    n = len(c)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                pairs = [
-                    (x, y)
-                    for s in range(n)
-                    for x, y in ((a[i][s], c[s][k][j]), (a[j][s], c[s][k][i]))
-                    if x and y
-                ]
-                if pairs and sum_of_products(pairs):
-                    return (i, j, k)
-    return None
+    """First (i, j, k) where a fails the quadratic Casimir equations, else None."""
+    return first_violation(casimir_terms(c, a))
 
 
 def metric_residual(c, eta) -> Optional[tuple]:
-    """First (i, j, k) violating eta^{is} c^{jk}_s + eta^{js} c^{ik}_s = 0."""
-    n = len(c)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                pairs = [
-                    (x, y)
-                    for s in range(n)
-                    for x, y in ((eta[i][s], c[j][k][s]), (eta[j][s], c[i][k][s]))
-                    if x and y
-                ]
-                if pairs and sum_of_products(pairs):
-                    return (i, j, k)
-    return None
+    """First (i, j, k) where eta fails the compatible-metric equations, else None."""
+    return first_violation(metric_terms(c, eta))
 
 
 def cocycle_residual(c, f) -> Optional[tuple]:
-    """First (i, j, k) violating c^{ij}_s f^{sk} + c^{jk}_s f^{si} + c^{ki}_s f^{sj} = 0."""
-    n = len(c)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                pairs = [
-                    (x, y)
-                    for s in range(n)
-                    for x, y in ((c[i][j][s], f[s][k]), (c[j][k][s], f[s][i]), (c[k][i][s], f[s][j]))
-                    if x and y
-                ]
-                if pairs and sum_of_products(pairs):
-                    return (i, j, k)
-    return None
+    """First (i, j, k) where f fails the 2-cocycle equations, else None."""
+    return first_violation(cocycle_terms(c, f))
+
+
+def _unknowns(n: int, pairs: Sequence[Tuple[int, int]], skew: bool) -> list:
+    """n x n matrix of markers (column, sign): x^{ij} = +t_col, x^{ji} = -t_col if skew."""
+    x = [[None] * n for _ in range(n)]
+    for col, (i, j) in enumerate(pairs):
+        x[i][j] = (col, 1)
+        x[j][i] = (col, -1 if skew else 1)
+    return x
+
+
+def _solve(equations, ncols: int) -> List[linalg.Vector]:
+    """Canonical nullspace of equations whose x entries are `_unknowns` markers."""
+    zero = Scalar(0)
+    rows = []
+    for _, eq in equations:
+        row: dict = {}
+        for coeff, (col, sign) in eq:
+            row[col] = row.get(col, zero) + (coeff if sign > 0 else -coeff)
+        row = {col: v for col, v in row.items() if v}
+        if row:
+            rows.append(row)
+    return linalg.sparse_nullspace(rows, ncols)
 
 
 # -- symmetric / skew coordinatizations ------------------------------------
@@ -132,20 +96,12 @@ def sym_from_vector(v: Sequence[Scalar], n: int) -> Matrix:
     return m
 
 
-def skew_from_vector(v: Sequence[Scalar], n: int) -> Matrix:
+def skew_from_vector(v: Sequence[Scalar], n: int, pairs=None) -> Matrix:
     m = linalg.zeros(n, n)
-    for idx, (i, j) in enumerate(skew_pairs(n)):
+    for idx, (i, j) in enumerate(skew_pairs(n) if pairs is None else pairs):
         m[i][j] = v[idx]
         m[j][i] = -v[idx]
     return m
-
-
-def _sym_index(n: int):
-    idx = {}
-    for pos, (i, j) in enumerate(sym_pairs(n)):
-        idx[(i, j)] = pos
-        idx[(j, i)] = pos
-    return idx
 
 
 @dataclass
@@ -170,50 +126,19 @@ class CocycleSpace(SolutionSpace):
         return self.dim - len(self.coboundary_basis)
 
 
-def quadratic_casimir_space(g: LieAlgebra) -> SolutionSpace:
+def _symmetric_space(g: LieAlgebra, terms, kind: str) -> SolutionSpace:
     n = g.dim
-    c = g.c
-    idx = _sym_index(n)
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                row: dict = {}
-                for s in range(n):
-                    if c[s][k][j]:
-                        p = idx[(i, s)]
-                        row[p] = row.get(p, Scalar(0)) + c[s][k][j]
-                    if c[s][k][i]:
-                        p = idx[(j, s)]
-                        row[p] = row.get(p, Scalar(0)) + c[s][k][i]
-                row = {p: v for p, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    sols = linalg.sparse_nullspace(rows, n * (n + 1) // 2)
-    return SolutionSpace(g, [sym_from_vector(v, n) for v in sols], "casimir")
+    pairs = sym_pairs(n)
+    sols = _solve(terms(g.c, _unknowns(n, pairs, skew=False)), len(pairs))
+    return SolutionSpace(g, [sym_from_vector(v, n) for v in sols], kind)
+
+
+def quadratic_casimir_space(g: LieAlgebra) -> SolutionSpace:
+    return _symmetric_space(g, casimir_terms, "casimir")
 
 
 def compatible_metric_space(g: LieAlgebra) -> SolutionSpace:
-    n = g.dim
-    c = g.c
-    idx = _sym_index(n)
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                row: dict = {}
-                for s in range(n):
-                    if c[j][k][s]:
-                        p = idx[(i, s)]
-                        row[p] = row.get(p, Scalar(0)) + c[j][k][s]
-                    if c[i][k][s]:
-                        p = idx[(j, s)]
-                        row[p] = row.get(p, Scalar(0)) + c[i][k][s]
-                row = {p: v for p, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    sols = linalg.sparse_nullspace(rows, n * (n + 1) // 2)
-    return SolutionSpace(g, [sym_from_vector(v, n) for v in sols], "metric")
+    return _symmetric_space(g, metric_terms, "metric")
 
 
 def coboundary_basis(g: LieAlgebra) -> List[Matrix]:
@@ -231,26 +156,8 @@ def coboundary_basis(g: LieAlgebra) -> List[Matrix]:
 
 def two_cocycle_space(g: LieAlgebra) -> CocycleSpace:
     n = g.dim
-    c = g.c
     pairs = skew_pairs(n)
-    pos = {}
-    for p, (i, j) in enumerate(pairs):
-        pos[(i, j)] = (p, 1)
-        pos[(j, i)] = (p, -1)
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                row: dict = {}
-                for s in range(n):
-                    for coeff, other in ((c[i][j][s], k), (c[j][k][s], i), (c[k][i][s], j)):
-                        if coeff and s != other:
-                            p, sign = pos[(s, other)]
-                            row[p] = row.get(p, Scalar(0)) + (coeff if sign > 0 else -coeff)
-                row = {p: v for p, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    sols = linalg.sparse_nullspace(rows, len(pairs))
+    sols = _solve(cocycle_terms(g.c, _unknowns(n, pairs, skew=True)), len(pairs))
     return CocycleSpace(
         g,
         [skew_from_vector(v, n) for v in sols],
@@ -393,7 +300,7 @@ def casimir_metric_duality(g: LieAlgebra) -> DualityReport:
         inv_c = metric_residual(g.c, linalg.inverse(cw_mat)) is None
     if mw is not None:
         mw_mat = mw[1]
-        inv_m = casimir_violation_matrix(g, linalg.inverse(mw_mat))
+        inv_m = casimir_residual(g.c, linalg.inverse(mw_mat)) is None
     return DualityReport(
         casimir_dim=cas.dim,
         metric_dim=met.dim,
@@ -403,10 +310,6 @@ def casimir_metric_duality(g: LieAlgebra) -> DualityReport:
         inverse_casimir_is_metric=inv_c,
         inverse_metric_is_casimir=inv_m,
     )
-
-
-def casimir_violation_matrix(g: LieAlgebra, a: Matrix) -> bool:
-    return casimir_residual(g.c, a) is None
 
 
 # -- mixed cocycles of direct sums ------------------------------------------
@@ -423,44 +326,19 @@ class MixedCocycleReport:
 
 
 def mixed_cocycle_check(g1: LieAlgebra, g2: LieAlgebra) -> MixedCocycleReport:
-    """Solve the mixed-block system for cocycles of g1 (+) g2.
+    """Solve the cocycle equations of g1 (+) g2 for f living in the mixed block.
 
-    Unknowns beta^{i j'} (i in g1, j' in g2) subject to
-    beta^{i j'} c^{hl}_i = 0 and beta^{i j'} gamma^{p'q'}_{j'} = 0; the
+    The unknowns are beta^{i j'} = f^{i, n1 + j'} (i in g1, j' in g2); the
     report also checks dim Z^2(g1 (+) g2) = dim Z^2(g1) + dim Z^2(g2) + mixed.
     """
-    from .lie import direct_sum
-
     n1, n2 = g1.dim, g2.dim
-    rows = []
-    pos = lambda i, j: i * n2 + j  # noqa: E731
-    for h in range(n1):
-        for l in range(h + 1, n1):
-            for jp in range(n2):
-                row = {pos(i, jp): g1.c[h][l][i] for i in range(n1) if g1.c[h][l][i]}
-                if row:
-                    rows.append(row)
-    for pp in range(n2):
-        for qp in range(pp + 1, n2):
-            for i in range(n1):
-                row = {pos(i, jp): g2.c[pp][qp][jp] for jp in range(n2) if g2.c[pp][qp][jp]}
-                if row:
-                    rows.append(row)
-    sols = linalg.sparse_nullspace(rows, n1 * n2)
-    total = n1 + n2
-    mixed_basis = []
-    for v in sols:
-        m = linalg.zeros(total, total)
-        for i in range(n1):
-            for jp in range(n2):
-                val = v[pos(i, jp)]
-                if val:
-                    m[i][n1 + jp] = val
-                    m[n1 + jp][i] = -val
-        mixed_basis.append(m)
+    total = direct_sum(g1, g2)
+    pairs = [(i, n1 + jp) for i in range(n1) for jp in range(n2)]
+    sols = _solve(cocycle_terms(total.c, _unknowns(n1 + n2, pairs, skew=True)), len(pairs))
+    mixed_basis = [skew_from_vector(v, n1 + n2, pairs) for v in sols]
     z1 = two_cocycle_space(g1).dim
     z2 = two_cocycle_space(g2).dim
-    zsum = two_cocycle_space(direct_sum(g1, g2)).dim
+    zsum = two_cocycle_space(total).dim
     return MixedCocycleReport(
         mixed_dim=len(sols),
         z2_sum=zsum,

@@ -55,6 +55,14 @@ def _field_error(d: int, what: str) -> ParseError:
     )
 
 
+def check_radicals(ring, name: str, m) -> None:
+    """ParseError unless every sqrt coefficient of the matrix m uses the ring's sqrt(d)."""
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if any(c.d and c.d != ring.d for c in x.terms.values()):
+                raise _field_error(ring.d, f"{name}[{i}][{j}] = {str(x)!r}")
+
+
 def algebra_from_dict(data: dict) -> LieAlgebra:
     """Algebra from file data; every sqrt coefficient must use the declared field_sqrt."""
     try:
@@ -118,11 +126,8 @@ def operator_from_dict(data: dict) -> PolyOperator:
         omega = [[ring.parse(str(x)) for x in row] for row in data["omega"]]
         if any(len(m) != dim or any(len(row) != dim for row in m) for m in (g, omega)):
             raise ParseError("g and omega must be dim x dim")
-        for name, m in (("g", g), ("omega", omega)):
-            for i, row in enumerate(m):
-                for j, x in enumerate(row):
-                    if any(c.d and c.d != ring.d for c in x.terms.values()):
-                        raise _field_error(ring.d, f"{name}[{i}][{j}] = {str(x)!r}")
+        check_radicals(ring, "g", g)
+        check_radicals(ring, "omega", omega)
         return PolyOperator(ring, g, omega)
     except (KeyError, TypeError, ValueError, InvalidFieldError, FieldMismatchError,
             UnknownIndeterminateError, ShapeMismatchError) as exc:

@@ -4,13 +4,22 @@ The structure tensor is stored contravariantly: c[i][j][k] is the
 coefficient of e^k in [e^i, e^j], skew in the upper pair (i, j).  The
 constructor rejects tensors failing skew-symmetry or the Jacobi identity;
 `jacobi_defect` is the raw diagnostic entry point for unvalidated data.
+
+The four identities of the Darboux triple (Jacobi, quadratic Casimir,
+compatible metric, 2-cocycle) are defined here, once each, as equation
+generators (`jacobi_terms`, `casimir_terms`, `metric_terms`,
+`cocycle_terms`); every checker, space solver and mixed pencil condition
+of the package is derived from them.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
@@ -19,6 +28,7 @@ from .errors import (
     NotALieAlgebraError,
     ShapeMismatchError,
 )
+from .poly import Poly, dot
 from .scalars import Scalar
 
 Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
@@ -28,32 +38,142 @@ def _freeze_tensor(c) -> Tensor3:
     return tuple(tuple(tuple(Scalar.of(x) for x in row) for row in plane) for plane in c)
 
 
-def jacobi_defect(c: Sequence[Sequence[Sequence]]) -> Dict[tuple, Scalar]:
-    """Nonzero entries of the Jacobi tensor, keyed by (i, j, k, m).
+# -- the four identities, each written once --------------------------------
+#
+# An identity linear in a tensor x (quadratic identities are bilinear in
+# (c, x) with x = c) is a generator of equations.  Each yields
+# (key, [(coefficient from c, entry of x), ...]) in increasing key order,
+# visiting only nonzero entries of c and x and skipping keys without a
+# product.  `defect` sums the products; the space solvers pass an x of
+# unknown markers and read the pairs as linear rows; the mixed pencil
+# conditions sum terms(c_B, x_A) and terms(c_A, x_B).
 
-    J^{ijk}_m = c^{ij}_s c^{sk}_m + c^{jk}_s c^{si}_m + c^{ki}_s c^{sj}_m.
-    For a skew tensor J is fully antisymmetric in (i, j, k), so only
-    i < j < k is reported; the algebra is a Lie algebra iff the map is empty.
+
+def _support(row) -> list:
+    return [(t, v) for t, v in enumerate(row) if v]
+
+
+def _cyclic(i: int, j: int, k: int) -> tuple:
+    return ((i, j), k), ((j, k), i), ((k, i), j)
+
+
+def jacobi_terms(c, x):
+    """J^{ijk}_m = c^{ij}_s x^{sk}_m + c^{jk}_s x^{si}_m + c^{ki}_s x^{sj}_m, i < j < k.
+
+    With x = c this is the Jacobi identity; for a skew tensor J is fully
+    antisymmetric in (i, j, k), so i < j < k lists every equation.
+    """
+    n = len(c)
+    cz = [[_support(row) for row in plane] for plane in c]
+    xz = cz if x is c else [[_support(row) for row in plane] for plane in x]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                eqs: Dict[int, list] = {}
+                for (a, b), last in _cyclic(i, j, k):
+                    for s, y in cz[a][b]:
+                        for m, z in xz[s][last]:
+                            eqs.setdefault(m, []).append((y, z))
+                for m in sorted(eqs):
+                    yield (i, j, k, m), eqs[m]
+
+
+def cocycle_terms(c, f):
+    """c^{ij}_s f^{sk} + c^{jk}_s f^{si} + c^{ki}_s f^{sj}, i < j < k (2-cocycle f)."""
+    n = len(c)
+    cz = [[_support(row) for row in plane] for plane in c]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                eq = [(y, f[s][last]) for (a, b), last in _cyclic(i, j, k)
+                      for s, y in cz[a][b] if f[s][last]]
+                if eq:
+                    yield (i, j, k), eq
+
+
+def _symmetric_terms(table, x):
+    """T^{sj}_k x_{is} + T^{si}_k x_{js}, keyed (i, j, k) with i <= j.
+
+    `table[s][j]` lists the nonzero (k, T^{sj}_k): T^{sj}_k = c^{sk}_j for
+    the Casimir equations, c^{jk}_s for the metric ones.
+    """
+    n = len(x)
+    xz = [_support(row) for row in x]
+    for i in range(n):
+        for j in range(i, n):
+            eqs: Dict[int, list] = {}
+            for p, q in ((i, j), (j, i)):
+                for s, z in xz[p]:
+                    for k, y in table[s][q]:
+                        eqs.setdefault(k, []).append((y, z))
+            for k in sorted(eqs):
+                yield (i, j, k), eqs[k]
+
+
+def casimir_terms(c, a):
+    """a_{is} c^{sk}_j + a_{js} c^{sk}_i, i <= j (quadratic Casimir a)."""
+    n = len(c)
+    table = [[[(k, c[s][k][j]) for k in range(n) if c[s][k][j]] for j in range(n)]
+             for s in range(n)]
+    return _symmetric_terms(table, a)
+
+
+def metric_terms(c, eta):
+    """eta^{is} c^{jk}_s + eta^{js} c^{ik}_s, i <= j (compatible metric eta)."""
+    n = len(c)
+    table = [[[(k, c[j][k][s]) for k in range(n) if c[j][k][s]] for j in range(n)]
+             for s in range(n)]
+    return _symmetric_terms(table, eta)
+
+
+def sum_of_products(pairs):
+    """The sum of x*y over a non-empty list of pairs.
+
+    Polynomial entries go through the integer kernel `poly.dot`; Scalar
+    entries are summed with Scalar arithmetic.
+    """
+    x, y = pairs[0]
+    if type(x) is Poly:
+        return dot(x.ring, pairs)
+    if type(y) is Poly:
+        return dot(y.ring, pairs)
+    tot = x * y
+    for x, y in pairs[1:]:
+        tot = tot + x * y
+    return tot
+
+
+def defect(*systems) -> Iterator[tuple]:
+    """(key, value) of every nonzero equation of the summed systems, by increasing key.
+
+    Equations with one key in several systems are added up.  The sums are
+    lazy, so the first violation costs only the equations before it.
+    """
+    if len(systems) == 1:
+        equations = systems[0]
+    else:
+        merged = groupby(heapq.merge(*systems, key=itemgetter(0)), key=itemgetter(0))
+        equations = ((key, [p for _, pairs in group for p in pairs]) for key, group in merged)
+    for key, pairs in equations:
+        value = sum_of_products(pairs)
+        if value:
+            yield key, value
+
+
+def first_violation(*systems) -> Optional[tuple]:
+    """Key of the first nonzero equation of `defect(*systems)`, else None."""
+    return next(defect(*systems), (None,))[0]
+
+
+def jacobi_defect(c: Sequence[Sequence[Sequence]]) -> Dict[tuple, Scalar]:
+    """Nonzero entries of the Jacobi tensor (`jacobi_terms`), keyed by (i, j, k, m).
+
+    The algebra is a Lie algebra iff the map is empty.
     """
     n = len(c)
     if any(len(plane) != n or any(len(row) != n for row in plane) for plane in c):
         raise ShapeMismatchError("structure tensor must be n x n x n")
-    # nonzero c^{ab}_s, listed once per pair (a, b)
-    nz = [[[(s, x) for s, x in enumerate(c[a][b]) if x] for b in range(n)] for a in range(n)]
-    zero = Scalar(0)
-    out: Dict[tuple, Scalar] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                totals: Dict[int, Scalar] = {}
-                for (a, b), last in (((i, j), k), ((j, k), i), ((k, i), j)):
-                    for s, x in nz[a][b]:
-                        for m, y in nz[s][last]:
-                            totals[m] = totals.get(m, zero) + x * y
-                for m in sorted(totals):
-                    if totals[m]:
-                        out[(i, j, k, m)] = totals[m]
-    return out
+    return dict(defect(jacobi_terms(c, c)))
 
 
 def is_skew_tensor(c: Sequence[Sequence[Sequence]]) -> bool:
@@ -320,7 +440,7 @@ def build_two_step_nilpotent(g: LieAlgebra, a: Sequence[Sequence],
         raise ShapeMismatchError("blocks must match the input dimension")
     if not linalg.is_symmetric(amat) or not linalg.is_symmetric(bmat):
         raise ShapeMismatchError("blocks must be symmetric")
-    viol = casimir_violation(g.c, amat)
+    viol = first_violation(casimir_terms(g.c, amat))
     if viol is not None:
         raise NotACasimirError(f"input block fails the Casimir equations at {viol}")
     n2 = 2 * n
@@ -336,27 +456,10 @@ def build_two_step_nilpotent(g: LieAlgebra, a: Sequence[Sequence],
             cas[i][n + j] = amat[i][j]
             cas[n + i][j] = amat[j][i]
             cas[n + i][n + j] = bmat[i][j]
-    viol = casimir_violation(out.c, cas)
+    viol = first_violation(casimir_terms(out.c, cas))
     if viol is not None:
         raise NotACasimirError(f"constructed matrix fails the Casimir equations at {viol}")
     return out, cas
-
-
-def casimir_violation(c: Sequence[Sequence[Sequence]], a: Sequence[Sequence]):
-    """First (i, j, k) with a_{is} c^{sk}_j + a_{js} c^{sk}_i != 0, else None."""
-    n = len(c)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                tot = Scalar(0)
-                for s in range(n):
-                    if a[i][s] and c[s][k][j]:
-                        tot = tot + a[i][s] * c[s][k][j]
-                    if a[j][s] and c[s][k][i]:
-                        tot = tot + a[j][s] * c[s][k][i]
-                if tot:
-                    return (i, j, k)
-    return None
 
 
 # -- named algebras used throughout the tests and the catalog -------------

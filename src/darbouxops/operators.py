@@ -28,13 +28,8 @@ from .errors import (
     NotACocycleError,
     ShapeMismatchError,
 )
-from .invariants import (
-    cocycle_residual,
-    jacobi_residual,
-    metric_residual,
-    sum_of_products,
-)
-from .lie import LieAlgebra
+from .invariants import cocycle_residual, metric_residual
+from .lie import LieAlgebra, defect, jacobi_terms
 from .poly import Poly, PolyRing, dot
 from .scalars import Scalar
 
@@ -195,8 +190,8 @@ def verify_darboux(op) -> VerificationReport:
     report.add("eta-symmetric", _first_symmetry_violation(eta))
     report.add("f-skew", _first_skew_violation(f))
     if skew_c is None:
-        viol = jacobi_residual(c)
-        report.add("jacobi", viol, _jacobi_value(c, viol) if viol else None)
+        key, value = next(defect(jacobi_terms(c, c)), (None, None))
+        report.add("jacobi", key, value)
     else:
         report.add("jacobi", skew_c)
     viol = cocycle_residual(c, f)
@@ -224,17 +219,6 @@ def _first_skew_violation(m: PolyMatrix) -> Optional[tuple]:
             if not (m[i][j] + m[j][i]).is_zero():
                 return (i, j)
     return None
-
-
-def _jacobi_value(c, key):
-    i, j, k, m = key
-    pairs = [
-        (x, y)
-        for s in range(len(c))
-        for x, y in ((c[i][j][s], c[s][k][m]), (c[j][k][s], c[s][i][m]), (c[k][i][s], c[s][j][m]))
-        if x and y
-    ]
-    return sum_of_products(pairs) if pairs else None
 
 
 class PolyOperator:

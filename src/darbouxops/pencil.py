@@ -4,7 +4,8 @@ Two routes to the same verdict:
 
 * the Darboux criterion: three mixed identities on the pair of triples,
   namely compatibility of the two brackets (mixed Jacobi), the mixed
-  cocycle condition and the mixed metric condition;
+  cocycle condition and the mixed metric condition.  Each is the bilinear
+  part of an identity of `lie`, terms(c_B, x_A) + terms(c_A, x_B);
 
 * the lambda route: adjoin a fresh parameter lambda, form A + lambda B and
   run the general Hamiltonianity verifier; a pass must hold identically in
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import InvalidOperandError, ShapeMismatchError
-from .invariants import sum_of_products
+from .lie import cocycle_terms, first_violation, jacobi_terms, metric_terms
 from .operators import (
     DarbouxOperator,
     PolyOperator,
@@ -68,77 +69,6 @@ def _require_common_ring(a: DarbouxOperator, b: DarbouxOperator) -> PolyRing:
     return a.ring
 
 
-def mixed_jacobi_residual(c1, c2) -> Optional[tuple]:
-    """Mixed Jacobi: sum_p c2^{ij}_p c1^{pk}_s + cyc + (1 <-> 2) = 0."""
-    n = len(c1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for s in range(n):
-                    pairs = [
-                        (x, y)
-                        for p in range(n)
-                        for x, y in (
-                            (c2[i][j][p], c1[p][k][s]),
-                            (c2[j][k][p], c1[p][i][s]),
-                            (c2[k][i][p], c1[p][j][s]),
-                            (c1[i][j][p], c2[p][k][s]),
-                            (c1[j][k][p], c2[p][i][s]),
-                            (c1[k][i][p], c2[p][j][s]),
-                        )
-                        if x and y
-                    ]
-                    if pairs and sum_of_products(pairs):
-                        return (i, j, k, s)
-    return None
-
-
-def mixed_cocycle_residual(c1, f1, c2, f2) -> Optional[tuple]:
-    """Mixed cocycle: c2 against f1 plus c1 against f2, cyclically."""
-    n = len(c1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                pairs = [
-                    (x, y)
-                    for p in range(n)
-                    for x, y in (
-                        (c2[i][j][p], f1[p][k]),
-                        (c2[j][k][p], f1[p][i]),
-                        (c2[k][i][p], f1[p][j]),
-                        (c1[i][j][p], f2[p][k]),
-                        (c1[j][k][p], f2[p][i]),
-                        (c1[k][i][p], f2[p][j]),
-                    )
-                    if x and y
-                ]
-                if pairs and sum_of_products(pairs):
-                    return (i, j, k)
-    return None
-
-
-def mixed_metric_residual(g1, c1, g2, c2) -> Optional[tuple]:
-    """Mixed metric: g1^{is} c2^{jk}_s + g1^{js} c2^{ik}_s + (1 <-> 2) = 0."""
-    n = len(c1)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                pairs = [
-                    (x, y)
-                    for s in range(n)
-                    for x, y in (
-                        (g1[i][s], c2[j][k][s]),
-                        (g1[j][s], c2[i][k][s]),
-                        (g2[i][s], c1[j][k][s]),
-                        (g2[j][s], c1[i][k][s]),
-                    )
-                    if x and y
-                ]
-                if pairs and sum_of_products(pairs):
-                    return (i, j, k)
-    return None
-
-
 def pencil_compatible_darboux(a: DarbouxOperator, b: DarbouxOperator) -> PencilReport:
     """Darboux-form pencil criterion; both operands must verify on their own."""
     _require_common_ring(a, b)
@@ -150,9 +80,11 @@ def pencil_compatible_darboux(a: DarbouxOperator, b: DarbouxOperator) -> PencilR
             f"A failed {ra.failed_names()}, B failed {rb.failed_names()}"
         )
     report = VerificationReport()
-    report.add("mixed-jacobi", mixed_jacobi_residual(a.c, b.c))
-    report.add("mixed-cocycle", mixed_cocycle_residual(a.c, a.f, b.c, b.f))
-    report.add("mixed-metric", mixed_metric_residual(a.eta, a.c, b.eta, b.c))
+    # each condition is the bilinear part of its identity: terms(c_B, x_A) + terms(c_A, x_B)
+    for name, terms, x_a, x_b in (("mixed-jacobi", jacobi_terms, a.c, b.c),
+                                  ("mixed-cocycle", cocycle_terms, a.f, b.f),
+                                  ("mixed-metric", metric_terms, a.eta, b.eta)):
+        report.add(name, first_violation(terms(b.c, x_a), terms(a.c, x_b)))
     return PencilReport(ra, rb, report.conditions)
 
 

@@ -48,6 +48,7 @@ from .scalars import (
     ONE,
     Scalar,
     _fraction,
+    _int,
     _make,
     _rational,
     parse_scalar,
@@ -627,7 +628,7 @@ def _parse_factor(ring: PolyRing, factor: str, context: str):
     if caret:
         if not exp.isdecimal():  # isdigit() also admits "²", which int() rejects
             raise ParseError(f"bad exponent in {factor!r} ({context!r})")
-        power = int(exp)
+        power = _int(exp)
         if power > MAX_EXPONENT:
             raise ParseError(f"exponent {exp} above MAX_EXPONENT = {MAX_EXPONENT} ({context!r})")
     else:

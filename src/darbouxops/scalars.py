@@ -296,12 +296,27 @@ _SCALAR_TERM_RE = re.compile(r"([+-]*)(?:(\d+)(?:/(\d+))?(?:\*(?=sqrt\(|$))?)?(?
 _SPACE_RE = re.compile(r"\s+")
 
 
+def _too_long(literal: str) -> ParseError:
+    """The error for a literal above Python's limit on int-string digits."""
+    return ParseError(f"number literal of {len(literal)} characters is too long")
+
+
+def _int(digits: str) -> int:
+    """A decimal literal; one above Python's int-string digit limit is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise _too_long(digits) from None
+
+
 def _fraction(literal: str, context: str) -> Fraction:
-    """A "p" or "p/q" literal; a zero denominator is a ParseError."""
+    """A "p" or "p/q" literal; a zero denominator or too many digits is a ParseError."""
     try:
         return Fraction(literal)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {literal!r} ({context!r})") from None
+    except ValueError:
+        raise _too_long(literal) from None
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -328,13 +343,13 @@ def parse_scalar(text: str) -> Scalar:
         if (num is None and rad is None) or (end < len(s) and s[end] not in "+-"):
             raise ParseError(f"bad scalar term at {s[pos:]!r} in {text!r}")
         pos = end
-        p = int(num) if num is not None else 1
-        q = int(den) if den is not None else 1
+        p = _int(num) if num is not None else 1
+        q = _int(den) if den is not None else 1
         if not q:
             raise ParseError(f"zero denominator in {num + '/' + den!r} ({text!r})")
         if signs.count("-") % 2:
             p = -p
-        r = 0 if rad is None else int(rad)
+        r = 0 if rad is None else _int(rad)
         if rad is None or r == 1:
             an, ad = an * q + p * ad, ad * q
         elif r and p:

@@ -217,6 +217,60 @@ def test_operator_build_rejects_bad_metric(so3_file):
     assert "metric" in proc.stderr
 
 
+@pytest.mark.parametrize("eta, f", [
+    ("u1*I", "zero"),  # leading coefficient depends on u
+    ("1,0,0;0,u2,0;0,0,1", "zero"),
+    ("I", "0,u1,0;-u1,0,0;0,0,0"),  # cocycle block depends on u
+    ("sqrt(2)*sqrt(3)*I", "zero"),  # mixed radicals
+    ("sqrt(2)*I", "zero"),  # radical outside the declared field (plain Q)
+    ("9" * 5000 + "*I", "zero"),  # above Python's int-string digit limit
+    ("I,0,0;0,I,0;0,0,I", "zero"),  # "I" inside rows is not an indeterminate
+], ids=["u-in-eta", "u-in-eta-rows", "u-in-f", "mixed-radicals", "undeclared-radical",
+        "digit-limit", "I-in-rows"])
+def test_operator_build_rejects_bad_blocks(tmp_path, so3_file, eta, f):
+    out = tmp_path / "op.json"
+    proc = run_cli(["operator", "build", "--algebra", so3_file, "--eta", eta, "--f", f,
+                    "--out", str(out)], timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_operator_build_declared_radical_accepted(tmp_path, so3_file):
+    out = tmp_path / "op.json"
+    proc = run_cli(["--field-sqrt", "2", "operator", "build", "--algebra", so3_file,
+                    "--eta", "sqrt(2)*I", "--f", "zero", "--out", str(out)], timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(out.read_text())["field_sqrt"] == 2
+    assert run_cli(["operator", "verify", str(out)], timeout=60).returncode == 0
+
+
+_NOT_LIE = {"dim": 3, "brackets": [
+    {"i": 1, "j": 2, "out": {"2": "1"}},
+    {"i": 1, "j": 3, "out": {"3": "1"}},
+    {"i": 2, "j": 3, "out": {"1": "1"}},
+]}
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "{}"],
+    ["spaces", "{}", "--which", "cocycles"],
+    ["operator", "build", "--algebra", "{}", "--eta", "I", "--f", "zero"],
+])
+def test_non_lie_tensor_is_an_invalid_operand(tmp_path, command):
+    """Every command taking an algebra file exits 1 on a tensor failing Jacobi."""
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(_NOT_LIE))
+    proc = run_cli([arg.format(path) for arg in command], timeout=60)
+    assert proc.returncode == 1
+    assert "Jacobi" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_global_seed_flag_removed():
+    assert run_cli(["--seed", "1", "catalog", "list"]).returncode == 2
+
+
 def test_operator_apply_kdv(kdv_files):
     a_file, _ = kdv_files
     proc = run_cli([

@@ -110,6 +110,16 @@ def test_parse_errors(text, error):
         ring.parse(text)
 
 
+def test_parse_digit_limit_is_a_parse_error():
+    """A literal above Python's int-string digit limit is a ParseError, not a ValueError."""
+    ring = PolyRing(["u1", "u2"], ["alpha"], d=2)
+    digits = "9" * 5000
+    for text in (f"{digits}*u1", f"({digits})*u1", f"1/{digits}*u1", f"u1^{digits}",
+                 f"sqrt({digits})*u1", f"({digits}*sqrt(2))*u2"):
+        with pytest.raises(ParseError, match="too long"):
+            ring.parse(text)
+
+
 def test_parse_accepts_max_exponent():
     ring = PolyRing(["u1", "u2"])
     p = ring.parse(f"3*u1^{MAX_EXPONENT}*u2^{MAX_EXPONENT - 1}*u2")

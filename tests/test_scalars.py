@@ -93,6 +93,14 @@ def test_extension_arithmetic_matches_componentwise(a1, b1, a2, b2):
         assert x * x.inverse() == Scalar(1)
 
 
+def test_parse_digit_limit_is_a_parse_error():
+    """A literal above Python's int-string digit limit is a ParseError, not a ValueError."""
+    digits = "9" * 5000
+    for text in (digits, f"1/{digits}", f"sqrt({digits})", f"1+{digits}*sqrt(2)"):
+        with pytest.raises(ParseError, match="too long"):
+            parse_scalar(text)
+
+
 @given(rationals, rationals)
 def test_print_parse_roundtrip(a, b):
     for d in (0, 2, 3):
