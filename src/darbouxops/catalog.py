@@ -40,6 +40,18 @@ def _parse_matrix(ring: PolyRing, text: str) -> PolyMatrix:
     return [[ring.parse(e) for e in row.split(",")] for row in rows]
 
 
+def _at_moduli(entries: list, ring: PolyRing, moduli: Dict[str, Fraction]) -> list:
+    """Nested lists of u-free polynomials as Scalars, each modulus at its value."""
+    subs = {name: ring.const(Scalar(val)) for name, val in moduli.items()}
+
+    def value(x):
+        if isinstance(x, list):
+            return [value(y) for y in x]
+        return (x.subs(subs) if subs else x).constant_value()
+
+    return value(entries)
+
+
 @dataclass
 class CatalogEntry:
     name: str
@@ -95,18 +107,7 @@ def catalog_get(name: str) -> CatalogEntry:
     c = [[[omega[i][j].coefficient_of_var(fidx[k]) for k in range(n)] for j in range(n)]
          for i in range(n)]
     fmat = [[omega[i][j].at_zero(fidx) for j in range(n)] for i in range(n)]
-    subs = {name_: ring.const(Scalar(val)) for name_, val in moduli.items()}
-    scalar_c = [
-        [
-            [
-                (c[i][j][k].subs(subs) if moduli else c[i][j][k]).constant_value()
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    algebra = LieAlgebra(scalar_c)
+    algebra = LieAlgebra(_at_moduli(c, ring, moduli))
     entry = CatalogEntry(
         name=rec["name"],
         algebra_name=rec["algebra"],
@@ -223,15 +224,7 @@ def verify_entry(name: str) -> EntryReport:
             [entry.eta[i][j].coefficient_of_var(p) for j in range(entry.dim)]
             for i in range(entry.dim)
         ]
-        subs = {m: entry.ring.const(Scalar(v)) for m, v in entry.moduli.items()}
-        mat = [
-            [
-                (direction[i][j].subs(subs) if entry.moduli else direction[i][j]).constant_value()
-                for j in range(entry.dim)
-            ]
-            for i in range(entry.dim)
-        ]
-        directions.append(mat)
+        directions.append(_at_moduli(direction, entry.ring, entry.moduli))
     witness = nondegenerate_witness(directions)
     checks.append(("eta-family-nondegenerate", witness is not None))
     if witness is not None:

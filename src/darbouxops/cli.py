@@ -46,6 +46,23 @@ def _emit(args, payload: dict, text_lines: List[str], latex: Optional[str] = Non
             print(line)
 
 
+def _condition_line(cond) -> str:
+    """`  [ok ] name` or `  [BAD] name at key` for one verified condition."""
+    where = "" if cond.first_violation is None else f" at {cond.first_violation}"
+    return f"  [{'ok ' if cond.ok else 'BAD'}] {cond.name}{where}"
+
+
+def _write_operator(op, path: Optional[str]) -> int:
+    """Write the operator's JSON to `path`, or to stdout when no path is given."""
+    out = json.dumps(io_json.operator_to_dict(op), indent=2)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(out + "\n")
+    else:
+        print(out)
+    return EXIT_OK
+
+
 def _load_algebra(path: str):
     """(algebra, None), or (None, exit code) once the reason is printed.
 
@@ -196,14 +213,7 @@ def cmd_operator(args) -> int:
         except (MetricIncompatibleError, NotACocycleError) as exc:
             print(f"rejected: {exc}", file=sys.stderr)
             return EXIT_FAIL
-        data = io_json.operator_to_dict(op.to_poly_operator())
-        out = json.dumps(data, indent=2)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out + "\n")
-        else:
-            print(out)
-        return EXIT_OK
+        return _write_operator(op.to_poly_operator(), args.out)
 
     try:
         op = io_json.load_operator(args.operator)
@@ -229,9 +239,7 @@ def cmd_operator(args) -> int:
         for name, rep in reports.items():
             lines.append(f"{name}: {'PASS' if rep.passed else 'FAIL'}")
             for cond in rep.conditions:
-                mark = "ok " if cond.ok else "BAD"
-                where = "" if cond.first_violation is None else f" at {cond.first_violation}"
-                lines.append(f"  [{mark}] {cond.name}{where}")
+                lines.append(_condition_line(cond))
                 if args.verbose and cond.residual:
                     lines.append(f"        residual: {cond.residual}")
         _emit(args, payload, lines)
@@ -272,14 +280,7 @@ def cmd_operator(args) -> int:
         except DarbouxOpsError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAIL
-        data = io_json.operator_to_dict(new_op)
-        out = json.dumps(data, indent=2)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out + "\n")
-        else:
-            print(out)
-        return EXIT_OK
+        return _write_operator(new_op, args.out)
 
     raise AssertionError(f"unhandled operator command {args.op_command}")
 
@@ -308,10 +309,7 @@ def cmd_pencil(args) -> int:
             payload["darboux"] = rep.as_dict()
             verdicts.append(rep.compatible)
             lines.append(f"darboux criterion: {'compatible' if rep.compatible else 'NOT compatible'}")
-            for cond in rep.conditions:
-                mark = "ok " if cond.ok else "BAD"
-                where = "" if cond.first_violation is None else f" at {cond.first_violation}"
-                lines.append(f"  [{mark}] {cond.name}{where}")
+            lines.extend(_condition_line(cond) for cond in rep.conditions)
         if args.mode in ("lambda", "both"):
             rep = pencil.pencil_compatible_general(a, b)
             payload["lambda"] = rep.as_dict()

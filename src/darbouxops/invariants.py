@@ -25,8 +25,8 @@ from .lie import (
     jacobi_terms,
     metric_terms,
 )
-from .poly import Poly, PolyRing
-from .scalars import Scalar
+from .poly import Poly, PolyRing, dot
+from .scalars import Scalar, field_tag
 
 Matrix = linalg.Matrix
 
@@ -176,25 +176,14 @@ def linear_casimirs(g: LieAlgebra) -> List[linalg.Vector]:
 # -- nondegenerate witnesses ------------------------------------------------
 
 
-def _space_det_poly(basis: Sequence[Matrix]) -> Tuple[PolyRing, Poly]:
-    """det(sum_k t_k B_k) as a polynomial in parameters t1..tk."""
-    k = len(basis)
+def general_element(basis: Sequence[Matrix], symbol: str = "t") -> Tuple[PolyRing, list]:
+    """sum_k t_k B_k over the ring of parameters t1..tk (named `symbol`1, ...)."""
     n = len(basis[0]) if basis else 0
-    d = 0
-    for b in basis:
-        for row in b:
-            for x in row:
-                if x.d:
-                    d = x.d
-    ring = PolyRing([], [f"t{m + 1}" for m in range(k)], d=d)
-    entries = [[ring.zero for _ in range(n)] for _ in range(n)]
-    for m, b in enumerate(basis):
-        t = ring.var(f"t{m + 1}")
-        for i in range(n):
-            for j in range(n):
-                if b[i][j]:
-                    entries[i][j] = entries[i][j] + ring.const(b[i][j]) * t
-    return ring, _det_minor_expansion(ring, entries)
+    ring = PolyRing([], [f"{symbol}{m + 1}" for m in range(len(basis))],
+                    d=field_tag(x for b in basis for row in b for x in row))
+    ts = [ring.var(name) for name in ring.names]
+    return ring, [[dot(ring, [(b[i][j], t) for b, t in zip(basis, ts) if b[i][j]])
+                   for j in range(n)] for i in range(n)]
 
 
 def _det_minor_expansion(ring: PolyRing, m: Sequence[Sequence[Poly]]) -> Poly:
@@ -238,7 +227,8 @@ def nondegenerate_witness(basis: Sequence[Matrix]) -> Optional[Tuple[Tuple[int, 
     """
     if not basis:
         return None
-    ring, detp = _space_det_poly(basis)
+    ring, general = general_element(basis)
+    detp = _det_minor_expansion(ring, general)
     if detp.is_zero():
         return None
     k = len(basis)

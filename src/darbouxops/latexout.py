@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from .invariants import general_element
 from .operators import PolyMatrix
 from .poly import Poly
 from .scalars import Scalar
@@ -46,22 +47,4 @@ def space_latex(basis: List[Sequence[Sequence]], symbol: str = "t") -> str:
     """General element of the span, with one named parameter per basis matrix."""
     if not basis:
         return "\\varnothing"
-    n = len(basis[0])
-    k = len(basis)
-    d = 0
-    for mat in basis:
-        for row in mat:
-            for x in row:
-                if isinstance(x, Scalar) and x.d:
-                    d = x.d
-    from .poly import PolyRing
-
-    ring = PolyRing([], [f"{symbol}{m + 1}" for m in range(k)], d=d)
-    general = [[ring.zero for _ in range(n)] for _ in range(n)]
-    for m, mat in enumerate(basis):
-        t = ring.var(f"{symbol}{m + 1}")
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j]:
-                    general[i][j] = general[i][j] + ring.const(mat[i][j]) * t
-    return matrix_latex(general)
+    return matrix_latex(general_element(basis, symbol)[1])

@@ -2,8 +2,10 @@
 
 The structure tensor is stored contravariantly: c[i][j][k] is the
 coefficient of e^k in [e^i, e^j], skew in the upper pair (i, j).  The
-constructor rejects tensors failing skew-symmetry or the Jacobi identity;
-`jacobi_defect` is the raw diagnostic entry point for unvalidated data.
+constructor rejects tensors failing skew-symmetry (`linalg.first_asymmetry`)
+or the Jacobi identity; `jacobi_defect` is the raw diagnostic entry point
+for unvalidated data.  `transport_tensor` is the one basis-change law of a
+structure tensor, used by `change_basis` and by the operator transport.
 
 The four identities of the Darboux triple (Jacobi, quadratic Casimir,
 compatible metric, 2-cocycle) are defined here, once each, as equation
@@ -29,7 +31,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .poly import Poly, dot
-from .scalars import Scalar
+from .scalars import Scalar, field_tag
 
 Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
@@ -176,16 +178,6 @@ def jacobi_defect(c: Sequence[Sequence[Sequence]]) -> Dict[tuple, Scalar]:
     return dict(defect(jacobi_terms(c, c)))
 
 
-def is_skew_tensor(c: Sequence[Sequence[Sequence]]) -> bool:
-    n = len(c)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                if c[i][j][k] != -c[j][i][k]:
-                    return False
-    return True
-
-
 @dataclass(frozen=True)
 class StructureTags:
     abelian: bool
@@ -203,7 +195,7 @@ class LieAlgebra:
         tensor = _freeze_tensor(c)
         n = len(tensor)
         if not _validated:
-            if not is_skew_tensor(tensor):
+            if linalg.first_asymmetry(tensor, skew=True) is not None:
                 raise NotALieAlgebraError("structure tensor is not skew in the upper pair")
             defect = jacobi_defect(tensor)
             if defect:
@@ -242,12 +234,7 @@ class LieAlgebra:
         return cls(c, labels=labels)
 
     def field_tag(self) -> int:
-        for plane in self.c:
-            for row in plane:
-                for x in row:
-                    if x.d:
-                        return x.d
-        return 0
+        return field_tag(x for plane in self.c for row in plane for x in row)
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
         n = self.dim
@@ -315,36 +302,26 @@ def _bracket_span(g: LieAlgebra, s1: Sequence[linalg.Vector],
     return _span_basis(vecs)
 
 
+def _series(g: LieAlgebra, lower: bool) -> List[int]:
+    """Dimensions of g_1 = g, g_{k+1} = [g, g_k] (lower) or [g_k, g_k], until stable."""
+    full = current = linalg.identity(g.dim)
+    dims = [g.dim]
+    while dims[-1]:
+        current = _bracket_span(g, full if lower else current, current)
+        if len(current) == dims[-1]:
+            break
+        dims.append(len(current))
+    return dims
+
+
 def lower_central_series(g: LieAlgebra) -> List[int]:
     """Dimensions of g = g_1 >= g_2 = [g, g_1] >= ... until stabilization."""
-    full = [row[:] for row in linalg.identity(g.dim)]
-    dims = [g.dim]
-    current = full
-    while True:
-        nxt = _bracket_span(g, full, current)
-        d = len(nxt)
-        if d == dims[-1]:
-            break
-        dims.append(d)
-        current = nxt
-        if d == 0:
-            break
-    return dims
+    return _series(g, lower=True)
 
 
 def derived_series(g: LieAlgebra) -> List[int]:
-    dims = [g.dim]
-    current = [row[:] for row in linalg.identity(g.dim)]
-    while True:
-        nxt = _bracket_span(g, current, current)
-        d = len(nxt)
-        if d == dims[-1]:
-            break
-        dims.append(d)
-        current = nxt
-        if d == 0:
-            break
-    return dims
+    """Dimensions of g >= [g, g] >= [[g, g], [g, g]] >= ... until stabilization."""
+    return _series(g, lower=False)
 
 
 def structure_tags(g: LieAlgebra) -> StructureTags:
@@ -385,43 +362,38 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(c, _validated=True)
 
 
+def transport_tensor(a, b, c) -> list:
+    """c~^{ij}_k = a^i_l a^j_m c^{lm}_s b^s_k, the law of a basis change u~^i = a^i_l u^l.
+
+    `a` and its inverse `b` are Scalar matrices; `c` has Scalar or
+    polynomial entries.  One index is contracted at a time through
+    `sum_of_products`, so each stage costs O(n^4).
+    """
+    n = len(c)
+    if not n:
+        return []
+    zero = c[0][0][0] * 0
+
+    def contract(pairs):
+        pairs = [(x, y) for x, y in pairs if x and y]
+        return sum_of_products(pairs) if pairs else zero
+
+    rng = range(n)
+    t1 = [[[contract((c[l][m][s], b[s][k]) for s in rng) for k in rng] for m in rng]
+          for l in rng]
+    t2 = [[[contract((a[j][m], t1[l][m][k]) for m in rng) for k in rng] for j in rng]
+          for l in rng]
+    return [[[contract((a[i][l], t2[l][j][k]) for l in rng) for k in rng] for j in rng]
+            for i in rng]
+
+
 def change_basis(g: LieAlgebra, a: Sequence[Sequence]) -> LieAlgebra:
-    """Transport by u~^i = a^i_l u^l: c~^{ij}_k = a^i_l a^j_m c^{lm}_s b^s_k."""
+    """Transport by u~^i = a^i_l u^l (`transport_tensor`)."""
     amat = [[Scalar.of(x) for x in row] for row in a]
     if len(amat) != g.dim or any(len(r) != g.dim for r in amat):
         raise ShapeMismatchError("basis-change matrix has wrong shape")
     b = linalg.inverse(amat)  # raises SingularMatrixError
-    n = g.dim
-    # contract stepwise to keep the cost at O(n^4) per stage
-    t1 = [[[Scalar(0)] * n for _ in range(n)] for _ in range(n)]  # c^{lm}_s b^s_k
-    for l in range(n):
-        for m in range(n):
-            row = g.c[l][m]
-            for k in range(n):
-                tot = Scalar(0)
-                for s in range(n):
-                    if row[s] and b[s][k]:
-                        tot = tot + row[s] * b[s][k]
-                t1[l][m][k] = tot
-    t2 = [[[Scalar(0)] * n for _ in range(n)] for _ in range(n)]  # a^j_m t1^{lm}_k
-    for l in range(n):
-        for j in range(n):
-            for k in range(n):
-                tot = Scalar(0)
-                for m in range(n):
-                    if amat[j][m] and t1[l][m][k]:
-                        tot = tot + amat[j][m] * t1[l][m][k]
-                t2[l][j][k] = tot
-    c_new = [[[Scalar(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                tot = Scalar(0)
-                for l in range(n):
-                    if amat[i][l] and t2[l][j][k]:
-                        tot = tot + amat[i][l] * t2[l][j][k]
-                c_new[i][j][k] = tot
-    return LieAlgebra(c_new)
+    return LieAlgebra(transport_tensor(amat, b, g.c))
 
 
 def build_two_step_nilpotent(g: LieAlgebra, a: Sequence[Sequence],
@@ -436,9 +408,9 @@ def build_two_step_nilpotent(g: LieAlgebra, a: Sequence[Sequence],
     amat = [[Scalar.of(x) for x in row] for row in a]
     bmat = [[Scalar.of(x) for x in row] for row in b]
     n = g.dim
-    if len(amat) != n or len(bmat) != n:
+    if any(len(m) != n or any(len(row) != n for row in m) for m in (amat, bmat)):
         raise ShapeMismatchError("blocks must match the input dimension")
-    if not linalg.is_symmetric(amat) or not linalg.is_symmetric(bmat):
+    if linalg.first_asymmetry(amat) is not None or linalg.first_asymmetry(bmat) is not None:
         raise ShapeMismatchError("blocks must be symmetric")
     viol = first_violation(casimir_terms(g.c, amat))
     if viol is not None:

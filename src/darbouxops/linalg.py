@@ -12,11 +12,15 @@ everything derived from them are canonical.
 `rref`, `nullspace` and `inverse` (which reduces [A | I]) are dense views of
 that result.  `det` is the product of the leading coefficients met during
 insertion times the sign of the permutation from row order to pivot column.
+
+`first_asymmetry` is the package's one symmetry/skewness law: metrics,
+cocycles, Casimirs, operator blocks and structure tensors (skew in the
+upper pair), with Scalar or polynomial entries, are all checked by it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatchError, SingularMatrixError
 from .scalars import ONE, ZERO, Scalar
@@ -71,20 +75,24 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     )
 
 
-def is_symmetric(m: Matrix) -> bool:
-    n = len(m)
-    return all(len(r) == n for r in m) and all(
-        m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n)
-    )
+def first_asymmetry(m, skew: bool = False) -> Optional[tuple]:
+    """First (i, j) with i <= j where m[j][i] != m[i][j] (!= -m[i][j] if skew), else None.
 
-
-def is_skew(m: Matrix) -> bool:
+    For a 3-tensor m[i][j][k] the law is checked in the first index pair
+    and the key is (i, j, k).  Keys are visited in the order i, then j >= i,
+    then k; entries may be Scalars or polynomials.
+    """
     n = len(m)
-    return (
-        all(len(r) == n for r in m)
-        and all(not m[i][i] for i in range(n))
-        and all(m[i][j] == -m[j][i] for i in range(n) for j in range(i + 1, n))
-    )
+    for i in range(n):
+        for j in range(i, n):
+            x, y = m[i][j], m[j][i]
+            if isinstance(x, (list, tuple)):
+                for k, (a, b) in enumerate(zip(x, y)):
+                    if a != (-b if skew else b):
+                        return (i, j, k)
+            elif x != (-y if skew else y):
+                return (i, j)
+    return None
 
 
 def _sparse_rows(m: Sequence[Sequence]) -> Tuple[List[SparseRow], int]:

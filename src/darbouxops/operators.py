@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .invariants import cocycle_residual, metric_residual
-from .lie import LieAlgebra, defect, jacobi_terms
+from .lie import LieAlgebra, defect, jacobi_terms, transport_tensor
 from .poly import Poly, PolyRing, dot
 from .scalars import Scalar
 
@@ -54,18 +54,6 @@ def lift_matrix(ring: PolyRing, m: Sequence[Sequence]) -> PolyMatrix:
 
 def lift_tensor(ring: PolyRing, c: Sequence[Sequence[Sequence]]):
     return [[[_lift_entry(ring, x) for x in row] for row in plane] for plane in c]
-
-
-def _poly_is_symmetric(m: PolyMatrix) -> bool:
-    n = len(m)
-    return all((m[i][j] - m[j][i]).is_zero() for i in range(n) for j in range(i + 1, n))
-
-
-def _poly_is_skew(m: PolyMatrix) -> bool:
-    n = len(m)
-    if any(not m[i][i].is_zero() for i in range(n)):
-        return False
-    return all((m[i][j] + m[j][i]).is_zero() for i in range(n) for j in range(i + 1, n))
 
 
 @dataclass
@@ -173,22 +161,11 @@ def verify_darboux(op) -> VerificationReport:
     unvalidated triples are welcome, failures are reported not raised.
     """
     c, eta, f = op.c, op.eta, op.f
-    n = len(eta)
     report = VerificationReport()
-    skew_c = None
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                if not (c[i][j][k] + c[j][i][k]).is_zero():
-                    skew_c = (i, j, k)
-                    break
-            if skew_c:
-                break
-        if skew_c:
-            break
+    skew_c = linalg.first_asymmetry(c, skew=True)
     report.add("c-skew", skew_c)
-    report.add("eta-symmetric", _first_symmetry_violation(eta))
-    report.add("f-skew", _first_skew_violation(f))
+    report.add("eta-symmetric", linalg.first_asymmetry(eta))
+    report.add("f-skew", linalg.first_asymmetry(f, skew=True))
     if skew_c is None:
         key, value = next(defect(jacobi_terms(c, c)), (None, None))
         report.add("jacobi", key, value)
@@ -199,26 +176,6 @@ def verify_darboux(op) -> VerificationReport:
     viol = metric_residual(c, eta)
     report.add("metric-compatibility", viol)
     return report
-
-
-def _first_symmetry_violation(m: PolyMatrix) -> Optional[tuple]:
-    n = len(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (m[i][j] - m[j][i]).is_zero():
-                return (i, j)
-    return None
-
-
-def _first_skew_violation(m: PolyMatrix) -> Optional[tuple]:
-    n = len(m)
-    for i in range(n):
-        if not m[i][i].is_zero():
-            return (i, i)
-        for j in range(i + 1, n):
-            if not (m[i][j] + m[j][i]).is_zero():
-                return (i, j)
-    return None
 
 
 class PolyOperator:
@@ -238,7 +195,7 @@ class PolyOperator:
                 for x in row:
                     if not x.at_zero(field_idx) == x:
                         raise ShapeMismatchError("leading coefficient must be constant in u")
-            if not _poly_is_symmetric(gp):
+            if linalg.first_asymmetry(gp) is not None:
                 raise ShapeMismatchError("leading coefficient must be symmetric")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "n", n)
@@ -312,7 +269,7 @@ def verify_hamiltonian(op: PolyOperator) -> VerificationReport:
     n = op.n
     domega = field_jacobian(ring, op.omega)
     report = VerificationReport()
-    report.add("omega-skew", _first_skew_violation(op.omega))
+    report.add("omega-skew", linalg.first_asymmetry(op.omega, skew=True))
     report.add("schouten", schouten_residual(ring, op.omega, domega))
     phi = phi_tensor(op, domega)
     report.add("phi-cyclic-symmetry", next(
@@ -367,7 +324,7 @@ def parse_density(op: PolyOperator, text: str) -> Poly:
 
 def transform_darboux(op: DarbouxOperator, a: Sequence[Sequence],
                       validate: bool = True) -> DarbouxOperator:
-    """Push forward along u~^i = a^i_l u^l; (2,0) law on eta, f, tensor law on c.
+    """Push forward along u~^i = a^i_l u^l; (2,0) law on eta, f, `transport_tensor` on c.
 
     With validate=False the result is returned unverified, which lets
     diagnostics transport failing triples and compare verdicts.
@@ -380,12 +337,7 @@ def transform_darboux(op: DarbouxOperator, a: Sequence[Sequence],
     ring = op.ring
     eta_new = _two_tensor(ring, amat, op.eta)
     f_new = _two_tensor(ring, amat, op.f)
-    c_new = [[[dot(ring, [
-        (amat[i][l] * amat[j][m] * b[s][k], op.c[l][m][s])
-        for l in range(n) if amat[i][l]
-        for m in range(n) if amat[j][m]
-        for s in range(n) if b[s][k] and op.c[l][m][s]
-    ]) for k in range(n)] for j in range(n)] for i in range(n)]
+    c_new = transport_tensor(amat, b, op.c)
     return DarbouxOperator(ring, c_new, eta_new, f_new, _checked=not validate)
 
 

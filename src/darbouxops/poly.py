@@ -47,9 +47,10 @@ from .errors import (
 from .scalars import (
     ONE,
     Scalar,
-    _fraction,
     _int,
+    _literal_power,
     _make,
+    _printable,
     _rational,
     parse_scalar,
     validate_field_tag,
@@ -590,7 +591,7 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
                 raise ParseError(f"empty factor in {term!r}")
             value = _parse_factor(ring, factor, text)
             if type(value) is Scalar:
-                coef = value if coef is None else coef * value
+                coef = value if coef is None else _printable(coef * value, text)
             else:
                 i, power = value
                 exp[i] += power
@@ -610,7 +611,7 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
         if prev is None:
             out[e] = coef
         else:
-            coef = prev + coef
+            coef = _printable(prev + coef, text)
             if coef:
                 out[e] = coef
             else:
@@ -634,7 +635,7 @@ def _parse_factor(ring: PolyRing, factor: str, context: str):
     else:
         power = 1
     if re.fullmatch(r"-?\d+(/\d+)?", name):
-        return _rational(_fraction(name, context)) ** power
+        return _literal_power(name, power, context)
     if name in ring._index:
         return (ring._index[name], power)
     raise UnknownIndeterminateError(f"{name!r} not in ring {ring.names} ({context!r})")

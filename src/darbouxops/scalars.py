@@ -10,6 +10,7 @@ FieldMismatchError.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import FieldMismatchError, InvalidFieldError, ParseError
@@ -48,6 +49,11 @@ def validate_field_tag(d: int) -> int:
     if not _is_square_free(d):
         raise InvalidFieldError(f"field tag {d} is not square-free")
     return d
+
+
+def field_tag(values) -> int:
+    """The sqrt(d) tag of the first value that carries one, else 0 (plain Q)."""
+    return next((x.d for x in values if x.d), 0)
 
 
 class Scalar:
@@ -309,6 +315,38 @@ def _int(digits: str) -> int:
         raise _too_long(digits) from None
 
 
+def _above_digit_limit(x: int, limit: int) -> bool:
+    """Whether str(x) has more than `limit` digits, decided from the bit length."""
+    bits = abs(x).bit_length()
+    # 2**(3 * limit) < 10**limit < 2**(4 * limit): only lengths in between need the exact test
+    return bits > 3 * limit and (bits > 4 * limit or abs(x) >= 10**limit)
+
+
+def _unprintable(context: str, limit: int) -> ParseError:
+    return ParseError(f"a number in a literal of {len(context)} characters has more than"
+                      f" {limit} digits")
+
+
+def _printable(value: Scalar, context: str) -> Scalar:
+    """`value`, or a ParseError when a numerator or denominator of it has
+    more digits than Python's int-string limit lets `str` print."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(_above_digit_limit(x, limit) for q in (value.a, value.b)
+                     for x in (q.numerator, q.denominator)):
+        raise _unprintable(context, limit)
+    return value
+
+
+def _literal_power(literal: str, power: int, context: str) -> Scalar:
+    """A "p" or "p/q" literal to a power, refused before the power is taken when it is too long."""
+    base = _fraction(literal, context)
+    limit = sys.get_int_max_str_digits()
+    bits = max(abs(base.numerator).bit_length(), base.denominator.bit_length()) - 1
+    if limit and bits * power > 4 * limit:  # the power is at least 2**(bits * power)
+        raise _unprintable(context, limit)
+    return _printable(_rational(base**power), context)
+
+
 def _fraction(literal: str, context: str) -> Fraction:
     """A "p" or "p/q" literal; a zero denominator or too many digits is a ParseError."""
     try:
@@ -359,4 +397,4 @@ def parse_scalar(text: str) -> Scalar:
             bn, bd = bn * q + p * bd, bd * q
             d = r if bn else 0
     a = Fraction(an, ad)
-    return _make(a, Fraction(bn, bd), d) if bn else _rational(a)
+    return _printable(_make(a, Fraction(bn, bd), d) if bn else _rational(a), text)

@@ -131,6 +131,10 @@ _SQUARE = {"g": [["1", "0"], ["0", "1"]], "omega": [["0", "u1"], ["-u1", "0"]]}
     {"omega": [["0", "u1^40000"], ["-u1", "0"]]},
     {"omega": [["0", "v1"], ["-v1", "0"]]},  # unknown indeterminate
     {"g": [["u1", "0"], ["0", "1"]]},  # leading coefficient not constant
+    {"omega": [["0", "10^5000*u1"], ["-10^5000*u1", "0"]]},  # above the int-string digit limit
+    {"g": [["10^4000*10^4000", "0"], ["0", "1"]]},
+    {"dim": 1000000000},  # checked against the rows before the ring is built
+    {"dim": -1},
 ])
 def test_operator_verify_rejects_bad_files(tmp_path, bad):
     path = tmp_path / "bad.json"
@@ -193,6 +197,31 @@ def test_algebra_file_zero_denominator_rejected(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+_BIG_DENOMINATORS = "+".join(f"1/{10**2000 + k}" for k in (1, 3, 7))  # sum: ~6000 digits
+
+
+@pytest.mark.parametrize("data", [
+    {"dim": 150, "brackets": []},  # the dense dim^3 tensor alone took about 31 s
+    {"dim": -1, "brackets": []},
+    {"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [1]}]},  # "out" is not an object
+    {"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": _BIG_DENOMINATORS}}]},
+], ids=["dim-150", "dim-negative", "out-not-object", "sum-above-digit-limit"])
+def test_algebra_file_rejected(tmp_path, data):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli(["check", str(path)], timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_matrix_file_json_error_names_the_line(tmp_path, kdv_files):
+    path = tmp_path / "m.json"
+    path.write_text('[["1", "0", "0"],\n ["0", "1", "0"],\n ["0", "0" "1"]]')
+    proc = run_cli(["operator", "transform", kdv_files[0], "--matrix", str(path)], timeout=60)
+    assert proc.returncode == 2
+    assert "invalid JSON at line 3" in proc.stderr
+
+
 def test_algebra_file_declared_tag_accepted(tmp_path):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps({**_SQRT3_BRACKET, "field_sqrt": 3}))
@@ -225,8 +254,10 @@ def test_operator_build_rejects_bad_metric(so3_file):
     ("sqrt(2)*I", "zero"),  # radical outside the declared field (plain Q)
     ("9" * 5000 + "*I", "zero"),  # above Python's int-string digit limit
     ("I,0,0;0,I,0;0,0,I", "zero"),  # "I" inside rows is not an indeterminate
+    ("10^5000*I", "zero"),  # a short literal whose value is above the digit limit
+    ("10^4000*10^4000*I", "zero"),
 ], ids=["u-in-eta", "u-in-eta-rows", "u-in-f", "mixed-radicals", "undeclared-radical",
-        "digit-limit", "I-in-rows"])
+        "digit-limit", "I-in-rows", "digit-limit-power", "digit-limit-product"])
 def test_operator_build_rejects_bad_blocks(tmp_path, so3_file, eta, f):
     out = tmp_path / "op.json"
     proc = run_cli(["operator", "build", "--algebra", so3_file, "--eta", eta, "--f", f,

@@ -428,7 +428,7 @@ def _reference_verify_hamiltonian(op):
     n = op.n
     fidx = op.ring.field_indices()
     report = ops.VerificationReport()
-    report.add("omega-skew", ops._first_skew_violation(op.omega))
+    report.add("omega-skew", linalg.first_asymmetry(op.omega, skew=True))
     report.add("schouten", ops.schouten_residual(op.ring, op.omega))
     phi = ops.phi_tensor(op)
     report.add("phi-cyclic-symmetry", next(

@@ -120,6 +120,18 @@ def test_parse_digit_limit_is_a_parse_error():
             ring.parse(text)
 
 
+def test_parse_value_above_digit_limit_is_a_parse_error():
+    """Short literals whose value prints above Python's digit limit are refused."""
+    ring = PolyRing(["u1", "u2"], ["alpha"], d=2)
+    assert len(str(ring.parse("10^4299*u1"))) == 4303  # 4300 digits, the limit
+    for text in ("10^4300*u1", "10^4000*10^4000*u1", "1/2^20000*u2",
+                 "9" * 4000 + "^32767*u1",  # refused before the power is taken
+                 "10^2200*sqrt(2)*10^2200*alpha",
+                 "+".join(f"1/{10**2000 + k}*u1" for k in (1, 3, 7))):
+        with pytest.raises(ParseError, match="more than 4300 digits"):
+            ring.parse(text)
+
+
 def test_parse_accepts_max_exponent():
     ring = PolyRing(["u1", "u2"])
     p = ring.parse(f"3*u1^{MAX_EXPONENT}*u2^{MAX_EXPONENT - 1}*u2")

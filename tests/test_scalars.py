@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darbouxops.errors import FieldMismatchError, InvalidFieldError, ParseError
-from darbouxops.scalars import Scalar, parse_scalar, validate_field_tag
+from darbouxops.scalars import Scalar, _above_digit_limit, parse_scalar, validate_field_tag
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
@@ -99,6 +99,22 @@ def test_parse_digit_limit_is_a_parse_error():
     for text in (digits, f"1/{digits}", f"sqrt({digits})", f"1+{digits}*sqrt(2)"):
         with pytest.raises(ParseError, match="too long"):
             parse_scalar(text)
+
+
+def test_parse_value_above_digit_limit_is_a_parse_error():
+    """Terms within the limit whose sum prints above it are refused, not left to str()."""
+    text = "+".join(f"1/{10**2000 + k}" for k in (1, 3, 7))
+    with pytest.raises(ParseError, match="more than 4300 digits"):
+        parse_scalar(text)
+    assert str(parse_scalar("+".join(f"1/{10**2000 + k}" for k in (1, 3))))
+
+
+@given(st.integers(min_value=0, max_value=10**60), st.integers(1, 60))
+@example(10**20 - 1, 20)
+@example(10**20, 20)
+def test_digit_limit_test_is_exact(x, limit):
+    assert _above_digit_limit(x, limit) == (len(str(x)) > limit)
+    assert _above_digit_limit(-x, limit) == (len(str(x)) > limit)
 
 
 @given(rationals, rationals)
