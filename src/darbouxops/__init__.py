@@ -22,6 +22,7 @@ from .errors import (
     SingularMatrixError,
     UnknownEntryError,
     UnknownIndeterminateError,
+    UnprintableValueError,
 )
 from .scalars import Scalar, parse_scalar
 from .poly import FIELD, MAX_EXPONENT, PARAM, Poly, PolyRing

@@ -2,13 +2,19 @@
 
 Commands: check, spaces, operator build|verify|apply|transform, pencil,
 catalog list|show|verify.  JSON is the canonical interchange format; the
---format flag switches the report style (text, json, latex).  Exit codes
-are deterministic functions of the computed report.
+--format flag switches the report style (text, json, latex).
+
+The commands only call the library and return 0 or 1 from the verdict they
+computed.  A typed error they raise gets its exit code in one place, `main`,
+from the `EXIT_CODES` table: exit 1 when the input was read and the verdict
+is negative, exit 2 when the input cannot be read or the inputs do not fit
+together.  Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -20,12 +26,14 @@ from . import operators as ops
 from .errors import (
     DarbouxOpsError,
     FieldMismatchError,
-    InvalidFieldError,
     InvalidOperandError,
     MetricIncompatibleError,
+    NotACasimirError,
     NotACocycleError,
     NotALieAlgebraError,
     ParseError,
+    ShapeMismatchError,
+    SingularMatrixError,
     UnknownIndeterminateError,
 )
 from .poly import PolyRing
@@ -34,6 +42,24 @@ from .scalars import validate_field_tag
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
+
+# (error types, exit code, stderr prefix); the first row that matches wins.
+EXIT_CODES = (
+    ((NotALieAlgebraError,), EXIT_FAIL, "not a Lie algebra"),
+    ((MetricIncompatibleError, NotACocycleError), EXIT_FAIL, "rejected"),
+    ((InvalidOperandError,), EXIT_FAIL, "INVALID_OPERAND"),
+    ((SingularMatrixError, NotACasimirError), EXIT_FAIL, "error"),
+    ((ParseError, FieldMismatchError, UnknownIndeterminateError, ShapeMismatchError, OSError),
+     EXIT_PARSE, "parse error"),
+    ((DarbouxOpsError,), EXIT_PARSE, "error"),
+)
+_HANDLED = tuple(t for types, _, _ in EXIT_CODES for t in types)
+
+
+def exit_row(exc: BaseException):
+    """(exit code, stderr prefix) of the first `EXIT_CODES` row naming exc's type, or None."""
+    return next(((code, prefix) for types, code, prefix in EXIT_CODES
+                 if isinstance(exc, types)), None)
 
 
 def _emit(args, payload: dict, text_lines: List[str], latex: Optional[str] = None) -> None:
@@ -52,6 +78,10 @@ def _condition_line(cond) -> str:
     return f"  [{'ok ' if cond.ok else 'BAD'}] {cond.name}{where}"
 
 
+def _matrix_lines(m) -> List[str]:
+    return ["  [" + ", ".join(str(x) for x in row) + "]" for row in m]
+
+
 def _write_operator(op, path: Optional[str]) -> int:
     """Write the operator's JSON to `path`, or to stdout when no path is given."""
     out = json.dumps(io_json.operator_to_dict(op), indent=2)
@@ -63,26 +93,8 @@ def _write_operator(op, path: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _load_algebra(path: str):
-    """(algebra, None), or (None, exit code) once the reason is printed.
-
-    A tensor failing skewness or Jacobi is an invalid operand (exit 1); an
-    unreadable file is a parse error (exit 2).
-    """
-    try:
-        return io_json.load_algebra(path), None
-    except NotALieAlgebraError as exc:
-        print(f"not a Lie algebra: {exc}", file=sys.stderr)
-        return None, EXIT_FAIL
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return None, EXIT_PARSE
-
-
 def cmd_check(args) -> int:
-    g, code = _load_algebra(args.algebra)
-    if g is None:
-        return code
+    g = io_json.load_algebra(args.algebra)
     tags = lie.structure_tags(g)
     cas = invariants.quadratic_casimir_space(g)
     met = invariants.compatible_metric_space(g)
@@ -99,14 +111,7 @@ def cmd_check(args) -> int:
     payload = {
         "valid": True,
         "dim": g.dim,
-        "tags": {
-            "abelian": tags.abelian,
-            "nilpotent": tags.nilpotent,
-            "nilpotency_class": tags.nilpotency_class,
-            "solvable": tags.solvable,
-            "semisimple": tags.semisimple,
-            "center_dim": tags.center_dim,
-        },
+        "tags": dataclasses.asdict(tags),
         "dims": {"casimirs": cas.dim, "metrics": met.dim, "cocycles": coc.dim},
     }
     _emit(args, payload, [
@@ -118,9 +123,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_spaces(args) -> int:
-    g, code = _load_algebra(args.algebra)
-    if g is None:
-        return code
+    g = io_json.load_algebra(args.algebra)
     which = args.which
     if which == "casimirs":
         space = invariants.quadratic_casimir_space(g)
@@ -147,8 +150,7 @@ def cmd_spaces(args) -> int:
         lines.append(f"coboundaries: dim {len(space.coboundary_basis)}, H2 dim {space.h2_dim}")
     for k, mat in enumerate(space.basis, start=1):
         lines.append(f"basis[{k}]:")
-        for row in mat:
-            lines.append("  [" + ", ".join(str(x) for x in row) + "]")
+        lines.extend(_matrix_lines(mat))
     return_latex = latexout.space_latex(space.basis)
     _emit(args, payload, lines, return_latex)
     return EXIT_OK
@@ -184,6 +186,8 @@ def _parse_block(ring: PolyRing, text: str, n: int, kind: str):
         if len(rows) != n:
             raise ParseError(f"{kind} needs {n} rows, got {len(rows)}")
         block = [[ring.parse(x) for x in row.split(",")] for row in rows]
+        if any(len(row) != n for row in block):
+            raise ParseError(f"{kind} rows need {n} entries each")
     io_json.check_radicals(ring, kind, block)
     fidx = ring.field_indices()
     for i, row in enumerate(block):
@@ -195,44 +199,28 @@ def _parse_block(ring: PolyRing, text: str, n: int, kind: str):
 
 def cmd_operator(args) -> int:
     if args.op_command == "build":
-        g, code = _load_algebra(args.algebra)
-        if g is None:
-            return code
-        try:
-            eta_params = _block_params(args.eta, g.dim)
-            params = eta_params + [p for p in _block_params(args.f, g.dim) if p not in eta_params]
-            ring = ops.field_ring(g.dim, params, d=g.field_tag() or args.field_sqrt)
-            eta = _parse_block(ring, args.eta, g.dim, "eta")
-            f = _parse_block(ring, args.f, g.dim, "f")
-        except (ParseError, FieldMismatchError, InvalidFieldError,
-                UnknownIndeterminateError) as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        try:
-            op = ops.DarbouxOperator(ring, g.c, eta, f)
-        except (MetricIncompatibleError, NotACocycleError) as exc:
-            print(f"rejected: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+        g = io_json.load_algebra(args.algebra)
+        eta_params = _block_params(args.eta, g.dim)
+        params = eta_params + [p for p in _block_params(args.f, g.dim) if p not in eta_params]
+        ring = ops.field_ring(g.dim, params, d=g.field_tag() or args.field_sqrt)
+        eta = _parse_block(ring, args.eta, g.dim, "eta")
+        f = _parse_block(ring, args.f, g.dim, "f")
+        op = ops.DarbouxOperator(ring, g.c, eta, f)
         return _write_operator(op.to_poly_operator(), args.out)
 
-    try:
-        op = io_json.load_operator(args.operator)
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    op = io_json.load_operator(args.operator)
 
     if args.op_command == "verify":
         mode = args.mode
-        fidx = op.ring.field_indices()
-        affine = all(e.degree_on(fidx) <= 1 for row in op.omega for e in row)
+        affine = ops.nonaffine_entry(op.ring, op.omega) is None
+        if mode == "darboux" and not affine:
+            print("error: omega is not affine in u, no Darboux form", file=sys.stderr)
+            return EXIT_FAIL
         reports = {}
         if mode in ("auto", "both", "darboux") and affine:
             reports["darboux"] = ops.verify_darboux(pencil.darboux_view(op))
         if mode in ("auto", "both", "general") or not affine:
             reports["general"] = ops.verify_hamiltonian(op)
-        if mode == "darboux" and not affine:
-            print("error: omega is not affine in u, no Darboux form", file=sys.stderr)
-            return EXIT_FAIL
         passed = all(r.passed for r in reports.values())
         payload = {name: r.as_dict() for name, r in reports.items()}
         lines = []
@@ -246,11 +234,7 @@ def cmd_operator(args) -> int:
         return EXIT_OK if passed else EXIT_FAIL
 
     if args.op_command == "apply":
-        try:
-            h = ops.parse_density(op, args.density)
-        except DarbouxOpsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        h = ops.parse_density(op, args.density)
         v, w = ops.apply_to_density(op, h)
         payload = {
             "V": [[str(x) for x in row] for row in v],
@@ -270,54 +254,31 @@ def cmd_operator(args) -> int:
         return EXIT_OK
 
     if args.op_command == "transform":
-        try:
-            a = io_json.load_matrix(args.matrix)
-        except (ParseError, OSError) as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        try:
-            new_op = ops.transform_poly_operator(op, a)
-        except DarbouxOpsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-        return _write_operator(new_op, args.out)
+        a = io_json.load_matrix(args.matrix)
+        return _write_operator(ops.transform_poly_operator(op, a), args.out)
 
     raise AssertionError(f"unhandled operator command {args.op_command}")
 
 
 def cmd_pencil(args) -> int:
-    try:
-        a = io_json.load_operator(args.a)
-        b = io_json.load_operator(args.b)
-        a, b = pencil.unify_operators(a, b)
-    except (ParseError, OSError, DarbouxOpsError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    fidx = a.ring.field_indices()
-    affine = all(
-        e.degree_on(fidx) <= 1 for op in (a, b) for row in op.omega for e in row
-    )
+    a, b = pencil.unify_operators(io_json.load_operator(args.a), io_json.load_operator(args.b))
     payload = {}
     lines = []
     verdicts = []
-    try:
-        if args.mode in ("darboux", "both"):
-            if not affine:
-                print("error: darboux mode needs affine omega on both operands", file=sys.stderr)
-                return EXIT_FAIL
-            rep = pencil.pencil_compatible_darboux(pencil.darboux_view(a), pencil.darboux_view(b))
-            payload["darboux"] = rep.as_dict()
-            verdicts.append(rep.compatible)
-            lines.append(f"darboux criterion: {'compatible' if rep.compatible else 'NOT compatible'}")
-            lines.extend(_condition_line(cond) for cond in rep.conditions)
-        if args.mode in ("lambda", "both"):
-            rep = pencil.pencil_compatible_general(a, b)
-            payload["lambda"] = rep.as_dict()
-            verdicts.append(rep.compatible)
-            lines.append(f"lambda criterion: {'compatible' if rep.compatible else 'NOT compatible'}")
-    except InvalidOperandError as exc:
-        print(f"INVALID_OPERAND: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    if args.mode in ("darboux", "both"):
+        if any(ops.nonaffine_entry(a.ring, op.omega) is not None for op in (a, b)):
+            print("error: darboux mode needs affine omega on both operands", file=sys.stderr)
+            return EXIT_FAIL
+        rep = pencil.pencil_compatible_darboux(pencil.darboux_view(a), pencil.darboux_view(b))
+        payload["darboux"] = rep.as_dict()
+        verdicts.append(rep.compatible)
+        lines.append(f"darboux criterion: {'compatible' if rep.compatible else 'NOT compatible'}")
+        lines.extend(_condition_line(cond) for cond in rep.conditions)
+    if args.mode in ("lambda", "both"):
+        rep = pencil.pencil_compatible_general(a, b)
+        payload["lambda"] = rep.as_dict()
+        verdicts.append(rep.compatible)
+        lines.append(f"lambda criterion: {'compatible' if rep.compatible else 'NOT compatible'}")
     _emit(args, payload, lines)
     return EXIT_OK if all(verdicts) else EXIT_FAIL
 
@@ -328,11 +289,7 @@ def cmd_catalog(args) -> int:
         _emit(args, {"entries": names}, names)
         return EXIT_OK
     if args.cat_command == "show":
-        try:
-            entry = catalog_mod.catalog_get(args.name)
-        except DarbouxOpsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        entry = catalog_mod.catalog_get(args.name)
         payload = {
             "name": entry.name,
             "algebra": entry.algebra_name,
@@ -356,11 +313,9 @@ def cmd_catalog(args) -> int:
                 "moduli: " + ", ".join(f"{k} (instantiated at {v})" for k, v in entry.moduli.items())
             )
         lines.append("eta:")
-        for row in entry.eta:
-            lines.append("  [" + ", ".join(str(x) for x in row) + "]")
+        lines.extend(_matrix_lines(entry.eta))
         lines.append("omega:")
-        for row in entry.omega:
-            lines.append("  [" + ", ".join(str(x) for x in row) + "]")
+        lines.extend(_matrix_lines(entry.omega))
         for note in entry.notes:
             lines.append(f"note: {note}")
         _emit(args, payload, lines, latexout.operator_latex(entry.eta, entry.omega))
@@ -368,13 +323,7 @@ def cmd_catalog(args) -> int:
 
     # verify
     names = catalog_mod.catalog_list() if (args.all or not args.name) else [args.name]
-    reports = []
-    for name in names:
-        try:
-            reports.append(catalog_mod.verify_entry(name))
-        except DarbouxOpsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+    reports = [catalog_mod.verify_entry(name) for name in names]
     passed = sum(1 for r in reports if r.passed)
     failed = [r for r in reports if not r.passed]
     flagged = [r for r in reports if r.flags]
@@ -461,10 +410,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         validate_field_tag(args.field_sqrt)
-    except InvalidFieldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return args.func(args)
+        return args.func(args)
+    except _HANDLED as exc:
+        code, prefix = exit_row(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -59,3 +59,7 @@ class UnknownEntryError(DarbouxOpsError):
 
 class ExponentOverflowError(DarbouxOpsError):
     """A product operand has an exponent outside 0..poly.MAX_EXPONENT."""
+
+
+class UnprintableValueError(DarbouxOpsError):
+    """A computed value has more digits than Python's int-string limit lets `str` print."""

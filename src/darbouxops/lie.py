@@ -389,10 +389,7 @@ def transport_tensor(a, b, c) -> list:
 
 def change_basis(g: LieAlgebra, a: Sequence[Sequence]) -> LieAlgebra:
     """Transport by u~^i = a^i_l u^l (`transport_tensor`)."""
-    amat = [[Scalar.of(x) for x in row] for row in a]
-    if len(amat) != g.dim or any(len(r) != g.dim for r in amat):
-        raise ShapeMismatchError("basis-change matrix has wrong shape")
-    b = linalg.inverse(amat)  # raises SingularMatrixError
+    amat, b = linalg.basis_change_pair(a, g.dim)
     return LieAlgebra(transport_tensor(amat, b, g.c))
 
 

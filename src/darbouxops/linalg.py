@@ -149,6 +149,15 @@ def inverse(m: Sequence[Sequence]) -> Matrix:
     return [[pivots[i].get(n + j, ZERO) for j in range(n)] for i in range(n)]
 
 
+def basis_change_pair(a: Sequence[Sequence], n: int) -> Tuple[Matrix, Matrix]:
+    """(A, A^{-1}) for the n x n basis-change matrix `a`: the one coercion,
+    shape check and inversion of every transport law."""
+    amat = [[Scalar.of(x) for x in row] for row in a]
+    if len(amat) != n or any(len(row) != n for row in amat):
+        raise ShapeMismatchError(f"basis-change matrix must be {n} x {n}")
+    return amat, inverse(amat)  # raises SingularMatrixError
+
+
 # -- the sparse reducer ---------------------------------------------------
 
 

@@ -30,8 +30,8 @@ from .errors import (
 )
 from .invariants import cocycle_residual, metric_residual
 from .lie import LieAlgebra, defect, jacobi_terms, transport_tensor
-from .poly import Poly, PolyRing, dot
-from .scalars import Scalar
+from .poly import Poly, PolyRing, dot, ring_embedding
+from .scalars import Scalar, field_tag, join_field_tags
 
 PolyMatrix = List[List[Poly]]
 
@@ -329,11 +329,7 @@ def transform_darboux(op: DarbouxOperator, a: Sequence[Sequence],
     With validate=False the result is returned unverified, which lets
     diagnostics transport failing triples and compare verdicts.
     """
-    amat = [[Scalar.of(x) for x in row] for row in a]
-    n = op.n
-    if len(amat) != n or any(len(r) != n for r in amat):
-        raise ShapeMismatchError("transformation matrix has wrong shape")
-    b = linalg.inverse(amat)
+    amat, b = linalg.basis_change_pair(a, op.n)
     ring = op.ring
     eta_new = _two_tensor(ring, amat, op.eta)
     f_new = _two_tensor(ring, amat, op.f)
@@ -352,11 +348,23 @@ def _two_tensor(ring: PolyRing, a, m: PolyMatrix) -> PolyMatrix:
 
 
 def transform_poly_operator(op: PolyOperator, a: Sequence[Sequence]) -> PolyOperator:
-    """(2,0) transport of a general operator, substituting u = a^{-1} u~."""
-    amat = [[Scalar.of(x) for x in row] for row in a]
+    """(2,0) transport of a general operator, substituting u = a^{-1} u~.
+
+    The result lives over the joined field of the operator and the matrix
+    (`join_field_tags`), so a rational operator moved by a sqrt(d) matrix
+    is written with field_sqrt d.
+    """
+    amat, b = linalg.basis_change_pair(a, op.n)
     n = op.n
-    b = linalg.inverse(amat)
     ring = op.ring
+    d = join_field_tags(ring.d, field_tag(x for row in amat for x in row),
+                        "operator over sqrt({}) moved by a matrix over sqrt({})")
+    if d != ring.d:
+        ring = PolyRing([ring.names[i] for i in ring.field_indices()],
+                        [ring.names[i] for i in ring.param_indices()], d=d)
+        lift = ring_embedding(op.ring, ring)
+        op = PolyOperator(ring, [[lift(x) for x in row] for row in op.g],
+                          [[lift(x) for x in row] for row in op.omega], _checked=True)
     fnames = [ring.names[i] for i in ring.field_indices()]
     uvars = [ring.var(name) for name in fnames]
     subs_map = {
@@ -391,6 +399,17 @@ def operator_casimir_functionals(op: DarbouxOperator) -> List[linalg.Vector]:
     return linalg.sparse_nullspace(rows, n)
 
 
+def nonaffine_entry(ring: PolyRing, omega: PolyMatrix) -> Optional[Tuple[int, int]]:
+    """The first (i, j) with omega[i][j] of degree above 1 in the field
+    variables, or None when omega is affine in u (has a Darboux form)."""
+    fidx = ring.field_indices()
+    for i, row in enumerate(omega):
+        for j, entry in enumerate(row):
+            if entry.degree_on(fidx) > 1:
+                return i, j
+    return None
+
+
 def extract_linear_parts(op: PolyOperator):
     """Split omega = c.u + f; raises if omega is not affine in u.
 
@@ -398,14 +417,15 @@ def extract_linear_parts(op: PolyOperator):
     """
     ring = op.ring
     n = op.n
+    bad = nonaffine_entry(ring, op.omega)
+    if bad is not None:
+        raise ShapeMismatchError(f"omega[{bad[0]}][{bad[1]}] is not affine in u")
     fidx = ring.field_indices()
     c = [[[ring.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
     fmat = [[ring.zero for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             entry = op.omega[i][j]
-            if entry.degree_on(fidx) > 1:
-                raise ShapeMismatchError(f"omega[{i}][{j}] is not affine in u")
             fmat[i][j] = entry.at_zero(fidx)
             for k in range(n):
                 # affine in u, so the degree-1 coefficient is already u-free

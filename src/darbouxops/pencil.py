@@ -29,7 +29,8 @@ from .operators import (
     verify_darboux,
     verify_hamiltonian,
 )
-from .poly import Poly, PolyRing, _poly
+from .poly import PolyRing, ring_embedding
+from .scalars import join_field_tags
 
 
 @dataclass
@@ -95,34 +96,12 @@ def pencil_operator(a: PolyOperator, b: PolyOperator, lam: str = "lam") -> PolyO
     if a.n != b.n:
         raise ShapeMismatchError("pencil operands disagree in dimension")
     ring = a.ring.extend_params([lam])
-    lift = _ring_embedding(a.ring, ring)
+    lift = ring_embedding(a.ring, ring)
     lpoly = ring.var(lam)
     n = a.n
     g = [[lift(a.g[i][j]) + lpoly * lift(b.g[i][j]) for j in range(n)] for i in range(n)]
     om = [[lift(a.omega[i][j]) + lpoly * lift(b.omega[i][j]) for j in range(n)] for i in range(n)]
     return PolyOperator(ring, g, om, _checked=True)
-
-
-def _ring_embedding(src: PolyRing, dst: PolyRing, renames=None):
-    """Map polynomials of `src` into `dst`, matching indeterminates by name.
-
-    `renames` maps a name of `src` to the name it takes in `dst`.
-    """
-    renames = renames or {}
-    mapping = [dst.index(renames.get(name, name)) for name in src.names]
-    zero = dst._zero_exp
-
-    def embed(p: Poly) -> Poly:
-        terms = {}
-        for e, coeff in p.terms.items():
-            exp = list(zero)
-            for pos, k in enumerate(e):
-                if k:
-                    exp[mapping[pos]] = k
-            terms[tuple(exp)] = coeff
-        return _poly(dst, terms)
-
-    return embed
 
 
 def pencil_compatible_general(a: PolyOperator, b: PolyOperator) -> PencilReport:
@@ -154,14 +133,12 @@ def unify_operators(a: PolyOperator, b: PolyOperator) -> Tuple[PolyOperator, Pol
 
     Parameters of B that collide with parameters of A are renamed with a
     "_b" suffix so the mixed conditions treat the two families as
-    independent.  Field tags must agree (or one must be plain Q).
+    independent.  Field tags must agree or one must be plain Q
+    (`join_field_tags`, FieldMismatchError otherwise).
     """
     if a.n != b.n:
         raise ShapeMismatchError("operators disagree in dimension")
-    da, db = a.ring.d, b.ring.d
-    if da and db and da != db:
-        raise ShapeMismatchError(f"operators live over sqrt({da}) and sqrt({db})")
-    d = da or db
+    d = join_field_tags(a.ring.d, b.ring.d, "operators live over sqrt({}) and sqrt({})")
     params_a = [a.ring.names[i] for i in a.ring.param_indices()]
     rename = {}
     taken = set(params_a) | set(a.ring.names)
@@ -175,8 +152,8 @@ def unify_operators(a: PolyOperator, b: PolyOperator) -> Tuple[PolyOperator, Pol
         params_b.append(q)
     fields = [a.ring.names[i] for i in a.ring.field_indices()]
     ring = PolyRing(fields, params_a + params_b, d=d)
-    ma = _ring_embedding(a.ring, ring)
-    mb = _ring_embedding(b.ring, ring, rename)
+    ma = ring_embedding(a.ring, ring)
+    mb = ring_embedding(b.ring, ring, rename)
     a2 = PolyOperator(ring, [[ma(x) for x in r] for r in a.g],
                       [[ma(x) for x in r] for r in a.omega], _checked=True)
     b2 = PolyOperator(ring, [[mb(x) for x in r] for r in b.g],

@@ -411,6 +411,28 @@ def _poly(ring: PolyRing, terms: dict) -> Poly:
     return p
 
 
+def ring_embedding(src: PolyRing, dst: PolyRing, renames=None):
+    """Map polynomials of `src` into `dst`, matching indeterminates by name.
+
+    `renames` maps a name of `src` to the name it takes in `dst`.
+    """
+    renames = renames or {}
+    mapping = [dst.index(renames.get(name, name)) for name in src.names]
+    zero = dst._zero_exp
+
+    def embed(p: Poly) -> Poly:
+        terms = {}
+        for e, coeff in p.terms.items():
+            exp = list(zero)
+            for pos, k in enumerate(e):
+                if k:
+                    exp[mapping[pos]] = k
+            terms[tuple(exp)] = coeff
+        return _poly(dst, terms)
+
+    return embed
+
+
 def _int_form(p: Poly) -> tuple:
     """(d, D, ((key, A, B), ...)) with each coefficient (A + B*sqrt(d))/D.
 

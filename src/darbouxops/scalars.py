@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import FieldMismatchError, InvalidFieldError, ParseError
+from .errors import FieldMismatchError, InvalidFieldError, ParseError, UnprintableValueError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -49,6 +49,15 @@ def validate_field_tag(d: int) -> int:
     if not _is_square_free(d):
         raise InvalidFieldError(f"field tag {d} is not square-free")
     return d
+
+
+def join_field_tags(d1: int, d2: int, clash: str = "cannot mix sqrt({}) and sqrt({})") -> int:
+    """The tag of a computation mixing sqrt(d1)- and sqrt(d2)-values: the
+    nonzero one, or FieldMismatchError(clash.format(d1, d2)) when both are
+    nonzero and differ."""
+    if d1 and d2 and d1 != d2:
+        raise FieldMismatchError(clash.format(d1, d2))
+    return d1 or d2
 
 
 def field_tag(values) -> int:
@@ -96,13 +105,6 @@ class Scalar:
     def sqrt(d: int) -> "Scalar":
         return Scalar(0, 1, d)
 
-    def _join(self, other: "Scalar") -> int:
-        if self.d and other.d and self.d != other.d:
-            raise FieldMismatchError(
-                f"cannot mix sqrt({self.d}) and sqrt({other.d})"
-            )
-        return self.d or other.d
-
     @property
     def is_rational(self) -> bool:
         return self.b == 0
@@ -133,7 +135,7 @@ class Scalar:
                 return NotImplemented
         if not (self.d or other.d):
             return _rational(self.a + other.a)
-        return _make(self.a + other.a, self.b + other.b, self._join(other))
+        return _make(self.a + other.a, self.b + other.b, join_field_tags(self.d, other.d))
 
     __radd__ = __add__
 
@@ -149,7 +151,7 @@ class Scalar:
                 return NotImplemented
         if not (self.d or other.d):
             return _rational(self.a - other.a)
-        return _make(self.a - other.a, self.b - other.b, self._join(other))
+        return _make(self.a - other.a, self.b - other.b, join_field_tags(self.d, other.d))
 
     def __rsub__(self, other):
         other = Scalar._coerce(other)
@@ -168,7 +170,7 @@ class Scalar:
                 return NotImplemented
         if not (self.d or other.d):
             return _rational(self.a * other.a)
-        d = self._join(other)
+        d = join_field_tags(self.d, other.d)
         return _make(
             self.a * other.a + d * self.b * other.b,
             self.a * other.b + self.b * other.a,
@@ -230,16 +232,22 @@ class Scalar:
     # -- formatting ----------------------------------------------------
 
     def __str__(self):
-        if not self.d:
-            # a shared literal: zeros are the bulk of printed output
-            return str(self.a) if self.a else "0"
-        rad = f"sqrt({self.d})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.d})"
-        rad = ("-" if self.b < 0 else "") + rad
-        if self.a == 0:
-            return rad
-        if self.b < 0:
-            return f"{self.a}{rad}"
-        return f"{self.a}+{rad}"
+        try:
+            if not self.d:
+                # a shared literal: zeros are the bulk of printed output
+                return str(self.a) if self.a else "0"
+            rad = f"sqrt({self.d})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.d})"
+            rad = ("-" if self.b < 0 else "") + rad
+            if self.a == 0:
+                return rad
+            if self.b < 0:
+                return f"{self.a}{rad}"
+            return f"{self.a}+{rad}"
+        except ValueError:  # Python's limit on int-string digits; arithmetic can pass it
+            raise UnprintableValueError(
+                f"a computed value has more than {sys.get_int_max_str_digits()} digits"
+                " and cannot be printed"
+            ) from None
 
     def __repr__(self):
         return f"Scalar({self})"

@@ -6,8 +6,17 @@ import sys
 import pytest
 
 import helpers
-from darbouxops import catalog, cli, io_json, lie
+from darbouxops import catalog, cli, io_json, lie, linalg
 from darbouxops import operators as ops
+from darbouxops.errors import (
+    DarbouxOpsError,
+    InvalidOperandError,
+    MetricIncompatibleError,
+    NotACasimirError,
+    NotACocycleError,
+    NotALieAlgebraError,
+    SingularMatrixError,
+)
 from darbouxops.latexout import operator_latex
 from darbouxops.scalars import Scalar
 
@@ -256,8 +265,11 @@ def test_operator_build_rejects_bad_metric(so3_file):
     ("I,0,0;0,I,0;0,0,I", "zero"),  # "I" inside rows is not an indeterminate
     ("10^5000*I", "zero"),  # a short literal whose value is above the digit limit
     ("10^4000*10^4000*I", "zero"),
+    ("1,0;0,1;0,0", "zero"),  # three rows of two entries
+    ("I", "0,1;-1,0;0,0"),
 ], ids=["u-in-eta", "u-in-eta-rows", "u-in-f", "mixed-radicals", "undeclared-radical",
-        "digit-limit", "I-in-rows", "digit-limit-power", "digit-limit-product"])
+        "digit-limit", "I-in-rows", "digit-limit-power", "digit-limit-product",
+        "short-eta-rows", "short-f-rows"])
 def test_operator_build_rejects_bad_blocks(tmp_path, so3_file, eta, f):
     out = tmp_path / "op.json"
     proc = run_cli(["operator", "build", "--algebra", so3_file, "--eta", eta, "--f", f,
@@ -344,6 +356,113 @@ def test_catalog_cli():
     assert "PASS" in proc.stdout
     proc = run_cli(["catalog", "show", "bogus"])
     assert proc.returncode == 2
+
+
+def _error_types(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_types(sub)
+
+
+def test_exit_code_table_covers_every_error_type():
+    """Exit 1 is a negative verdict on read input; every other typed error is exit 2."""
+    types = [DarbouxOpsError, *_error_types(DarbouxOpsError)]
+    assert len(types) >= 16
+    for cls in types + [OSError, FileNotFoundError, PermissionError]:
+        assert cli.exit_row(cls("x"))[0] in (1, 2), cls
+    assert {cls for cls in types if cli.exit_row(cls("x"))[0] == 1} == {
+        NotALieAlgebraError, MetricIncompatibleError, NotACocycleError,
+        InvalidOperandError, SingularMatrixError, NotACasimirError,
+    }
+    for exc in (ValueError("x"), IndexError("x"), KeyError("x"), Exception("x")):
+        assert cli.exit_row(exc) is None
+
+
+def test_bug_keeps_its_traceback(monkeypatch, so3_file):
+    def broken(g):
+        raise IndexError("a bug")
+
+    monkeypatch.setattr(lie, "structure_tags", broken)
+    with pytest.raises(IndexError):
+        cli.main(["check", so3_file])
+
+
+@pytest.fixture
+def exit_files(tmp_path, kdv_files):
+    """Inputs for one CLI case per row of the exit-code table."""
+    files = {"A": kdv_files[0], "tmp": str(tmp_path)}
+    data = json.loads(open(kdv_files[1]).read())
+    data["omega"][0][2] = "7"  # breaks skewness: B is no longer Hamiltonian
+    written = {
+        "Bbad": data,
+        "notlie": _NOT_LIE,
+        "m22": [["1", "0"], ["0", "1"]],
+        "m44": [["1" if i == j else "0" for j in range(4)] for i in range(4)],
+        "msing": [["1", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]],
+        "msqrt3": [["1", "0", "0"], ["0", "sqrt(3)", "0"], ["0", "0", "1"]],
+        "mbig": [["1" + "0" * 4000, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    }
+    for stem, content in written.items():
+        files[stem] = str(tmp_path / f"{stem}.json")
+        (tmp_path / f"{stem}.json").write_text(json.dumps(content))
+    files["so3"] = str(tmp_path / "so3.json")
+    io_json.dump_algebra(lie.so3(), files["so3"])
+    files["so3op"] = str(tmp_path / "so3op.json")
+    so3op = ops.build_darboux(lie.so3(), linalg.identity(3), [[0] * 3 for _ in range(3)])
+    io_json.dump_operator(so3op.to_poly_operator(), files["so3op"])
+    return files
+
+
+_EXIT_CASES = [
+    ("not-a-lie-algebra", ["check", "{notlie}"], 1, "not a Lie algebra"),
+    ("metric-rejected", ["operator", "build", "--algebra", "{so3}",
+                         "--eta", "1,0,0;0,1,0;0,0,2", "--f", "zero"], 1, "rejected"),
+    ("non-hamiltonian-operand", ["pencil", "{A}", "{Bbad}"], 1, "INVALID_OPERAND"),
+    ("singular-matrix", ["operator", "transform", "{A}", "--matrix", "{msing}"], 1, "error"),
+    ("unwritable-build-out", ["operator", "build", "--algebra", "{so3}", "--eta", "I",
+                              "--f", "zero", "--out", "{tmp}/missing/op.json"], 2, "parse error"),
+    ("unwritable-transform-out", ["operator", "transform", "{A}", "--matrix", "{m44}",
+                                  "--out", "{tmp}/missing/op.json"], 2, "parse error"),
+    ("matrix-2x2", ["operator", "transform", "{A}", "--matrix", "{m22}"], 2, "parse error"),
+    ("matrix-4x4", ["operator", "transform", "{so3op}", "--matrix", "{m44}"], 2, "parse error"),
+    ("clashing-radical", ["operator", "transform", "{A}", "--matrix", "{msqrt3}"], 2,
+     "parse error"),
+    ("missing-file", ["operator", "verify", "{tmp}/missing.json"], 2, "parse error"),
+    ("bogus-catalog-entry", ["catalog", "verify", "bogus"], 2, "error"),
+    ("field-sqrt-4", ["--field-sqrt", "4", "catalog", "list"], 2, "error"),
+    ("unprintable-value", ["operator", "transform", "{so3op}", "--matrix", "{mbig}"], 2, "error"),
+    ("density-parameter", ["operator", "apply", "{A}", "--density=q*u1"], 2, "error"),
+]
+
+
+def test_exit_cases_cover_every_row():
+    assert {(code, prefix) for _, _, code, prefix in _EXIT_CASES} == {
+        (code, prefix) for _, code, prefix in cli.EXIT_CODES
+    }
+
+
+@pytest.mark.parametrize("argv, code, prefix", [case[1:] for case in _EXIT_CASES],
+                         ids=[case[0] for case in _EXIT_CASES])
+def test_exit_code_table_rows(exit_files, argv, code, prefix):
+    proc = run_cli([arg.format(**exit_files) for arg in argv], timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(prefix + ": ")
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+
+
+def test_transform_writes_the_joined_field(exit_files, tmp_path):
+    """A rational operator moved by a sqrt(2) matrix is written over Q(sqrt(2)) and loads again."""
+    mat, out = tmp_path / "msqrt2.json", tmp_path / "moved.json"
+    mat.write_text(json.dumps([["1", "0", "0"], ["0", "sqrt(2)", "0"], ["0", "0", "1"]]))
+    proc = run_cli(["operator", "transform", exit_files["so3op"], "--matrix", str(mat),
+                    "--out", str(out)], timeout=60)
+    assert proc.returncode == 0
+    data = json.loads(out.read_text())
+    assert data["field_sqrt"] == 2
+    assert data["omega"][0][1] == "sqrt(2)*u3"
+    assert run_cli(["operator", "verify", str(out)], timeout=60).returncode == 0
 
 
 def test_operator_transform_cli(kdv_files, tmp_path):

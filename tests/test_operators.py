@@ -9,9 +9,12 @@ from darbouxops import invariants as inv
 from darbouxops import lie, linalg
 from darbouxops import operators as ops
 from darbouxops.errors import (
+    FieldMismatchError,
     MetricIncompatibleError,
     NonHydrodynamicDensityError,
     NotACocycleError,
+    ShapeMismatchError,
+    SingularMatrixError,
 )
 from darbouxops.scalars import Scalar
 
@@ -366,6 +369,55 @@ def test_transform_poly_matches_darboux_route(rng):
             for j in range(3):
                 assert (via_triple.g[i][j] - via_poly.g[i][j]).is_zero()
                 assert (via_triple.omega[i][j] - via_poly.omega[i][j]).is_zero()
+
+
+_WRONG_SHAPES = [
+    [[1, 0], [0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0], [0, 1], [0, 0, 1]],
+    [],
+]
+
+
+@pytest.mark.parametrize("transport", [
+    lambda op, a: lie.change_basis(lie.so3(), a),
+    ops.transform_darboux,
+    lambda op, a: ops.transform_poly_operator(op.to_poly_operator(), a),
+], ids=["change_basis", "transform_darboux", "transform_poly_operator"])
+def test_basis_change_shape_and_singularity(transport):
+    """All three transport laws share one matrix check (`linalg.basis_change_pair`)."""
+    op = helpers.kdv_A()
+    for a in _WRONG_SHAPES:
+        with pytest.raises(ShapeMismatchError, match="must be 3 x 3"):
+            transport(op, a)
+    with pytest.raises(SingularMatrixError):
+        transport(op, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+
+
+def test_transform_poly_operator_joins_field_tags():
+    """A rational operator moved by a sqrt(2) matrix lives over Q(sqrt(2))."""
+    op = ops.build_darboux(lie.so3(), linalg.identity(3), [[0] * 3 for _ in range(3)])
+    a = [[1, 0, 0], [0, Scalar.sqrt(2), 0], [0, 0, 1]]
+    moved = ops.transform_poly_operator(op.to_poly_operator(), a)
+    assert moved.ring.d == 2
+    assert all(x.ring is moved.ring for m in (moved.g, moved.omega) for row in m for x in row)
+    assert str(moved.omega[0][1]) == "sqrt(2)*u3"
+    assert ops.verify_hamiltonian(moved).passed
+    # equal tags keep the operator's ring
+    again = ops.transform_poly_operator(moved, a)
+    assert again.ring == moved.ring
+    with pytest.raises(FieldMismatchError, match="sqrt\\(2\\) moved by a matrix over sqrt\\(3\\)"):
+        ops.transform_poly_operator(moved, [[1, 0, 0], [0, Scalar.sqrt(3), 0], [0, 0, 1]])
+
+
+def test_nonaffine_entry():
+    op = helpers.kdv_A().to_poly_operator()
+    assert ops.nonaffine_entry(op.ring, op.omega) is None
+    ring = ops.field_ring(2, ["a"])
+    omega = ops.lift_matrix(ring, [[0, "a^2*u1+a"], ["-a^2*u1-a", "u1*u2"]])
+    assert ops.nonaffine_entry(ring, omega) == (1, 1)
+    with pytest.raises(ShapeMismatchError, match="omega\\[1\\]\\[1\\] is not affine"):
+        ops.extract_linear_parts(ops.PolyOperator(ring, [[1, 0], [0, 1]], omega, _checked=True))
 
 
 def test_operator_casimir_functionals():

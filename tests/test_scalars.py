@@ -5,8 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darbouxops.errors import FieldMismatchError, InvalidFieldError, ParseError
-from darbouxops.scalars import Scalar, _above_digit_limit, parse_scalar, validate_field_tag
+from darbouxops.errors import (
+    FieldMismatchError,
+    InvalidFieldError,
+    ParseError,
+    UnprintableValueError,
+)
+from darbouxops.scalars import (
+    Scalar,
+    _above_digit_limit,
+    join_field_tags,
+    parse_scalar,
+    validate_field_tag,
+)
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
@@ -212,3 +223,24 @@ def test_arithmetic_results_are_normalized(a1, b1, a2, b2, d, cancel):
         inv = (a2 / norm, -b2 / norm)
         assert _parts(y.inverse()) == _parts(Scalar(*inv, d))
         assert _parts(x / y) == _parts(Scalar(*product((a1, b1), inv), d))
+
+
+@pytest.mark.parametrize("value", [
+    Scalar(10**5000),
+    Scalar(Fraction(1, 10**5000)),
+    Scalar(1, 10**5000, 2),
+    Scalar(10**5000, 1, 3),
+])
+def test_unprintable_value_is_typed(value):
+    """Arithmetic can pass the int-string digit limit that the parser enforces."""
+    with pytest.raises(UnprintableValueError):
+        str(value)
+
+
+def test_join_field_tags():
+    assert join_field_tags(0, 0) == 0
+    assert join_field_tags(2, 0) == join_field_tags(0, 2) == join_field_tags(2, 2) == 2
+    with pytest.raises(FieldMismatchError, match="cannot mix sqrt\\(2\\) and sqrt\\(3\\)"):
+        join_field_tags(2, 3)
+    with pytest.raises(FieldMismatchError, match="^A 2, B 3$"):
+        join_field_tags(2, 3, "A {}, B {}")
