@@ -30,7 +30,14 @@ from .invariants import (
     two_cocycle_space,
 )
 from .lie import LieAlgebra, structure_tags
-from .operators import DarbouxOperator, PolyMatrix, field_ring, nonaffine_entry, verify_darboux
+from .operators import (
+    DarbouxOperator,
+    PolyMatrix,
+    field_ring,
+    linear_parts,
+    nonaffine_entry,
+    verify_darboux,
+)
 from .poly import Poly, PolyRing
 from .scalars import Scalar
 
@@ -103,10 +110,7 @@ def catalog_get(name: str) -> CatalogEntry:
     if "fconst" in rec:
         fc = _parse_matrix(ring, rec["fconst"])
         omega = [[omega[i][j] + fc[i][j] for j in range(n)] for i in range(n)]
-    fidx = ring.field_indices()
-    c = [[[omega[i][j].coefficient_of_var(fidx[k]) for k in range(n)] for j in range(n)]
-         for i in range(n)]
-    fmat = [[omega[i][j].at_zero(fidx) for j in range(n)] for i in range(n)]
+    c, fmat = linear_parts(ring, omega)
     algebra = LieAlgebra(_at_moduli(c, ring, moduli))
     entry = CatalogEntry(
         name=rec["name"],
@@ -185,30 +189,25 @@ def verify_entry(name: str) -> EntryReport:
     # displayed omega must be affine in u with u-free coefficients
     checks.append(("omega-affine-in-u", nonaffine_entry(entry.ring, entry.omega) is None))
 
+    def check_or_flag(name: str, ok: bool, flag: str) -> None:
+        """Record check `name`; a failure the entry expects is a flag instead."""
+        if not ok and name in entry.expect_flags:
+            flags.append(flag)
+            name, ok = f"{name}(flagged)", True
+        checks.append((name, ok))
+
     ok, problems = _tags_match(entry)
-    if not ok and "structure-tags" in entry.expect_flags:
-        flags.append(f"structure tags differ from the catalogued ones: {problems}")
-        checks.append(("structure-tags(flagged)", True))
-    else:
-        checks.append(("structure-tags", ok))
+    check_or_flag("structure-tags", ok,
+                  f"structure tags differ from the catalogued ones: {problems}")
 
     met = compatible_metric_space(entry.algebra)
     coc = two_cocycle_space(entry.algebra)
     cas = quadratic_casimir_space(entry.algebra)
 
-    ok = len(entry.eta_params) == met.dim
-    if not ok and "eta-param-count" in entry.expect_flags:
-        flags.append(f"eta params {len(entry.eta_params)} != metric dim {met.dim}")
-        checks.append(("eta-param-count(flagged)", True))
-    else:
-        checks.append(("eta-param-count", ok))
-
-    ok = len(entry.f_params) == coc.dim
-    if not ok and "f-param-count" in entry.expect_flags:
-        flags.append(f"f params {len(entry.f_params)} != cocycle dim {coc.dim}")
-        checks.append(("f-param-count(flagged)", True))
-    else:
-        checks.append(("f-param-count", ok))
+    check_or_flag("eta-param-count", len(entry.eta_params) == met.dim,
+                  f"eta params {len(entry.eta_params)} != metric dim {met.dim}")
+    check_or_flag("f-param-count", len(entry.f_params) == coc.dim,
+                  f"f params {len(entry.f_params)} != cocycle dim {coc.dim}")
 
     checks.append(("casimir-metric-dims-equal", cas.dim == met.dim))
 

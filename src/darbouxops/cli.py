@@ -83,13 +83,11 @@ def _matrix_lines(m) -> List[str]:
 
 
 def _write_operator(op, path: Optional[str]) -> int:
-    """Write the operator's JSON to `path`, or to stdout when no path is given."""
-    out = json.dumps(io_json.operator_to_dict(op), indent=2)
+    """Write the operator's JSON to `path` (`io_json.dump_operator`), or to stdout."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        io_json.dump_operator(op, path)
     else:
-        print(out)
+        print(json.dumps(io_json.operator_to_dict(op), indent=2))
     return EXIT_OK
 
 
@@ -189,10 +187,9 @@ def _parse_block(ring: PolyRing, text: str, n: int, kind: str):
         if any(len(row) != n for row in block):
             raise ParseError(f"{kind} rows need {n} entries each")
     io_json.check_radicals(ring, kind, block)
-    fidx = ring.field_indices()
     for i, row in enumerate(block):
         for j, x in enumerate(row):
-            if any(x.depends_on(r) for r in fidx):
+            if not x.is_u_free():
                 raise ParseError(f"{kind}[{i}][{j}] = {x} depends on the field variables")
     return block
 

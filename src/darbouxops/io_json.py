@@ -113,10 +113,16 @@ def load_algebra(path: str) -> LieAlgebra:
     return algebra_from_dict(_read_json(path))
 
 
-def dump_algebra(g: LieAlgebra, path: str) -> None:
+def _write_json(data: dict, path: str) -> None:
+    """Write `data` as indented JSON.  The text is built before the file is
+    opened, so a value that cannot be printed leaves an existing file intact."""
+    text = json.dumps(data, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_dict(g), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+def dump_algebra(g: LieAlgebra, path: str) -> None:
+    _write_json(algebra_to_dict(g), path)
 
 
 def operator_to_dict(op: PolyOperator) -> dict:
@@ -155,9 +161,7 @@ def load_operator(path: str) -> PolyOperator:
 
 
 def dump_operator(op: PolyOperator, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(operator_to_dict(op), fh, indent=2)
-        fh.write("\n")
+    _write_json(operator_to_dict(op), path)
 
 
 def load_matrix(path: str) -> List[List[Scalar]]:

@@ -4,8 +4,9 @@ The structure tensor is stored contravariantly: c[i][j][k] is the
 coefficient of e^k in [e^i, e^j], skew in the upper pair (i, j).  The
 constructor rejects tensors failing skew-symmetry (`linalg.first_asymmetry`)
 or the Jacobi identity; `jacobi_defect` is the raw diagnostic entry point
-for unvalidated data.  `transport_tensor` is the one basis-change law of a
-structure tensor, used by `change_basis` and by the operator transport.
+for unvalidated data.  `transport_tensor` is the basis-change law of a
+structure tensor behind `change_basis`; operators are moved by
+`operators.transform_poly_operator`, whose substitution gives c the same law.
 
 The four identities of the Darboux triple (Jacobi, quadratic Casimir,
 compatible metric, 2-cocycle) are defined here, once each, as equation
@@ -25,13 +26,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
-    FieldMismatchError,
     NotACasimirError,
     NotALieAlgebraError,
     ShapeMismatchError,
 )
 from .poly import Poly, dot
-from .scalars import Scalar, field_tag
+from .scalars import Scalar, field_tag, join_field_tags
 
 Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
@@ -345,9 +345,7 @@ def structure_tags(g: LieAlgebra) -> StructureTags:
 
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
-    d1, d2 = g1.field_tag(), g2.field_tag()
-    if d1 and d2 and d1 != d2:
-        raise FieldMismatchError(f"direct sum over sqrt({d1}) and sqrt({d2})")
+    join_field_tags(g1.field_tag(), g2.field_tag(), "direct sum over sqrt({}) and sqrt({})")
     n1, n2 = g1.dim, g2.dim
     n = n1 + n2
     c = [[[Scalar(0) for _ in range(n)] for _ in range(n)] for _ in range(n)]

@@ -12,6 +12,12 @@ Two views of the same object:
   verifier checks skewness, the Schouten identity, cyclic symmetry of
   Phi^{ijk} = g^{is} d omega^{jk} / d u^s and constancy of Phi.
 
+The views meet in one reader and one transport: `linear_parts` reads
+omega = c.u + f back as (c, f) and `darboux_view` turns an affine-omega
+PolyOperator into a triple; `transform_poly_operator` moves an operator by
+a basis change, and `transform_darboux` is that move read back as a triple.
+`PolyOperator.embedded` is the one move of an operator into a larger ring.
+
 Verification never raises on a failing condition; failures land in the
 returned report with the first violating index tuple and its residual.
 """
@@ -29,7 +35,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .invariants import cocycle_residual, metric_residual
-from .lie import LieAlgebra, defect, jacobi_terms, transport_tensor
+from .lie import LieAlgebra, defect, jacobi_terms
 from .poly import Poly, PolyRing, dot, ring_embedding
 from .scalars import Scalar, field_tag, join_field_tags
 
@@ -187,14 +193,11 @@ class PolyOperator:
         n = len(g)
         gp = lift_matrix(ring, g)
         om = lift_matrix(ring, omega)
-        field_idx = ring.field_indices()
         if len(om) != n:
             raise ShapeMismatchError("operator blocks disagree in dimension")
         if not _checked:
-            for row in gp:
-                for x in row:
-                    if not x.at_zero(field_idx) == x:
-                        raise ShapeMismatchError("leading coefficient must be constant in u")
+            if not all(x.is_u_free() for row in gp for x in row):
+                raise ShapeMismatchError("leading coefficient must be constant in u")
             if linalg.first_asymmetry(gp) is not None:
                 raise ShapeMismatchError("leading coefficient must be symmetric")
         object.__setattr__(self, "ring", ring)
@@ -204,6 +207,12 @@ class PolyOperator:
 
     def __setattr__(self, *_):
         raise AttributeError("PolyOperator is immutable")
+
+    def embedded(self, ring: PolyRing, renames=None) -> "PolyOperator":
+        """The same operator over `ring`, indeterminates matched by name (`ring_embedding`)."""
+        lift = ring_embedding(self.ring, ring, renames)
+        return PolyOperator(ring, [[lift(x) for x in row] for row in self.g],
+                            [[lift(x) for x in row] for row in self.omega], _checked=True)
 
 
 def field_jacobian(ring: PolyRing, omega: PolyMatrix):
@@ -324,17 +333,16 @@ def parse_density(op: PolyOperator, text: str) -> Poly:
 
 def transform_darboux(op: DarbouxOperator, a: Sequence[Sequence],
                       validate: bool = True) -> DarbouxOperator:
-    """Push forward along u~^i = a^i_l u^l; (2,0) law on eta, f, `transport_tensor` on c.
+    """Push forward along u~^i = a^i_l u^l: `transform_poly_operator` of
+    g = eta, omega = c.u + f, read back as a triple (`linear_parts`).
 
-    With validate=False the result is returned unverified, which lets
-    diagnostics transport failing triples and compare verdicts.
+    The result lives over the joined field of the operator and the matrix.
+    With validate=False it is returned unverified, which lets diagnostics
+    transport failing triples and compare verdicts.
     """
-    amat, b = linalg.basis_change_pair(a, op.n)
-    ring = op.ring
-    eta_new = _two_tensor(ring, amat, op.eta)
-    f_new = _two_tensor(ring, amat, op.f)
-    c_new = transport_tensor(amat, b, op.c)
-    return DarbouxOperator(ring, c_new, eta_new, f_new, _checked=not validate)
+    moved = transform_poly_operator(op.to_poly_operator(), a)
+    c, f = linear_parts(moved.ring, moved.omega)
+    return DarbouxOperator(moved.ring, c, moved.g, f, _checked=not validate)
 
 
 def _two_tensor(ring: PolyRing, a, m: PolyMatrix) -> PolyMatrix:
@@ -362,9 +370,7 @@ def transform_poly_operator(op: PolyOperator, a: Sequence[Sequence]) -> PolyOper
     if d != ring.d:
         ring = PolyRing([ring.names[i] for i in ring.field_indices()],
                         [ring.names[i] for i in ring.param_indices()], d=d)
-        lift = ring_embedding(op.ring, ring)
-        op = PolyOperator(ring, [[lift(x) for x in row] for row in op.g],
-                          [[lift(x) for x in row] for row in op.omega], _checked=True)
+        op = op.embedded(ring)
     fnames = [ring.names[i] for i in ring.field_indices()]
     uvars = [ring.var(name) for name in fnames]
     subs_map = {
@@ -410,24 +416,25 @@ def nonaffine_entry(ring: PolyRing, omega: PolyMatrix) -> Optional[Tuple[int, in
     return None
 
 
-def extract_linear_parts(op: PolyOperator):
-    """Split omega = c.u + f; raises if omega is not affine in u.
+def linear_parts(ring: PolyRing, omega: PolyMatrix):
+    """Read omega = c.u + f: c[i][j][k] is the coefficient of u^k in
+    omega[i][j] and f[i][j] its value at u = 0.
 
-    Returns (c, f) with c[i][j][k] and f[i][j] u-free polynomials.
+    Never raises; the split is exact only when omega is affine in u
+    (`nonaffine_entry`), and then every entry of c and f is u-free.
     """
-    ring = op.ring
-    n = op.n
-    bad = nonaffine_entry(ring, op.omega)
+    fidx = ring.field_indices()
+    n = len(omega)
+    c = [[[x.coefficient_of_var(fidx[k]) for k in range(n)] for x in row] for row in omega]
+    f = [[x.at_zero(fidx) for x in row] for row in omega]
+    return c, f
+
+
+def darboux_view(op: PolyOperator) -> DarbouxOperator:
+    """Reinterpret an affine-omega operator as a Darboux triple (unchecked);
+    ShapeMismatchError if omega is not affine in u."""
+    bad = nonaffine_entry(op.ring, op.omega)
     if bad is not None:
         raise ShapeMismatchError(f"omega[{bad[0]}][{bad[1]}] is not affine in u")
-    fidx = ring.field_indices()
-    c = [[[ring.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    fmat = [[ring.zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            entry = op.omega[i][j]
-            fmat[i][j] = entry.at_zero(fidx)
-            for k in range(n):
-                # affine in u, so the degree-1 coefficient is already u-free
-                c[i][j][k] = entry.coefficient_of_var(fidx[k])
-    return c, fmat
+    c, f = linear_parts(op.ring, op.omega)
+    return DarbouxOperator(op.ring, c, op.g, f, _checked=True)

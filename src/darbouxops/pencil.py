@@ -26,10 +26,11 @@ from .operators import (
     DarbouxOperator,
     PolyOperator,
     VerificationReport,
+    darboux_view,  # noqa: F401  re-exported: the pencil commands read triples through it
     verify_darboux,
     verify_hamiltonian,
 )
-from .poly import PolyRing, ring_embedding
+from .poly import PolyRing
 from .scalars import join_field_tags
 
 
@@ -96,11 +97,11 @@ def pencil_operator(a: PolyOperator, b: PolyOperator, lam: str = "lam") -> PolyO
     if a.n != b.n:
         raise ShapeMismatchError("pencil operands disagree in dimension")
     ring = a.ring.extend_params([lam])
-    lift = ring_embedding(a.ring, ring)
+    a, b = a.embedded(ring), b.embedded(ring)
     lpoly = ring.var(lam)
     n = a.n
-    g = [[lift(a.g[i][j]) + lpoly * lift(b.g[i][j]) for j in range(n)] for i in range(n)]
-    om = [[lift(a.omega[i][j]) + lpoly * lift(b.omega[i][j]) for j in range(n)] for i in range(n)]
+    g = [[a.g[i][j] + lpoly * b.g[i][j] for j in range(n)] for i in range(n)]
+    om = [[a.omega[i][j] + lpoly * b.omega[i][j] for j in range(n)] for i in range(n)]
     return PolyOperator(ring, g, om, _checked=True)
 
 
@@ -152,18 +153,4 @@ def unify_operators(a: PolyOperator, b: PolyOperator) -> Tuple[PolyOperator, Pol
         params_b.append(q)
     fields = [a.ring.names[i] for i in a.ring.field_indices()]
     ring = PolyRing(fields, params_a + params_b, d=d)
-    ma = ring_embedding(a.ring, ring)
-    mb = ring_embedding(b.ring, ring, rename)
-    a2 = PolyOperator(ring, [[ma(x) for x in r] for r in a.g],
-                      [[ma(x) for x in r] for r in a.omega], _checked=True)
-    b2 = PolyOperator(ring, [[mb(x) for x in r] for r in b.g],
-                      [[mb(x) for x in r] for r in b.omega], _checked=True)
-    return a2, b2
-
-
-def darboux_view(op: PolyOperator) -> DarbouxOperator:
-    """Reinterpret an affine-omega operator as a Darboux triple (unchecked)."""
-    from .operators import extract_linear_parts
-
-    c, f = extract_linear_parts(op)
-    return DarbouxOperator(op.ring, c, op.g, f, _checked=True)
+    return a.embedded(ring), b.embedded(ring, rename)

@@ -196,9 +196,8 @@ class Poly:
         return any(e[index] for e in self.terms)
 
     def is_u_free(self) -> bool:
-        return not any(
-            e[i] for e in self.terms for i in self.ring.field_indices()
-        )
+        fidx = self.ring.field_indices()
+        return not any(e[i] for e in self.terms for i in fidx)
 
     # -- arithmetic ----------------------------------------------------
 

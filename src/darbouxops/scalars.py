@@ -65,6 +65,14 @@ def field_tag(values) -> int:
     return next((x.d for x in values if x.d), 0)
 
 
+def _too_long_to_print() -> UnprintableValueError:
+    """The error for a value past Python's limit on int-string digits."""
+    return UnprintableValueError(
+        f"a computed value has more than {sys.get_int_max_str_digits()} digits"
+        " and cannot be printed"
+    )
+
+
 class Scalar:
     """Immutable element of Q(sqrt(d))."""
 
@@ -108,11 +116,6 @@ class Scalar:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def to_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise FieldMismatchError(f"{self} is not rational")
-        return self.a
 
     # -- arithmetic ----------------------------------------------------
     #
@@ -244,10 +247,7 @@ class Scalar:
                 return f"{self.a}{rad}"
             return f"{self.a}+{rad}"
         except ValueError:  # Python's limit on int-string digits; arithmetic can pass it
-            raise UnprintableValueError(
-                f"a computed value has more than {sys.get_int_max_str_digits()} digits"
-                " and cannot be printed"
-            ) from None
+            raise _too_long_to_print() from None
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -263,12 +263,15 @@ class Scalar:
                 return f"{sign}\\frac{{{num or 1}}}{{{q.denominator}}}{radical}"
             return f"{sign}{body}{radical}"
 
-        if self.b == 0:
-            return frac(self.a)
-        rad = frac(self.b, f"\\sqrt{{{self.d}}}")
-        if self.a == 0:
-            return rad
-        return frac(self.a) + ("+" if self.b > 0 else "") + rad
+        try:
+            if self.b == 0:
+                return frac(self.a)
+            rad = frac(self.b, f"\\sqrt{{{self.d}}}")
+            if self.a == 0:
+                return rad
+            return frac(self.a) + ("+" if self.b > 0 else "") + rad
+        except ValueError:  # the digit limit, as in __str__
+            raise _too_long_to_print() from None
 
 
 _new = object.__new__

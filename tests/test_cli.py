@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -463,6 +464,31 @@ def test_transform_writes_the_joined_field(exit_files, tmp_path):
     assert data["field_sqrt"] == 2
     assert data["omega"][0][1] == "sqrt(2)*u3"
     assert run_cli(["operator", "verify", str(out)], timeout=60).returncode == 0
+
+
+def test_transform_darboux_file_verifies(tmp_path):
+    """A rational triple moved by a sqrt(2) matrix lives over Q(sqrt(2)), and
+    the file written from it loads and verifies."""
+    op = ops.build_darboux(lie.so3(), linalg.identity(3), [[0] * 3 for _ in range(3)])
+    moved = ops.transform_darboux(op, [[1, 0, 0], [0, Scalar.sqrt(2), 0], [0, 0, 1]])
+    assert moved.ring.d == 2
+    assert ops.verify_darboux(moved).passed
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(io_json.operator_to_dict(moved.to_poly_operator())))
+    proc = run_cli(["operator", "verify", str(path)], timeout=60)
+    assert proc.returncode == 0
+    assert "darboux: PASS" in proc.stdout
+
+
+def test_transform_out_keeps_the_file_when_unprintable(exit_files, tmp_path):
+    """A result too long to print leaves an existing --out file as it was."""
+    out = tmp_path / "kept.json"
+    out.write_bytes(pathlib.Path(exit_files["so3op"]).read_bytes())
+    before = out.read_bytes()
+    proc = run_cli(["operator", "transform", exit_files["so3op"], "--matrix",
+                    exit_files["mbig"], "--out", str(out)], timeout=60)
+    assert proc.returncode == 2
+    assert out.read_bytes() == before
 
 
 def test_operator_transform_cli(kdv_files, tmp_path):

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darbouxops import io_json
-from darbouxops.errors import DarbouxOpsError, ParseError
+from darbouxops.errors import DarbouxOpsError, ParseError, UnprintableValueError
 from darbouxops.lie import LieAlgebra
-from darbouxops.operators import PolyOperator
+from darbouxops.operators import PolyOperator, field_ring
+from darbouxops.scalars import Scalar
 
 # Each load of a small file takes milliseconds; the bound only has to catch a hang.
 SECONDS = 10
@@ -135,3 +136,20 @@ def test_wellformed_files_still_load(tmp_path):
     op.write_text(json.dumps({"dim": 2, "g": [["1", "0"], ["0", "alpha"]],
                               "omega": [["0", "u1"], ["-u1", "0"]], "params": ["alpha"]}))
     assert io_json.load_operator(str(op)).n == 2
+
+
+def test_writers_keep_an_existing_file_when_a_value_cannot_be_printed(tmp_path):
+    """The text is built before the file is opened: a failed write truncates nothing."""
+    op_path, alg_path = tmp_path / "op.json", tmp_path / "alg.json"
+    ring = field_ring(2)
+    io_json.dump_operator(PolyOperator(ring, [[1, 0], [0, 1]], [[0, "u1"], ["-u1", 0]]),
+                          str(op_path))
+    io_json.dump_algebra(LieAlgebra.from_brackets(2, {(0, 1): {1: Scalar(1)}}), str(alg_path))
+    before = op_path.read_bytes(), alg_path.read_bytes()
+    with pytest.raises(UnprintableValueError):
+        io_json.dump_operator(PolyOperator(ring, [[10**5000, 0], [0, 1]], [[0, 0], [0, 0]]),
+                              str(op_path))
+    with pytest.raises(UnprintableValueError):
+        io_json.dump_algebra(LieAlgebra.from_brackets(2, {(0, 1): {1: Scalar(10**5000)}}),
+                             str(alg_path))
+    assert (op_path.read_bytes(), alg_path.read_bytes()) == before

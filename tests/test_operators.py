@@ -417,7 +417,7 @@ def test_nonaffine_entry():
     omega = ops.lift_matrix(ring, [[0, "a^2*u1+a"], ["-a^2*u1-a", "u1*u2"]])
     assert ops.nonaffine_entry(ring, omega) == (1, 1)
     with pytest.raises(ShapeMismatchError, match="omega\\[1\\]\\[1\\] is not affine"):
-        ops.extract_linear_parts(ops.PolyOperator(ring, [[1, 0], [0, 1]], omega, _checked=True))
+        ops.darboux_view(ops.PolyOperator(ring, [[1, 0], [0, 1]], omega, _checked=True))
 
 
 def test_operator_casimir_functionals():

@@ -232,9 +232,11 @@ def test_arithmetic_results_are_normalized(a1, b1, a2, b2, d, cancel):
     Scalar(10**5000, 1, 3),
 ])
 def test_unprintable_value_is_typed(value):
-    """Arithmetic can pass the int-string digit limit that the parser enforces."""
-    with pytest.raises(UnprintableValueError):
-        str(value)
+    """Arithmetic can pass the int-string digit limit that the parser enforces;
+    plain and LaTeX printing both raise the typed error."""
+    for show in (str, Scalar.latex):
+        with pytest.raises(UnprintableValueError):
+            show(value)
 
 
 def test_join_field_tags():
