@@ -10,7 +10,9 @@ Two views of the same object:
 * PolyOperator: a constant symmetric g plus an arbitrary polynomial skew
   omega(u); the first-order Christoffel part is fixed to zero.  The general
   verifier checks skewness, the Schouten identity, cyclic symmetry of
-  Phi^{ijk} = g^{is} d omega^{jk} / d u^s and constancy of Phi.
+  Phi^{ijk} = g^{is} d omega^{jk} / d u^s and constancy of Phi.  Both
+  identities are bilinear (`schouten_terms`, `phi_sum`), so the pencil's
+  lambda route reads its lambda^1 coefficient through the same code.
 
 The views meet in one reader and one transport: `linear_parts` reads
 omega = c.u + f back as (c, f) and `darboux_view` turns an affine-omega
@@ -35,7 +37,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .invariants import cocycle_residual, metric_residual
-from .lie import LieAlgebra, defect, jacobi_terms
+from .lie import LieAlgebra, defect, first_violation, jacobi_terms
 from .poly import Poly, PolyRing, dot, ring_embedding
 from .scalars import Scalar, field_tag, join_field_tags
 
@@ -222,21 +224,46 @@ def field_jacobian(ring: PolyRing, omega: PolyMatrix):
     return [[[omega[j][k].partial(fidx[s]) for s in range(n)] for k in range(n)] for j in range(n)]
 
 
+def phi_sum(ring: PolyRing, *factors) -> list:
+    """Phi^{ijk} = sum over the (g, domega) factors of g^{is} domega[j][k][s].
+
+    One factor gives the Phi tensor of an operator (`phi_tensor`).
+    """
+    n = len(factors[0][0])
+    return [
+        [[dot(ring, [(x, y) for g, domega in factors for x, y in zip(g[i], domega[j][k])
+                     if x and y]) for k in range(n)]
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def phi_tensor(op: PolyOperator, domega=None):
     """Phi^{ijk} = g^{is} d omega^{jk} / d u^s (b = 0).
 
     `domega` is `field_jacobian(op.ring, op.omega)`, computed when not given.
     """
-    ring = op.ring
-    n = op.n
     if domega is None:
-        domega = field_jacobian(ring, op.omega)
-    g = op.g
-    return [
-        [[dot(ring, [(g[i][s], domega[j][k][s]) for s in range(n)]) for k in range(n)]
-         for j in range(n)]
-        for i in range(n)
-    ]
+        domega = field_jacobian(op.ring, op.omega)
+    return phi_sum(op.ring, (op.g, domega))
+
+
+def schouten_terms(omega, domega):
+    """S^{ijk} = omega^{is} domega[j][k][s] + omega^{js} domega[k][i][s]
+    + omega^{ks} domega[i][j][s], i < j < k: with domega the Jacobian of
+    omega (`field_jacobian`), the Schouten-Jacobi identity.
+
+    A `lie`-style generator of ((i, j, k), pairs) in increasing key order,
+    skipping zero factors and keys without a product.
+    """
+    n = len(omega)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                pairs = [(x, y) for p, q, r in ((i, j, k), (j, k, i), (k, i, j))
+                         for x, y in zip(omega[p], domega[q][r]) if x and y]
+                if pairs:
+                    yield (i, j, k), pairs
 
 
 def schouten_residual(ring: PolyRing, omega: PolyMatrix, domega=None) -> Optional[tuple]:
@@ -244,43 +271,22 @@ def schouten_residual(ring: PolyRing, omega: PolyMatrix, domega=None) -> Optiona
 
     `domega` is `field_jacobian(ring, omega)`, computed when not given.
     """
-    n = len(omega)
     if domega is None:
         domega = field_jacobian(ring, omega)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                pairs = [
-                    pair
-                    for s in range(n)
-                    for pair in (
-                        (omega[i][s], domega[j][k][s]),
-                        (omega[j][s], domega[k][i][s]),
-                        (omega[k][s], domega[i][j][s]),
-                    )
-                ]
-                if dot(ring, pairs):
-                    return (i, j, k)
-    return None
+    return first_violation(schouten_terms(omega, domega))
 
 
-def verify_hamiltonian(op: PolyOperator) -> VerificationReport:
-    """Hamiltonianity of g d_x + omega with constant symmetric g, b = 0.
-
-    Conditions: omega skew; Schouten-Jacobi identity; Phi^{ijk} = Phi^{kij};
-    Phi constant in u.  A pass means every identity holds identically in the
-    field variables and all formal parameters.  The Jacobian of omega is
-    taken once and shared by the Schouten and Phi checks; Poly terms are
-    canonical, so equal terms mean a zero difference and a term with a
-    positive exponent of u^r means a nonzero d/du^r.
+def hamiltonian_report(ring: PolyRing, omega: PolyMatrix, schouten: Optional[tuple],
+                       phi) -> VerificationReport:
+    """The report of `verify_hamiltonian`: omega skew, the given Schouten
+    violation, then Phi^{ijk} = Phi^{kij} and Phi constant in u read off
+    `phi`.  Poly terms are canonical, so equal terms mean a zero difference
+    and a term with a positive exponent of u^r means a nonzero d/du^r.
     """
-    ring = op.ring
-    n = op.n
-    domega = field_jacobian(ring, op.omega)
+    n = len(phi)
     report = VerificationReport()
-    report.add("omega-skew", linalg.first_asymmetry(op.omega, skew=True))
-    report.add("schouten", schouten_residual(ring, op.omega, domega))
-    phi = phi_tensor(op, domega)
+    report.add("omega-skew", linalg.first_asymmetry(omega, skew=True))
+    report.add("schouten", schouten)
     report.add("phi-cyclic-symmetry", next(
         ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
          if phi[i][j][k].terms != phi[k][i][j].terms),
@@ -293,6 +299,21 @@ def verify_hamiltonian(op: PolyOperator) -> VerificationReport:
         None,
     ))
     return report
+
+
+def verify_hamiltonian(op: PolyOperator, domega=None) -> VerificationReport:
+    """Hamiltonianity of g d_x + omega with constant symmetric g, b = 0.
+
+    Conditions: omega skew; Schouten-Jacobi identity; Phi^{ijk} = Phi^{kij};
+    Phi constant in u (`hamiltonian_report`).  A pass means every identity
+    holds identically in the field variables and all formal parameters.
+    `domega` is `field_jacobian(op.ring, op.omega)`, computed when not
+    given, and shared by the Schouten and Phi checks.
+    """
+    if domega is None:
+        domega = field_jacobian(op.ring, op.omega)
+    return hamiltonian_report(op.ring, op.omega, schouten_residual(op.ring, op.omega, domega),
+                              phi_tensor(op, domega))
 
 
 def apply_to_density(op: PolyOperator, h: Poly) -> Tuple[PolyMatrix, List[Poly]]:
@@ -346,13 +367,16 @@ def transform_darboux(op: DarbouxOperator, a: Sequence[Sequence],
 
 
 def _two_tensor(ring: PolyRing, a, m: PolyMatrix) -> PolyMatrix:
-    """(2,0) law: a^i_k m^{kl} a^j_l, with a a Scalar matrix."""
+    """(2,0) law a^i_k m^{kl} a^j_l, with a a Scalar matrix.
+
+    One index is contracted at a time, m^{kl} a^j_l and then a^i_k, as in
+    `lie.transport_tensor`: 2 n^3 products instead of n^4.
+    """
     n = len(a)
-    return [[dot(ring, [
-        (a[i][k] * a[j][l], m[k][l])
-        for k in range(n) if a[i][k]
-        for l in range(n) if a[j][l] and m[k][l]
-    ]) for j in range(n)] for i in range(n)]
+    half = [[dot(ring, [(x, y) for x, y in zip(m[k], a[j]) if x and y]) for j in range(n)]
+            for k in range(n)]
+    return [[dot(ring, [(a[i][k], half[k][j]) for k in range(n) if a[i][k] and half[k][j]])
+             for j in range(n)] for i in range(n)]
 
 
 def transform_poly_operator(op: PolyOperator, a: Sequence[Sequence]) -> PolyOperator:

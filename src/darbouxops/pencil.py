@@ -7,9 +7,12 @@ Two routes to the same verdict:
   cocycle condition and the mixed metric condition.  Each is the bilinear
   part of an identity of `lie`, terms(c_B, x_A) + terms(c_A, x_B);
 
-* the lambda route: adjoin a fresh parameter lambda, form A + lambda B and
-  run the general Hamiltonianity verifier; a pass must hold identically in
-  lambda, the field variables and every other parameter.
+* the lambda route: A + lambda B must pass the general Hamiltonianity
+  verifier identically in lambda, the field variables and every other
+  parameter.  Each condition has degree at most 2 in lambda, and its
+  lambda^0 and lambda^2 coefficients are the operands' own checks, run
+  first; so only the lambda^1 coefficient is computed, without building
+  A + lambda B (`pencil_operator`).
 
 Agreement of the two routes, order by order in lambda, is a tested
 invariant of the package.
@@ -27,6 +30,10 @@ from .operators import (
     PolyOperator,
     VerificationReport,
     darboux_view,  # noqa: F401  re-exported: the pencil commands read triples through it
+    field_jacobian,
+    hamiltonian_report,
+    phi_sum,
+    schouten_terms,
     verify_darboux,
     verify_hamiltonian,
 )
@@ -90,12 +97,19 @@ def pencil_compatible_darboux(a: DarbouxOperator, b: DarbouxOperator) -> PencilR
     return PencilReport(ra, rb, report.conditions)
 
 
-def pencil_operator(a: PolyOperator, b: PolyOperator, lam: str = "lam") -> PolyOperator:
-    """A + lambda B over a ring extended by the pencil parameter."""
+def _require_pencil_shape(a: PolyOperator, b: PolyOperator) -> None:
     if a.ring != b.ring:
         raise ShapeMismatchError("pencil operands must share one ring")
     if a.n != b.n:
         raise ShapeMismatchError("pencil operands disagree in dimension")
+
+
+def pencil_operator(a: PolyOperator, b: PolyOperator, lam: str = "lam") -> PolyOperator:
+    """A + lambda B over a ring extended by the pencil parameter `lam`,
+    which must not already name an indeterminate of the operands' ring."""
+    _require_pencil_shape(a, b)
+    if lam in a.ring.names:
+        raise ShapeMismatchError(f"pencil parameter {lam!r} already names an indeterminate")
     ring = a.ring.extend_params([lam])
     a, b = a.embedded(ring), b.embedded(ring)
     lpoly = ring.var(lam)
@@ -106,20 +120,27 @@ def pencil_operator(a: PolyOperator, b: PolyOperator, lam: str = "lam") -> PolyO
 
 
 def pencil_compatible_general(a: PolyOperator, b: PolyOperator) -> PencilReport:
-    """General Hamiltonianity check of A + lambda B, identically in lambda."""
-    ra = verify_hamiltonian(a)
-    rb = verify_hamiltonian(b)
+    """Hamiltonianity of A + lambda B, identically in lambda, from its
+    lambda^1 coefficient once A and B pass: omega_B skew,
+    S(omega_A, d omega_B) + S(omega_B, d omega_A) (`schouten_terms`) and
+    Phi(g_A, d omega_B) + Phi(g_B, d omega_A) (`phi_sum`).  The report is
+    that of `verify_hamiltonian(pencil_operator(a, b, lam))`, lam fresh.
+    """
+    da, db = field_jacobian(a.ring, a.omega), field_jacobian(b.ring, b.omega)
+    ra = verify_hamiltonian(a, da)
+    rb = verify_hamiltonian(b, db)
     if not ra.passed or not rb.passed:
         raise InvalidOperandError(
             f"operands must be Hamiltonian before pairing: "
             f"A failed {ra.failed_names()}, B failed {rb.failed_names()}"
         )
-    lam = "lam"
-    existing = set(a.ring.names)
-    while lam in existing:
-        lam += "_"
-    pen = pencil_operator(a, b, lam)
-    lam_report = verify_hamiltonian(pen)
+    _require_pencil_shape(a, b)
+    ring = a.ring
+    lam_report = hamiltonian_report(
+        ring, b.omega,
+        first_violation(schouten_terms(a.omega, db), schouten_terms(b.omega, da)),
+        phi_sum(ring, (a.g, db), (b.g, da)),
+    )
     return PencilReport(ra, rb, [], lambda_report=lam_report)
 
 

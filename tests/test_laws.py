@@ -3,10 +3,11 @@
 `linalg.first_asymmetry` is the one symmetry/skewness law,
 `lie.transport_tensor` the one basis-change law of a structure tensor,
 `invariants.general_element` the one general element sum_k t_k B_k and
-`lie._series` the one series loop.  The references below are the earlier
-implementations: eight symmetry and skewness predicates, the staged loops
-of `change_basis`, the direct sum of `transform_darboux`, the entry
-builder of `space_latex` and both series loops.  They are compared with
+`lie._series` the one series loop; `operators._two_tensor` contracts one
+index at a time as `transport_tensor` does.  The references below are the
+earlier implementations: eight symmetry and skewness predicates, the staged
+loops of `change_basis`, the direct sums of `transform_darboux` and of the
+(2,0) law, the entry builder of `space_latex` and both series loops.  They are compared with
 hypothesis over Q and Q(sqrt(2)), on Scalar entries and on polynomial
 entries with a parameter, on matrices and on 3-tensors.
 """
@@ -147,6 +148,16 @@ def ref_transport_direct(ring, amat, b, c):
         for m in range(n) if amat[j][m]
         for s in range(n) if b[s][k] and c[l][m][s]
     ]) for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+def ref_two_tensor(ring, amat, m):
+    """The n^4 sum of operators._two_tensor, a^i_k m^{kl} a^j_l, one Scalar product per pair."""
+    n = len(amat)
+    return [[dot(ring, [
+        (amat[i][k] * amat[j][l], m[k][l])
+        for k in range(n) if amat[i][k]
+        for l in range(n) if amat[j][l] and m[k][l]
+    ]) for j in range(n)] for i in range(n)]
 
 
 def ref_general_element(basis, symbol):
@@ -354,14 +365,42 @@ def test_transform_darboux_matches_reference_triples(data):
     op = ops.DarbouxOperator(RING, c, eta, f, _checked=True)
     moved = ops.transform_darboux(op, a, validate=False)
     b = linalg.inverse(a)
-
-    def two_tensor(m):
-        return [[dot(RING, [(a[i][k] * a[j][l], m[k][l]) for k in range(n) for l in range(n)])
-                 for j in range(n)] for i in range(n)]
-
     assert moved.c == ref_transport_direct(RING, a, b, op.c)
-    assert moved.eta == two_tensor(op.eta)
-    assert moved.f == two_tensor(op.f)
+    assert moved.eta == ref_two_tensor(RING, a, op.eta)
+    assert moved.f == ref_two_tensor(RING, a, op.f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_two_tensor_matches_direct_sum(data):
+    """The staged (2,0) law against the n^4 sum, on Scalar matrices over Q and
+    Q(sqrt(2)) (singular ones included) and polynomial entries with a parameter."""
+    n = data.draw(st.integers(1, 4))
+    pool = data.draw(_SCALAR_POOLS)
+    a = [[data.draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)]
+    m = data.draw(_matrix(_POLY, n))
+    assert ops._two_tensor(RING, a, m) == ref_two_tensor(RING, a, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_transform_poly_operator_matches_direct_sum(data):
+    """A non-affine omega: substitute u = a^{-1} u~, then the n^4 sum on g and omega."""
+    n = data.draw(st.integers(1, 3))
+    a = data.draw(_invertible(_QSQRT2, n))
+    ring = ops.field_ring(n, ["alpha"], d=2)
+    alpha, u = ring.var("alpha"), [ring.var(f"u{i + 1}") for i in range(n)]
+    pool = [ring.zero] * 3 + [ring.const(1), alpha, ring.const(Scalar(0, 1, 2)) * alpha - 1,
+                              u[-1], u[0] * u[-1], alpha * u[0] - u[-1] ** 2]
+    op = ops.PolyOperator(ring, data.draw(_matrix(pool[:5], n)), data.draw(_matrix(pool, n)),
+                          _checked=True)
+    moved = ops.transform_poly_operator(op, a)
+    b = linalg.inverse(a)
+    fields = [ring.var(f"u{i + 1}") for i in range(n)]
+    subs = {f"u{l + 1}": dot(ring, [(b[l][m], fields[m]) for m in range(n)]) for l in range(n)}
+    assert moved.g == ref_two_tensor(ring, a, op.g)
+    assert moved.omega == ref_two_tensor(ring, a, [[x.subs(subs) for x in row]
+                                                   for row in op.omega])
 
 
 def test_transported_catalog_operators_match_direct_sum():
@@ -372,6 +411,8 @@ def test_transported_catalog_operators_match_direct_sum():
         a = [[Scalar(3 if i == j else (i + 2 * j) % 3 - 1) for j in range(n)] for i in range(n)]
         moved = ops.transform_darboux(op, a, validate=False)
         assert moved.c == ref_transport_direct(op.ring, a, linalg.inverse(a), op.c)
+        assert moved.eta == ref_two_tensor(op.ring, a, op.eta)
+        assert moved.f == ref_two_tensor(op.ring, a, op.f)
 
 
 # -- the general element and the series --------------------------------------

@@ -16,6 +16,7 @@ from darbouxops.errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
+from darbouxops.poly import dot
 from darbouxops.scalars import Scalar
 
 
@@ -474,6 +475,31 @@ def test_jacobi_residual_string_over_sqrt2_with_parameter():
 # -- verify_hamiltonian against the difference and derivative loops ------------
 
 
+def _reference_schouten(ring, omega):
+    """The Schouten loop before `schouten_terms`: one dot over all 3n pairs per key."""
+    n = len(omega)
+    domega = ops.field_jacobian(ring, omega)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                pairs = [pair for s in range(n) for pair in (
+                    (omega[i][s], domega[j][k][s]),
+                    (omega[j][s], domega[k][i][s]),
+                    (omega[k][s], domega[i][j][s]),
+                )]
+                if dot(ring, pairs):
+                    return (i, j, k)
+    return None
+
+
+def _reference_phi(op):
+    """The Phi loop before `phi_sum`: g^{is} d omega^{jk}/du^s, zero products included."""
+    n = op.n
+    domega = ops.field_jacobian(op.ring, op.omega)
+    return [[[dot(op.ring, [(op.g[i][s], domega[j][k][s]) for s in range(n)])
+              for k in range(n)] for j in range(n)] for i in range(n)]
+
+
 def _reference_verify_hamiltonian(op):
     """Phi - Phi' and d/du^r loops, each check taking its own Jacobian of omega:
     kept as the reference for verify_hamiltonian."""
@@ -481,8 +507,8 @@ def _reference_verify_hamiltonian(op):
     fidx = op.ring.field_indices()
     report = ops.VerificationReport()
     report.add("omega-skew", linalg.first_asymmetry(op.omega, skew=True))
-    report.add("schouten", ops.schouten_residual(op.ring, op.omega))
-    phi = ops.phi_tensor(op)
+    report.add("schouten", _reference_schouten(op.ring, op.omega))
+    phi = _reference_phi(op)
     report.add("phi-cyclic-symmetry", next(
         ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
          if not (phi[i][j][k] - phi[k][i][j]).is_zero()),

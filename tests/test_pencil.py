@@ -1,12 +1,15 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
+from darbouxops import catalog, catalog_data, lie, linalg, pencil
 from darbouxops import invariants as inv
-from darbouxops import lie, linalg, pencil
 from darbouxops import operators as ops
-from darbouxops.errors import InvalidOperandError
+from darbouxops.errors import InvalidOperandError, ShapeMismatchError
 from darbouxops.scalars import Scalar
 
 
@@ -309,3 +312,227 @@ def test_unify_operators_renames_colliding_params():
     assert str(b2.omega[0][1]) == "f12_b"
     rep = pencil.pencil_compatible_general(a2, b2)
     assert rep.compatible
+
+
+def test_pencil_operator_rejects_a_taken_parameter_name():
+    ring = ops.field_ring(2, ["lam"])
+    op = ops.PolyOperator(ring, [[1, 0], [0, 1]], [[0, "lam"], ["-lam", 0]])
+    for name in ("lam", "u1"):
+        with pytest.raises(ShapeMismatchError, match="already names"):
+            pencil.pencil_operator(op, op, name)
+    assert pencil.pencil_operator(op, op, "lam_").ring.names == ("u1", "u2", "lam", "lam_")
+
+
+# -- the lambda route against A + lambda B built in full ---------------------
+
+
+def ref_pencil_compatible_general(a, b):
+    """The lambda route before it computed only the lambda^1 coefficient:
+    `verify_hamiltonian` of A + lambda B, lambda a name not yet in the ring."""
+    ra = ops.verify_hamiltonian(a)
+    rb = ops.verify_hamiltonian(b)
+    if not ra.passed or not rb.passed:
+        raise InvalidOperandError(
+            f"operands must be Hamiltonian before pairing: "
+            f"A failed {ra.failed_names()}, B failed {rb.failed_names()}"
+        )
+    lam = "lam"
+    existing = set(a.ring.names)
+    while lam in existing:
+        lam += "_"
+    pen = pencil.pencil_operator(a, b, lam)
+    return pencil.PencilReport(ra, rb, [], lambda_report=ops.verify_hamiltonian(pen))
+
+
+def _outcome(route, a, b):
+    try:
+        rep = route(a, b)
+    except InvalidOperandError as exc:
+        return str(exc)
+    return rep.as_dict(), rep.operand_a.as_dict(), rep.operand_b.as_dict()
+
+
+_QSQRT2 = [Scalar(0), Scalar(0), Scalar(1), Scalar(-1), Scalar(0, 1, 2),
+           Scalar(Fraction(1, 2), -1, 2)]
+
+
+@st.composite
+def _catalog_pair(draw, dims=(2, 3, 4)):
+    """Two catalog operators of one dimension moved by one matrix over Q(sqrt(2)):
+    a self pair is compatible, most pairs of different entries are not."""
+    dim = draw(st.sampled_from(dims))
+    names = [rec["name"] for rec in catalog_data.ENTRIES if rec["dim"] == dim]
+    a = [[draw(st.sampled_from(_QSQRT2)) + (3 if i == j else 0) for j in range(dim)]
+         for i in range(dim)]
+    assume(linalg.det(a))
+    moved = [ops.transform_poly_operator(
+        catalog.catalog_get(draw(st.sampled_from(names))).operator().to_poly_operator(), a)
+        for _ in range(2)]
+    return pencil.unify_operators(*moved)
+
+
+_PLANAR_RING = ops.field_ring(2, ["alpha"], d=2)
+# In two dimensions only Phi constrains (g, omega^{12} = w): g grad(w) = 0.
+# Each g with the terms w may hold; a term outside that list may break it.
+_PLANAR = [
+    ([[0, 0], [0, 0]], ["u1^2", "u1*u2", "u2^3", "alpha*u1", "1"]),
+    ([[1, 0], [0, 0]], ["u2^2", "alpha*u2^3", "u2", "sqrt(2)"]),
+    ([[0, 0], [0, "alpha"]], ["u1^2", "sqrt(2)*u1", "alpha"]),
+    ([[1, 1], [1, 1]], ["u1^2-2*u1*u2+u2^2", "u1-u2"]),
+]
+
+
+@st.composite
+def _planar_operator(draw):
+    g, allowed = draw(st.sampled_from(_PLANAR))
+    terms = draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        terms.append(draw(st.sampled_from(["u1*u2", "u1^2", "u2^2"])))
+    w = _PLANAR_RING.parse("+".join(terms))
+    return ops.PolyOperator(_PLANAR_RING, g, [[0, w], [-w, 0]])
+
+
+_SPACE_RING = ops.field_ring(3, ["alpha"])
+
+
+def _space_operator(spec):
+    """g = 0 and omega^{ij} = eps^{ijk} dC/du^k (a Poisson operator for every C),
+    or omega given by its upper triangle."""
+    ring = _SPACE_RING
+    omega = [[ring.zero] * 3 for _ in range(3)]
+    if isinstance(spec, str):
+        cas = ring.parse(spec)
+        upper = {(i, j): cas.partial(f"u{k + 1}") for i, j, k in ((0, 1, 2), (1, 2, 0), (0, 2, 1))}
+        upper[(0, 2)] = -upper[(0, 2)]
+    else:
+        upper = {key: ring.parse(text) for key, text in spec.items()}
+    for (i, j), x in upper.items():
+        omega[i][j], omega[j][i] = x, -x
+    return ops.PolyOperator(ring, [[0] * 3 for _ in range(3)], omega)
+
+
+# Casimirs C, then upper triangles: two Lie-Poisson brackets, one quadratic
+# Poisson bracket and two omegas that fail the Schouten identity.
+_SPACE_SPECS = ["u1^2+u2^2+u3^2", "u1*u2*u3", "u1^3-alpha*u2", "u3^2", "u1*u2",
+                {(0, 1): "u1"}, {(0, 1): "u2", (0, 2): "alpha*u3"}, {(0, 1): "u1", (1, 2): "u3^2"},
+                {(0, 1): "u3", (0, 2): "u1*u2"}, {(0, 1): "u1^2", (1, 2): "u2"}]
+
+
+def _pairs(catalog_dims=(2, 3, 4)):
+    planar = st.tuples(_planar_operator(), _planar_operator())
+    space = st.tuples(*[st.sampled_from(_SPACE_SPECS).map(_space_operator)] * 2)
+    return st.one_of(_catalog_pair(catalog_dims), planar, space)
+
+
+def _with_lam(data, a, b):
+    """Optionally move the pair into a ring that already holds lam (and lam_),
+    with B scaled by the parameter lam, which keeps it Hamiltonian."""
+    extra = data.draw(st.sampled_from([(), ("lam",), ("lam", "lam_")]))
+    if not extra:
+        return a, b
+    ring = a.ring.extend_params(extra)
+    a, b = a.embedded(ring), b.embedded(ring)
+    if data.draw(st.booleans()):
+        lam = ring.var("lam")
+        b = ops.PolyOperator(ring, [[lam * x for x in row] for row in b.g],
+                             [[lam * x for x in row] for row in b.omega])
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lambda_route_matches_the_full_pencil(data):
+    """Reports, operand reports and InvalidOperandError texts are those of
+    `verify_hamiltonian` on A + lambda B: transported catalog pairs over
+    Q(sqrt(2)), non-affine pairs with degenerate g, failing operands, rings
+    holding lam."""
+    a, b = _with_lam(data, *data.draw(_pairs()))
+    assert _outcome(pencil.pencil_compatible_general, a, b) == _outcome(
+        ref_pencil_compatible_general, a, b)
+
+
+def test_lambda_route_matches_the_full_pencil_on_listed_pairs():
+    """Every pair of the listed operators, so that each verdict occurs: a
+    compatible pair, a failing operand, and a lambda^1 failure of Schouten,
+    of Phi symmetry and of Phi constancy."""
+    a = [[Scalar(3 if i == j else 0, 1 if i < j else 0, 2) for j in range(4)] for i in range(4)]
+    by_dim = {}
+    for rec in catalog_data.ENTRIES:
+        if rec["dim"] <= 4:
+            op = catalog.catalog_get(rec["name"]).operator().to_poly_operator()
+            n = op.n
+            by_dim.setdefault(n, []).append(
+                ops.transform_poly_operator(op, [row[:n] for row in a[:n]]))
+    planar = [ops.PolyOperator(_PLANAR_RING, g, [[0, w], [-w, 0]]) for g, allowed in _PLANAR
+              for w in (_PLANAR_RING.parse("+".join(allowed)),
+                        _PLANAR_RING.parse("+".join(allowed + ["u1*u2"])))]
+    space = [_space_operator(spec) for spec in _SPACE_SPECS]
+    seen = set()
+    for group in [*by_dim.values(), planar, space]:
+        for x, y in product(group, repeat=2):
+            x, y = pencil.unify_operators(x, y)
+            got = _outcome(pencil.pencil_compatible_general, x, y)
+            assert got == _outcome(ref_pencil_compatible_general, x, y)
+            seen.add("invalid" if isinstance(got, str) else tuple(
+                c["name"] for c in got[0]["lambda_check"]["conditions"] if not c["ok"]))
+    assert {"invalid", (), ("schouten",), ("phi-cyclic-symmetry",)} <= seen
+    assert any("phi-constant" in kind for kind in seen)
+
+
+def _sympy_of(sp, p, symbols):
+    total = sp.Integer(0)
+    for e, c in p.terms.items():
+        coeff = sp.Rational(c.a.numerator, c.a.denominator)
+        if c.d:
+            coeff += sp.Rational(c.b.numerator, c.b.denominator) * sp.sqrt(c.d)
+        total += coeff * sp.Mul(*(s**k for s, k in zip(symbols, e)))
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_lambda_route_matches_sympy_expansion(data):
+    """sympy expands the Schouten sum and Phi of A + lambda B: the lambda^0
+    and lambda^2 coefficients vanish for Hamiltonian operands, and the route
+    reports the first key of each nonzero lambda^1 coefficient, so it passes
+    exactly when that coefficient vanishes."""
+    sp = pytest.importorskip("sympy")
+    a, b = data.draw(_pairs(catalog_dims=(2, 3)))
+    try:
+        rep = pencil.pencil_compatible_general(a, b)
+    except InvalidOperandError:
+        assume(False)
+    ring, n = a.ring, a.n
+    syms = [sp.Symbol(name) for name in ring.names]
+    u = [syms[i] for i in ring.field_indices()]
+    lam = sp.Dummy("lambda")
+    g = [[_sympy_of(sp, x, syms) + lam * _sympy_of(sp, y, syms) for x, y in zip(ra, rb)]
+         for ra, rb in zip(a.g, b.g)]
+    w = [[_sympy_of(sp, x, syms) + lam * _sympy_of(sp, y, syms) for x, y in zip(ra, rb)]
+         for ra, rb in zip(a.omega, b.omega)]
+    dw = [[[sp.diff(w[j][k], u[s]) for s in range(n)] for k in range(n)] for j in range(n)]
+
+    def order_one(expr):
+        expr = sp.expand(expr)
+        return expr.coeff(lam, 0), expr.coeff(lam, 1), expr.coeff(lam, 2)
+
+    schouten = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                schouten[(i, j, k)] = order_one(sum(
+                    w[i][s] * dw[j][k][s] + w[j][s] * dw[k][i][s] + w[k][s] * dw[i][j][s]
+                    for s in range(n)))
+    phi = [[[sum(g[i][s] * dw[j][k][s] for s in range(n)) for k in range(n)] for j in range(n)]
+           for i in range(n)]
+    cyclic = {key: order_one(phi[key[0]][key[1]][key[2]] - phi[key[2]][key[0]][key[1]])
+              for key in product(range(n), repeat=3)}
+    constant = {key: order_one(sp.diff(phi[key[0]][key[1]][key[2]], u[key[3]]))
+                for key in product(range(n), repeat=4)}
+    expected = {"omega-skew": None}
+    for name, coeffs in (("schouten", schouten), ("phi-cyclic-symmetry", cyclic),
+                         ("phi-constant", constant)):
+        assert all(c0 == 0 and c2 == 0 for c0, _, c2 in coeffs.values())
+        expected[name] = next((key for key in sorted(coeffs) if coeffs[key][1] != 0), None)
+    assert {c.name: c.first_violation for c in rep.lambda_report.conditions} == expected
+    assert rep.compatible == all(key is None for key in expected.values())
