@@ -44,7 +44,6 @@ from .invariants import (
     SolutionSpace,
     casimir_metric_duality,
     compatible_metric_space,
-    linear_casimirs,
     mixed_cocycle_check,
     nondegenerate_witness,
     quadratic_casimir_space,

@@ -4,10 +4,11 @@ Three spaces determine an operator in Darboux form: quadratic Casimirs
 (symmetric a), compatible metrics (symmetric eta) and 2-cocycles (skew f).
 Their equations are the identities defined once in `lie`
 (`casimir_terms`, `metric_terms`, `cocycle_terms`): a solver evaluates an
-identity on a matrix of unknowns and reads the equations off as sparse
-rows, and a residual checker takes the first nonzero equation of its
-`lie.defect`.  All solvers return canonical RREF-derived bases so
-dimensions and bases reproduce across runs.
+identity on a matrix of unknown markers and takes its kernel with
+`lie.solve`, and a residual checker takes the first nonzero equation of
+its `lie.defect`.  All solvers return canonical RREF-derived bases so
+dimensions and bases reproduce across runs.  The linear Casimirs of g are
+its center, `lie.center`.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .lie import (
     LieAlgebra,
+    _span_basis,
     casimir_terms,
     cocycle_terms,
     direct_sum,
     first_violation,
     jacobi_terms,
     metric_terms,
+    solve,
 )
 from .poly import Poly, PolyRing, dot
 from .scalars import Scalar, field_tag
@@ -61,20 +64,6 @@ def _unknowns(n: int, pairs: Sequence[Tuple[int, int]], skew: bool) -> list:
         x[i][j] = (col, 1)
         x[j][i] = (col, -1 if skew else 1)
     return x
-
-
-def _solve(equations, ncols: int) -> List[linalg.Vector]:
-    """Canonical nullspace of equations whose x entries are `_unknowns` markers."""
-    zero = Scalar(0)
-    rows = []
-    for _, eq in equations:
-        row: dict = {}
-        for coeff, (col, sign) in eq:
-            row[col] = row.get(col, zero) + (coeff if sign > 0 else -coeff)
-        row = {col: v for col, v in row.items() if v}
-        if row:
-            rows.append(row)
-    return linalg.sparse_nullspace(rows, ncols)
 
 
 # -- symmetric / skew coordinatizations ------------------------------------
@@ -129,7 +118,7 @@ class CocycleSpace(SolutionSpace):
 def _symmetric_space(g: LieAlgebra, terms, kind: str) -> SolutionSpace:
     n = g.dim
     pairs = sym_pairs(n)
-    sols = _solve(terms(g.c, _unknowns(n, pairs, skew=False)), len(pairs))
+    sols = solve(terms(g.c, _unknowns(n, pairs, skew=False)), len(pairs))
     return SolutionSpace(g, [sym_from_vector(v, n) for v in sols], kind)
 
 
@@ -145,32 +134,20 @@ def coboundary_basis(g: LieAlgebra) -> List[Matrix]:
     """Canonical basis of B^2 = {f^{ij} = c^{ij}_k t_k : t in R^n}."""
     n = g.dim
     pairs = skew_pairs(n)
-    rows = []
-    for k in range(n):
-        rows.append([g.c[i][j][k] for (i, j) in pairs])
-    if not rows:
-        return []
-    red, pivots, rank = linalg.rref(rows)
-    return [skew_from_vector(red[r], n) for r in range(rank)]
+    return [skew_from_vector(v, n)
+            for v in _span_basis([[g.c[i][j][k] for i, j in pairs] for k in range(n)])]
 
 
 def two_cocycle_space(g: LieAlgebra) -> CocycleSpace:
     n = g.dim
     pairs = skew_pairs(n)
-    sols = _solve(cocycle_terms(g.c, _unknowns(n, pairs, skew=True)), len(pairs))
+    sols = solve(cocycle_terms(g.c, _unknowns(n, pairs, skew=True)), len(pairs))
     return CocycleSpace(
         g,
         [skew_from_vector(v, n) for v in sols],
         "cocycle",
         coboundary_basis=coboundary_basis(g),
     )
-
-
-def linear_casimirs(g: LieAlgebra) -> List[linalg.Vector]:
-    """Coefficient vectors a with c^{ij}_k a_j = 0; densities a_i u^i."""
-    from .lie import center
-
-    return center(g)
 
 
 # -- nondegenerate witnesses ------------------------------------------------
@@ -324,7 +301,7 @@ def mixed_cocycle_check(g1: LieAlgebra, g2: LieAlgebra) -> MixedCocycleReport:
     n1, n2 = g1.dim, g2.dim
     total = direct_sum(g1, g2)
     pairs = [(i, n1 + jp) for i in range(n1) for jp in range(n2)]
-    sols = _solve(cocycle_terms(total.c, _unknowns(n1 + n2, pairs, skew=True)), len(pairs))
+    sols = solve(cocycle_terms(total.c, _unknowns(n1 + n2, pairs, skew=True)), len(pairs))
     mixed_basis = [skew_from_vector(v, n1 + n2, pairs) for v in sols]
     z1 = two_cocycle_space(g1).dim
     z2 = two_cocycle_space(g2).dim

@@ -9,17 +9,21 @@ structure tensor behind `change_basis`; operators are moved by
 `operators.transform_poly_operator`, whose substitution gives c the same law.
 
 The four identities of the Darboux triple (Jacobi, quadratic Casimir,
-compatible metric, 2-cocycle) are defined here, once each, as equation
-generators (`jacobi_terms`, `casimir_terms`, `metric_terms`,
-`cocycle_terms`); every checker, space solver and mixed pencil condition
-of the package is derived from them.
+compatible metric, 2-cocycle) and the center equations are defined here,
+once each, as equation generators (`jacobi_terms`, `casimir_terms`,
+`metric_terms`, `cocycle_terms`, `center_terms`).  An identity has two
+readers: `defect` evaluates it, and `solve` returns its kernel when the
+unknown entries are column markers.  Every checker, space solver, center
+and mixed pencil condition of the package is derived from them.
+
+`so_n` and `sl_n` build their bases as sparse integer matrices and read
+each commutator's coordinates straight off its entries.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -31,7 +35,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .poly import Poly, dot
-from .scalars import Scalar, field_tag, join_field_tags
+from .scalars import ZERO, Scalar, field_tag, join_field_tags
 
 Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
@@ -46,9 +50,9 @@ def _freeze_tensor(c) -> Tensor3:
 # (c, x) with x = c) is a generator of equations.  Each yields
 # (key, [(coefficient from c, entry of x), ...]) in increasing key order,
 # visiting only nonzero entries of c and x and skipping keys without a
-# product.  `defect` sums the products; the space solvers pass an x of
-# unknown markers and read the pairs as linear rows; the mixed pencil
-# conditions sum terms(c_B, x_A) and terms(c_A, x_B).
+# product.  `defect` sums the products; `solve` reads them as linear rows
+# when x holds unknown markers; the mixed pencil conditions sum
+# terms(c_B, x_A) and terms(c_A, x_B).
 
 
 def _support(row) -> list:
@@ -128,6 +132,18 @@ def metric_terms(c, eta):
     return _symmetric_terms(table, eta)
 
 
+def center_terms(c, a):
+    """c^{ij}_k a_j, keyed (i, k): a spans the center (`center`)."""
+    for i, plane in enumerate(c):
+        eqs: Dict[int, list] = {}
+        for j, z in enumerate(a):
+            if z:
+                for k, y in _support(plane[j]):
+                    eqs.setdefault(k, []).append((y, z))
+        for k in sorted(eqs):
+            yield (i, k), eqs[k]
+
+
 def sum_of_products(pairs):
     """The sum of x*y over a non-empty list of pairs.
 
@@ -165,6 +181,24 @@ def defect(*systems) -> Iterator[tuple]:
 def first_violation(*systems) -> Optional[tuple]:
     """Key of the first nonzero equation of `defect(*systems)`, else None."""
     return next(defect(*systems), (None,))[0]
+
+
+def solve(equations, ncols: int) -> List[linalg.Vector]:
+    """Canonical kernel of equations whose x entries are (column, sign) markers.
+
+    A polynomial coefficient gives one row per (key, monomial), so a
+    solution holds identically in every indeterminate; the coefficients of
+    one equation are all Scalars or all polynomials of one ring.
+    """
+    rows = []
+    for _, eq in equations:
+        by_monomial: Dict[tuple, dict] = {}
+        for coeff, (col, sign) in eq:
+            for e, v in coeff.terms.items() if type(coeff) is Poly else (((), coeff),):
+                row = by_monomial.setdefault(e, {})
+                row[col] = row.get(col, ZERO) + (v if sign > 0 else -v)
+        rows += [{col: v for col, v in row.items() if v} for row in by_monomial.values()]
+    return linalg.sparse_nullspace([row for row in rows if row], ncols)
 
 
 def jacobi_defect(c: Sequence[Sequence[Sequence]]) -> Dict[tuple, Scalar]:
@@ -222,12 +256,14 @@ class LieAlgebra:
     @classmethod
     def from_brackets(cls, dim: int, brackets: Dict[Tuple[int, int], Dict[int, object]],
                       labels: Optional[Sequence[str]] = None) -> "LieAlgebra":
-        """Build from sparse brackets {(i, j): {k: coeff}} with 0-based i < j."""
+        """Build from sparse brackets {(i, j): {k: coeff}} with 0-based i < j and k."""
         c = [[[Scalar(0) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
         for (i, j), out in brackets.items():
             if not (0 <= i < j < dim):
                 raise ShapeMismatchError(f"bracket pair {(i, j)} out of range for dim {dim}")
             for k, val in out.items():
+                if not 0 <= k < dim:
+                    raise ShapeMismatchError(f"bracket output index {k} out of range for dim {dim}")
                 s = Scalar.of(val)
                 c[i][j][k] = s
                 c[j][i][k] = -s
@@ -277,15 +313,12 @@ def killing_form(g: LieAlgebra) -> linalg.Matrix:
 
 
 def center(g: LieAlgebra) -> List[linalg.Vector]:
-    """Canonical basis of {a : c^{ij}_k a_j = 0 for all i, k}."""
-    n = g.dim
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            row = {j: g.c[i][j][k] for j in range(n) if g.c[i][j][k]}
-            if row:
-                rows.append(row)
-    return linalg.sparse_nullspace(rows, n)
+    """Canonical basis of {a : c^{ij}_k a_j = 0 for all i, k} (`center_terms`).
+
+    The vectors are also the linear Casimirs a_i u^i of the Lie-Poisson
+    bracket of g.
+    """
+    return solve(center_terms(g.c, [(j, 1) for j in range(g.dim)]), g.dim)
 
 
 def _span_basis(vectors: Sequence[linalg.Vector]) -> List[linalg.Vector]:
@@ -480,70 +513,43 @@ def kdv_w_algebra() -> LieAlgebra:
     return LieAlgebra.from_brackets(3, {(0, 1): {2: -2}, (0, 2): {1: 2}, (1, 2): {0: 2}})
 
 
-def _matrix_algebra_from_basis(basis: List[List[List[Fraction]]]) -> LieAlgebra:
-    """Structure constants of a matrix Lie algebra given a spanning basis.
+def _matrix_algebra(basis: List[Dict[Tuple[int, int], int]],
+                    entries: List[Tuple[int, int]]) -> LieAlgebra:
+    """Structure constants of the span of sparse integer matrices {(r, s): x}.
 
-    One sparse reduction of [basis columns | all commutators] gives every
-    coordinate vector.  Its RREF is [R | E C], with E the row operations
-    that take the basis columns to R, so a commutator's coordinates are its
-    column of E C on the pivot rows, with free (dependent) basis directions
-    set to 0.  A pivot in a commutator column means it leaves the span.
+    The coordinate on basis[k] of a matrix of the span is its entry
+    entries[k], so each commutator's coordinates are read off its entries.
     """
     dim = len(basis)
-    size = len(basis[0])
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    rows: List[Dict[int, Scalar]] = [{} for _ in range(size * size)]
-    for k, m in enumerate(basis):
-        for r in range(size):
-            for s in range(size):
-                if m[r][s]:
-                    rows[r * size + s][k] = Scalar(m[r][s])
-    for p, (i, j) in enumerate(pairs):
-        for r in range(size):
-            for s in range(size):
-                acc = Fraction(0)
-                for t in range(size):
-                    acc += basis[i][r][t] * basis[j][t][s] - basis[j][r][t] * basis[i][t][s]
-                if acc:
-                    rows[r * size + s][dim + p] = Scalar(acc)
-    pivots = linalg.sparse_rref(rows)
-    if any(col >= dim for col in pivots):
-        raise ShapeMismatchError("commutator leaves the span of the basis")
+    index = {pos: k for k, pos in enumerate(entries)}
     c = [[[Scalar(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for p, (i, j) in enumerate(pairs):
-        for k, prow in pivots.items():
-            x = prow.get(dim + p)
-            if x:
-                c[i][j][k] = x
-                c[j][i][k] = -x
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            bracket: Dict[Tuple[int, int], int] = {}
+            for x, y, sign in ((basis[i], basis[j], 1), (basis[j], basis[i], -1)):
+                for (r, t), p in x.items():
+                    for (t2, s), q in y.items():
+                        if t == t2 and (r, s) in index:
+                            bracket[r, s] = bracket.get((r, s), 0) + sign * p * q
+            for pos, v in bracket.items():
+                if v:
+                    c[i][j][index[pos]] = Scalar(v)
+                    c[j][i][index[pos]] = Scalar(-v)
     return LieAlgebra(c)
 
 
 def so_n(n: int) -> LieAlgebra:
-    """so(n, R) on the basis N_{ij} = E_{ij} - E_{ji}, pairs (i<j) in lex order."""
-    basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = [[Fraction(0)] * n for _ in range(n)]
-            m[i][j] = Fraction(1)
-            m[j][i] = Fraction(-1)
-            basis.append(m)
-    return _matrix_algebra_from_basis(basis)
+    """so(n, R) on N_{ij} = E_{ij} - E_{ji}, pairs (i<j) in lex order; N_{ij} reads entry (i, j)."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return _matrix_algebra([{(i, j): 1, (j, i): -1} for i, j in pairs], pairs)
 
 
 def sl_n(n: int) -> LieAlgebra:
-    """sl(n, R) on H_i = E_{ii} - E_{nn} and the off-diagonal E_{ij}."""
-    basis = []
-    for i in range(n - 1):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][i] = Fraction(1)
-        m[n - 1][n - 1] = Fraction(-1)
-        basis.append(m)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = [[Fraction(0)] * n for _ in range(n)]
-            m[i][j] = Fraction(1)
-            basis.append(m)
-    return _matrix_algebra_from_basis(basis)
+    """sl(n, R) on H_i = E_{ii} - E_{nn} and the off-diagonal E_{ij}.
+
+    H_i (i < n - 1) reads the diagonal entry (i, i) and E_{ij} entry (i, j).
+    """
+    diagonal = [(i, i) for i in range(n - 1)]
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    basis = [{(i, i): 1, (n - 1, n - 1): -1} for i, _ in diagonal] + [{pos: 1} for pos in off]
+    return _matrix_algebra(basis, diagonal + off)

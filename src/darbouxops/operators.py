@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .invariants import cocycle_residual, metric_residual
-from .lie import LieAlgebra, defect, first_violation, jacobi_terms
+from .lie import LieAlgebra, defect, first_violation, jacobi_terms, solve
 from .poly import Poly, PolyRing, dot, ring_embedding
 from .scalars import Scalar, field_tag, join_field_tags
 
@@ -108,6 +108,20 @@ class VerificationReport:
         }
 
 
+def _check_shape(ring: PolyRing, n: int, *blocks: Tuple[object, int]) -> None:
+    """ShapeMismatchError unless `ring` has n field variables and each
+    (block, depth) is an n x ... x n nested list `depth` levels deep."""
+    def fits(m, depth):
+        return len(m) == n and (depth == 1 or all(fits(x, depth - 1) for x in m))
+
+    fields = len(ring.field_indices())
+    if fields != n:
+        raise ShapeMismatchError(
+            f"operator of dimension {n} over a ring with {fields} field variables")
+    if not all(fits(m, depth) for m, depth in blocks):
+        raise ShapeMismatchError("operator blocks disagree in dimension")
+
+
 class DarbouxOperator:
     """Validated triple (c, eta, f); omega = c.u + f."""
 
@@ -115,11 +129,10 @@ class DarbouxOperator:
 
     def __init__(self, ring: PolyRing, c, eta, f, _checked=False):
         n = len(eta)
+        _check_shape(ring, n, (c, 3), (eta, 2), (f, 2))
         cp = lift_tensor(ring, c)
         etap = lift_matrix(ring, eta)
         fp = lift_matrix(ring, f)
-        if len(cp) != n or len(fp) != n:
-            raise ShapeMismatchError("operator blocks disagree in dimension")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", cp)
@@ -193,10 +206,9 @@ class PolyOperator:
 
     def __init__(self, ring: PolyRing, g, omega, _checked=False):
         n = len(g)
+        _check_shape(ring, n, (g, 2), (omega, 2))
         gp = lift_matrix(ring, g)
         om = lift_matrix(ring, omega)
-        if len(om) != n:
-            raise ShapeMismatchError("operator blocks disagree in dimension")
         if not _checked:
             if not all(x.is_u_free() for row in gp for x in row):
                 raise ShapeMismatchError("leading coefficient must be constant in u")
@@ -406,27 +418,11 @@ def transform_poly_operator(op: PolyOperator, a: Sequence[Sequence]) -> PolyOper
 
 
 def operator_casimir_functionals(op: DarbouxOperator) -> List[linalg.Vector]:
-    """Linear densities a_i u^i with c^{ij}_k a_j = 0 and f^{ij} a_j = 0."""
-    n = op.n
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            row = {}
-            for j in range(n):
-                val = op.c[i][j][k]
-                if val:
-                    row[j] = val.constant_value()
-            if row:
-                rows.append(row)
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            val = op.f[i][j]
-            if val:
-                row[j] = val.constant_value()
-        if row:
-            rows.append(row)
-    return linalg.sparse_nullspace(rows, n)
+    """Linear densities a_i u^i with omega^{ij}(u) a_j = 0, that is A grad(a.u) = 0,
+    identically in u and every parameter (`lie.solve`)."""
+    equations = (((i,), [(x, (j, 1)) for j, x in enumerate(row) if x])
+                 for i, row in enumerate(op.omega()))
+    return solve(equations, op.n)
 
 
 def nonaffine_entry(ring: PolyRing, omega: PolyMatrix) -> Optional[Tuple[int, int]]:

@@ -101,3 +101,14 @@ def random_combination(rnd, basis, lo=-4, hi=4):
                 if b[i][j]:
                     out[i][j] = out[i][j] + b[i][j] * c
     return out
+
+
+def sympy_of(sp, p, symbols):
+    """A polynomial as a sympy expression in `symbols`, one per ring indeterminate."""
+    total = sp.Integer(0)
+    for e, c in p.terms.items():
+        coeff = sp.Rational(c.a.numerator, c.a.denominator)
+        if c.d:
+            coeff += sp.Rational(c.b.numerator, c.b.denominator) * sp.sqrt(c.d)
+        total += coeff * sp.Mul(*(s**k for s, k in zip(symbols, e)))
+    return total

@@ -1,25 +1,30 @@
-"""The four identities against the hand-written loops they replaced.
+"""The identities against the hand-written loops they replaced.
 
-`lie.jacobi_terms`, `casimir_terms`, `metric_terms` and `cocycle_terms`
-define each identity once; the residual checkers, the space solvers, the
-mixed pencil conditions and the mixed-block cocycle system are derived
-from them.  The references below are the earlier implementations, one
-loop per use, summed with plain ring arithmetic.  They are compared on
+`lie.jacobi_terms`, `casimir_terms`, `metric_terms`, `cocycle_terms` and
+`center_terms` define each identity once; the residual checkers, the space
+solvers, the center, the operator Casimirs, the mixed pencil conditions and
+the mixed-block cocycle system are derived from them through `lie.defect`
+and `lie.solve`.  The references below are the earlier implementations,
+one loop per use, summed with plain ring arithmetic.  They are compared on
 random tensors over Q and Q(sqrt(2)), and on polynomial entries with a
 parameter.  The polarization test is an independent oracle for the mixed
-Jacobi condition.
+Jacobi condition, and sympy's `linsolve` one for the operator Casimirs of
+parametric operators.
 """
 
 from fractions import Fraction
 from functools import reduce
 from operator import add
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from darbouxops import catalog, lie, linalg, pencil
 from darbouxops import invariants as inv
 from darbouxops import operators as ops
+from darbouxops.poly import dot
 from darbouxops.scalars import Scalar
 
 # -- references --------------------------------------------------------------
@@ -229,15 +234,58 @@ def ref_mixed_basis(g1, g2):
     return out
 
 
+def ref_center(c):
+    """The hand-built row loop of `lie.center`."""
+    n = len(c)
+    rows = []
+    for i in range(n):
+        for k in range(n):
+            row = {j: c[i][j][k] for j in range(n) if c[i][j][k]}
+            if row:
+                rows.append(row)
+    return linalg.sparse_nullspace(rows, n)
+
+
+def ref_operator_casimir_functionals(op):
+    """The hand-built rows of `operator_casimir_functionals`: c^{ij}_k a_j = 0
+    and f^{ij} a_j = 0, read with `constant_value` (parameter-free only)."""
+    n = op.n
+    rows = []
+    for i in range(n):
+        for k in range(n):
+            row = {}
+            for j in range(n):
+                val = op.c[i][j][k]
+                if val:
+                    row[j] = val.constant_value()
+            if row:
+                rows.append(row)
+    for i in range(n):
+        row = {}
+        for j in range(n):
+            val = op.f[i][j]
+            if val:
+                row[j] = val.constant_value()
+        if row:
+            rows.append(row)
+    return linalg.sparse_nullspace(rows, n)
+
+
 # -- random data -------------------------------------------------------------
 
 _Q = [Scalar(0)] * 6 + [Scalar(1), Scalar(-1), Scalar(2), Scalar(Fraction(-1, 3))]
 _QSQRT2 = _Q + [Scalar(0, 1, 2), Scalar(Fraction(1, 2), -1, 2)]
 
-RING = ops.field_ring(3, ["alpha"], d=2)
-_ALPHA = RING.var("alpha")
-_POLY = [RING.zero] * 6 + [RING.const(1), RING.const(-2), _ALPHA, _ALPHA * _ALPHA - RING.one,
-                            RING.const(Scalar(0, 1, 2)) * _ALPHA + RING.const(Fraction(1, 2))]
+
+def _poly_pool(ring):
+    alpha = ring.var("alpha")
+    return [ring.zero] * 6 + [ring.const(1), ring.const(-2), alpha, alpha * alpha - ring.one,
+                              ring.const(Scalar(0, 1, 2)) * alpha + ring.const(Fraction(1, 2))]
+
+
+# operators need a ring with one field variable per dimension
+_RINGS = {n: ops.field_ring(n, ["alpha"], d=2) for n in (1, 2, 3)}
+_POLYS = {n: _poly_pool(ring) for n, ring in _RINGS.items()}
 
 _POOLS = st.sampled_from([_Q, _QSQRT2])
 
@@ -281,11 +329,15 @@ def _scalar_case(draw):
 @st.composite
 def _poly_case(draw):
     n = draw(st.integers(1, 3))
-    return n, draw(_triple(_POLY, n)), draw(_triple(_POLY, n))
+    return n, draw(_triple(_POLYS[n], n)), draw(_triple(_POLYS[n], n))
 
 
 def _strings(basis):
     return [[[str(x) for x in row] for row in m] for m in basis]
+
+
+def _vector_strings(vectors):
+    return [[str(x) for x in v] for v in vectors]
 
 
 # -- checkers ----------------------------------------------------------------
@@ -325,7 +377,7 @@ def test_residuals_match_reference_loops_on_raw_tensors(data):
 def test_verify_darboux_matches_reference_on_polynomial_entries(case):
     n, (c, eta, f), _ = case
     _assert_checkers_match(c, eta, f)
-    rep = ops.verify_darboux(ops.DarbouxOperator(RING, c, eta, f, _checked=True))
+    rep = ops.verify_darboux(ops.DarbouxOperator(_RINGS[n], c, eta, f, _checked=True))
     by_name = {cond.name: cond for cond in rep.conditions}
     key = ref_jacobi_residual(c)
     assert by_name["jacobi"].first_violation == key
@@ -397,7 +449,8 @@ def test_mixed_jacobi_is_the_polarization_of_jacobi(case):
     j_sum, j_1, j_2 = (lie.jacobi_defect(c) for c in (total, c1, c2))
     polar = {}
     for key in set(j_sum) | set(j_1) | set(j_2):
-        value = j_sum.get(key, RING.zero) - j_1.get(key, RING.zero) - j_2.get(key, RING.zero)
+        zero = _RINGS[n].zero
+        value = j_sum.get(key, zero) - j_1.get(key, zero) - j_2.get(key, zero)
         if value:
             polar[key] = value
     mixed = dict(lie.defect(lie.jacobi_terms(c2, c1), lie.jacobi_terms(c1, c2)))
@@ -425,3 +478,106 @@ def test_mixed_block_bases_match_reference_rows_on_random_tensors(data):
                              _validated=True) for _ in range(2))
     rep = inv.mixed_cocycle_check(g1, g2)
     assert _strings(rep.mixed_basis) == _strings(ref_mixed_basis(g1, g2))
+
+
+# -- the center and the operator Casimirs ----------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalar_case())
+def test_center_matches_reference_loop_on_random_tensors(case):
+    _, _, (c, _, _) = case
+    g = lie.LieAlgebra(c, _validated=True)
+    got = lie.center(g)
+    assert got == ref_center(g.c)
+    assert _vector_strings(got) == _vector_strings(ref_center(g.c))
+
+
+def _catalog_algebras():
+    return [catalog.catalog_get(name).algebra for name in catalog.catalog_list()]
+
+
+def test_center_matches_reference_loop_on_catalog_and_matrix_algebras():
+    matrix_algebras = [lie.so_n(n) for n in range(2, 7)] + [lie.sl_n(n) for n in range(2, 6)]
+    for g in _catalog_algebras() + matrix_algebras:
+        assert _vector_strings(lie.center(g)) == _vector_strings(ref_center(g.c))
+
+
+def _ring_of(n, pool):
+    return ops.field_ring(n, d=2 if pool is _QSQRT2 else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalar_case())
+def test_operator_casimir_functionals_match_reference_loops(case):
+    pool, n, (c, eta, f) = case
+    op = ops.DarbouxOperator(_ring_of(n, pool), c, eta, f, _checked=True)
+    got = ops.operator_casimir_functionals(op)
+    assert got == ref_operator_casimir_functionals(op)
+    assert _vector_strings(got) == _vector_strings(ref_operator_casimir_functionals(op))
+
+
+def test_operator_casimir_functionals_match_reference_loops_on_catalog_algebras():
+    """Parameter-free operators on every catalog algebra: f = 0 and each cocycle basis element."""
+    for g in _catalog_algebras():
+        ring = ops.field_ring(g.dim, d=g.field_tag())
+        zero = linalg.zeros(g.dim, g.dim)
+        for f in [zero] + inv.two_cocycle_space(g).basis:
+            op = ops.DarbouxOperator(ring, g.c, zero, f, _checked=True)
+            assert _vector_strings(ops.operator_casimir_functionals(op)) == _vector_strings(
+                ref_operator_casimir_functionals(op))
+
+
+def _linear_density(ring, v):
+    return dot(ring, [(x, ring.var(ring.names[i])) for x, i in zip(v, ring.field_indices()) if x])
+
+
+def test_operator_casimir_functionals_answer_on_every_catalog_entry():
+    """Every catalog operator carries parameters (the old rows raised on all
+    35); each vector a gives W = omega a = 0 for the density a.u."""
+    dims = []
+    for name in catalog.catalog_list():
+        op = catalog.catalog_get(name).operator()
+        vecs = ops.operator_casimir_functionals(op)
+        poly_op = op.to_poly_operator()
+        for v in vecs:
+            _, w = ops.apply_to_density(poly_op, _linear_density(op.ring, v))
+            assert not any(w)
+        dims.append(len(vecs))
+    assert len(dims) == 35 and set(dims) == {0, 1}
+
+
+def test_solve_splits_polynomial_coefficients_by_monomial():
+    ring = ops.field_ring(1, ["alpha"])
+    alpha = ring.var("alpha")
+    # (alpha + 1) a_0 - a_1 = 0 identically in alpha forces a_0 = a_1 = 0 ...
+    assert lie.solve([((0,), [(alpha + 1, (0, 1)), (ring.one, (1, -1))])], 2) == []
+    # ... while the Scalar equation a_0 - a_1 = 0 keeps a_0 = a_1
+    assert lie.solve([((0,), [(Scalar(1), (0, 1)), (Scalar(1), (1, -1))])], 2) == [
+        [Scalar(1), Scalar(1)]]
+
+
+def test_operator_casimir_functionals_match_sympy_linsolve():
+    """omega a = 0 collected in u and every parameter, solved by sympy."""
+    sp = pytest.importorskip("sympy")
+    names = catalog.catalog_list()
+    seen = set()
+    for name in names[::3]:
+        op = catalog.catalog_get(name).operator()
+        ring, n = op.ring, op.n
+        syms = [sp.Symbol(x) for x in ring.names]
+        a = [sp.Dummy(f"a{j}") for j in range(n)]  # parameters may be named a1, ...
+        eqs = []
+        for row in op.omega():
+            expr = sp.expand(sum(helpers.sympy_of(sp, x, syms) * a[j] for j, x in enumerate(row)))
+            if expr != 0:
+                eqs += sp.Poly(expr, *syms).coeffs()
+        (solution,) = sp.linsolve(eqs, a) if eqs else [a]
+        dim = len(set().union(*(sp.sympify(x).free_symbols for x in solution)) & set(a))
+        vecs = ops.operator_casimir_functionals(op)
+        assert len(vecs) == dim
+        for v in vecs:
+            values = dict(zip(a, (helpers.sympy_of(sp, ring.const(x), syms) for x in v)))
+            assert all(sp.expand(eq.subs(values)) == 0 for eq in eqs)
+        seen.add(dim)
+    assert seen == {0, 1}

@@ -165,9 +165,10 @@ def test_mixed_cocycle_blocks():
 
 
 def test_linear_casimirs():
-    assert len(inv.linear_casimirs(lie.abelian(4))) == 4
-    assert inv.linear_casimirs(lie.sl2_jbasis()) == []
-    vecs = inv.linear_casimirs(lie.n52())
+    # the linear Casimirs a_i u^i of g are its center
+    assert len(lie.center(lie.abelian(4))) == 4
+    assert lie.center(lie.sl2_jbasis()) == []
+    vecs = lie.center(lie.n52())
     assert len(vecs) == 2
     span_coords = {tuple(str(x) for x in v) for v in vecs}
     assert span_coords == {("1", "0", "0", "0", "0"), ("0", "1", "0", "0", "0")}

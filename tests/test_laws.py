@@ -3,17 +3,22 @@
 `linalg.first_asymmetry` is the one symmetry/skewness law,
 `lie.transport_tensor` the one basis-change law of a structure tensor,
 `invariants.general_element` the one general element sum_k t_k B_k and
-`lie._series` the one series loop; `operators._two_tensor` contracts one
-index at a time as `transport_tensor` does.  The references below are the
-earlier implementations: eight symmetry and skewness predicates, the staged
-loops of `change_basis`, the direct sums of `transform_darboux` and of the
-(2,0) law, the entry builder of `space_latex` and both series loops.  They are compared with
-hypothesis over Q and Q(sqrt(2)), on Scalar entries and on polynomial
-entries with a parameter, on matrices and on 3-tensors.
+`lie._series` the one series loop and `lie._span_basis` the one span
+reader; `operators._two_tensor` contracts one index at a time as
+`transport_tensor` does, and `so_n`/`sl_n` read commutator coordinates off
+matrix entries.  The references below are the earlier implementations:
+eight symmetry and skewness predicates, the staged loops of `change_basis`,
+the direct sums of `transform_darboux` and of the (2,0) law, the entry
+builder of `space_latex`, both series loops, the rref slice of
+`coboundary_basis` and the sparse reduction of the matrix algebras.  They
+are compared with hypothesis over Q and Q(sqrt(2)), on Scalar entries and
+on polynomial entries with a parameter, on matrices and on 3-tensors;
+sympy's matrix commutators are an independent oracle for so(n) and sl(n).
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -218,16 +223,98 @@ def ref_derived_series(g):
     return dims
 
 
+# -- references: spans and matrix algebras -----------------------------------
+
+
+def ref_coboundary_basis(g):
+    """invariants.coboundary_basis before it read `lie._span_basis`."""
+    n = g.dim
+    pairs = inv.skew_pairs(n)
+    rows = [[g.c[i][j][k] for (i, j) in pairs] for k in range(n)]
+    if not rows:
+        return []
+    red, _, rank = linalg.rref(rows)
+    return [inv.skew_from_vector(red[r], n) for r in range(rank)]
+
+
+def ref_matrix_algebra_from_basis(basis):
+    """lie._matrix_algebra_from_basis: one sparse reduction of [basis
+    columns | all commutators], commutators by a dense Fraction loop."""
+    dim = len(basis)
+    size = len(basis[0])
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    rows = [{} for _ in range(size * size)]
+    for k, m in enumerate(basis):
+        for r in range(size):
+            for s in range(size):
+                if m[r][s]:
+                    rows[r * size + s][k] = Scalar(m[r][s])
+    for p, (i, j) in enumerate(pairs):
+        for r in range(size):
+            for s in range(size):
+                acc = Fraction(0)
+                for t in range(size):
+                    acc += basis[i][r][t] * basis[j][t][s] - basis[j][r][t] * basis[i][t][s]
+                if acc:
+                    rows[r * size + s][dim + p] = Scalar(acc)
+    pivots = linalg.sparse_rref(rows)
+    assert all(col < dim for col in pivots), "commutator leaves the span of the basis"
+    c = [[[Scalar(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for p, (i, j) in enumerate(pairs):
+        for k, prow in pivots.items():
+            x = prow.get(dim + p)
+            if x:
+                c[i][j][k] = x
+                c[j][i][k] = -x
+    return c
+
+
+def ref_so_basis(n):
+    """N_{ij} = E_{ij} - E_{ji}, pairs (i<j) in lex order, as dense Fraction matrices."""
+    basis = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = [[Fraction(0)] * n for _ in range(n)]
+            m[i][j] = Fraction(1)
+            m[j][i] = Fraction(-1)
+            basis.append(m)
+    return basis
+
+
+def ref_sl_basis(n):
+    """H_i = E_{ii} - E_{nn}, then the off-diagonal E_{ij}, as dense Fraction matrices."""
+    basis = []
+    for i in range(n - 1):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        m[i][i] = Fraction(1)
+        m[n - 1][n - 1] = Fraction(-1)
+        basis.append(m)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                m = [[Fraction(0)] * n for _ in range(n)]
+                m[i][j] = Fraction(1)
+                basis.append(m)
+    return basis
+
+
 # -- random data -------------------------------------------------------------
 
 _Q = [Scalar(0)] * 5 + [Scalar(1), Scalar(-1), Scalar(2), Scalar(Fraction(-1, 3))]
 _QSQRT2 = _Q + [Scalar(0, 1, 2), Scalar(Fraction(1, 2), -1, 2)]
 _SCALAR_POOLS = st.sampled_from([_Q, _QSQRT2])
 
-RING = ops.field_ring(3, ["alpha"], d=2)
-_ALPHA = RING.var("alpha")
-_POLY = [RING.zero] * 5 + [RING.const(1), RING.const(-2), _ALPHA, _ALPHA * _ALPHA - RING.one,
-                            RING.const(Scalar(0, 1, 2)) * _ALPHA + RING.const(Fraction(1, 2))]
+
+def _poly_pool(ring):
+    alpha = ring.var("alpha")
+    return [ring.zero] * 5 + [ring.const(1), ring.const(-2), alpha, alpha * alpha - ring.one,
+                              ring.const(Scalar(0, 1, 2)) * alpha + ring.const(Fraction(1, 2))]
+
+
+# operators need a ring with one field variable per dimension
+_RINGS = {n: ops.field_ring(n, ["alpha"], d=2) for n in (1, 2, 3)}
+_POLYS = {n: _poly_pool(ring) for n, ring in _RINGS.items()}
+RING, _POLY = _RINGS[3], _POLYS[3]
 
 
 @st.composite
@@ -303,16 +390,17 @@ def test_first_asymmetry_matches_first_violation_keys(data):
 @given(st.data())
 def test_verifiers_report_the_reference_keys(data):
     n = data.draw(st.integers(1, 3))
-    c = data.draw(_tensor(_POLY, n))
-    eta = data.draw(_matrix(_POLY, n))
-    f = data.draw(_matrix(_POLY, n))
-    rep = ops.verify_darboux(ops.DarbouxOperator(RING, c, eta, f, _checked=True))
+    ring, pool = _RINGS[n], _POLYS[n]
+    c = data.draw(_tensor(pool, n))
+    eta = data.draw(_matrix(pool, n))
+    f = data.draw(_matrix(pool, n))
+    rep = ops.verify_darboux(ops.DarbouxOperator(ring, c, eta, f, _checked=True))
     keys = {cond.name: cond.first_violation for cond in rep.conditions}
     assert keys["c-skew"] == ref_c_skew(c)
     assert keys["eta-symmetric"] == ref_first_symmetry_violation(eta)
     assert keys["f-skew"] == ref_first_skew_violation(f)
-    omega = data.draw(_matrix(_POLY, n))
-    rep = ops.verify_hamiltonian(ops.PolyOperator(RING, linalg.identity(n), omega))
+    omega = data.draw(_matrix(pool, n))
+    rep = ops.verify_hamiltonian(ops.PolyOperator(ring, linalg.identity(n), omega))
     assert rep.conditions[0].name == "omega-skew"
     assert rep.conditions[0].first_violation == ref_first_skew_violation(omega)
 
@@ -360,14 +448,15 @@ def test_transport_tensor_matches_direct_sum_on_polynomials(data):
 def test_transform_darboux_matches_reference_triples(data):
     n = data.draw(st.integers(1, 3))
     a = data.draw(_invertible(data.draw(_SCALAR_POOLS), n))
-    c, eta, f = data.draw(_tensor(_POLY, n)), data.draw(_matrix(_POLY, n)), data.draw(
-        _matrix(_POLY, n))
-    op = ops.DarbouxOperator(RING, c, eta, f, _checked=True)
+    ring, pool = _RINGS[n], _POLYS[n]
+    c, eta, f = data.draw(_tensor(pool, n)), data.draw(_matrix(pool, n)), data.draw(
+        _matrix(pool, n))
+    op = ops.DarbouxOperator(ring, c, eta, f, _checked=True)
     moved = ops.transform_darboux(op, a, validate=False)
     b = linalg.inverse(a)
-    assert moved.c == ref_transport_direct(RING, a, b, op.c)
-    assert moved.eta == ref_two_tensor(RING, a, op.eta)
-    assert moved.f == ref_two_tensor(RING, a, op.f)
+    assert moved.c == ref_transport_direct(ring, a, b, op.c)
+    assert moved.eta == ref_two_tensor(ring, a, op.eta)
+    assert moved.f == ref_two_tensor(ring, a, op.f)
 
 
 @settings(max_examples=80, deadline=None)
@@ -447,3 +536,54 @@ def test_series_match_reference_loops():
     for g in algebras:
         assert lie.lower_central_series(g) == ref_lower_central_series(g)
         assert lie.derived_series(g) == ref_derived_series(g)
+
+
+def _tensor_strings(c):
+    return [[[str(x) for x in row] for row in plane] for plane in c]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coboundary_basis_matches_rref_slice(data):
+    pool = data.draw(_SCALAR_POOLS)
+    g = lie.LieAlgebra(data.draw(_tensor(pool, data.draw(st.integers(1, 4)))), _validated=True)
+    assert inv.coboundary_basis(g) == ref_coboundary_basis(g)
+
+
+def test_coboundary_basis_matches_rref_slice_on_catalog():
+    for name in catalog.catalog_list():
+        g = catalog.catalog_get(name).algebra
+        assert _tensor_strings(inv.coboundary_basis(g)) == _tensor_strings(ref_coboundary_basis(g))
+
+
+@pytest.mark.parametrize("build, ref_basis, sizes", [
+    (lie.so_n, ref_so_basis, range(2, 7)),
+    (lie.sl_n, ref_sl_basis, range(2, 6)),
+])
+def test_matrix_algebras_match_the_sparse_reduction(build, ref_basis, sizes):
+    for n in sizes:
+        c = build(n).c
+        ref = ref_matrix_algebra_from_basis(ref_basis(n))
+        assert c == tuple(tuple(tuple(row) for row in plane) for plane in ref)
+        assert _tensor_strings(c) == _tensor_strings(ref)
+
+
+@pytest.mark.parametrize("build, ref_basis, sizes", [
+    (lie.so_n, ref_so_basis, range(2, 6)),
+    (lie.sl_n, ref_sl_basis, range(2, 5)),
+])
+def test_matrix_algebras_match_sympy_commutators(build, ref_basis, sizes):
+    """[B_i, B_j] by sympy matrix products, read in the basis by least squares
+    over the flattened basis, which must reproduce the commutator exactly."""
+    sp = pytest.importorskip("sympy")
+    for n in sizes:
+        mats = [sp.Matrix(m) for m in ref_basis(n)]
+        columns = sp.Matrix.hstack(*(m.reshape(n * n, 1) for m in mats))
+        coords_of = (columns.T * columns).inv() * columns.T
+        c = build(n).c
+        for i, x in enumerate(mats):
+            for j, y in enumerate(mats):
+                bracket = (x * y - y * x).reshape(n * n, 1)
+                coords = coords_of * bracket
+                assert columns * coords == bracket
+                assert [sp.Rational(str(v)) for v in c[i][j]] == list(coords)

@@ -158,11 +158,12 @@ def test_killing_son_scalars():
                 assert k[i][j] == Scalar(expected if i == j else 0)
 
 
-def test_matrix_basis_not_closed_under_commutators():
-    e12 = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
-    e21 = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]
-    with pytest.raises(ShapeMismatchError):
-        lie._matrix_algebra_from_basis([e12, e21])  # [E12, E21] = H is missing
+def test_from_brackets_rejects_an_output_index_out_of_range():
+    # k = -1 used to build [e1, e2] = e3 silently, k = 5 a bare IndexError
+    for k in (-1, 3, 5):
+        with pytest.raises(ShapeMismatchError, match=f"output index {k} out of range"):
+            lie.LieAlgebra.from_brackets(3, {(0, 1): {k: 1}})
+    assert lie.LieAlgebra.from_brackets(3, {(0, 1): {2: 1}}).c[0][1][2] == Scalar(1)
 
 
 def test_center_examples():

@@ -444,6 +444,29 @@ def test_operator_casimir_functionals():
     assert ops.operator_casimir_functionals(so3_op) == []
 
 
+@pytest.mark.parametrize("checked", [False, True])
+def test_constructors_check_the_shape_against_the_ring(checked):
+    eye3, zero3 = linalg.identity(3), [[0] * 3 for _ in range(3)]
+    # a 3 x 3 operator over two field variables: was a bare IndexError later
+    with pytest.raises(ShapeMismatchError, match="dimension 3 over a ring with 2 field"):
+        ops.PolyOperator(ops.field_ring(2), eye3, zero3, _checked=checked)
+    # a 2 x 2 operator over three field variables: d/du3 was never taken, so it verified
+    with pytest.raises(ShapeMismatchError, match="dimension 2 over a ring with 3 field"):
+        ops.PolyOperator(ops.field_ring(3), linalg.identity(2), [[0, "u3"], ["-u3", 0]],
+                         _checked=checked)
+    # so(3) with eta = I_3 over two field variables: .omega() was a bare IndexError
+    with pytest.raises(ShapeMismatchError, match="dimension 3 over a ring with 2 field"):
+        ops.DarbouxOperator(ops.field_ring(2), lie.so3().c, eye3, zero3, _checked=checked)
+    ragged = [list(plane) for plane in lie.so3().c]
+    ragged[1] = ragged[1][:2]
+    with pytest.raises(ShapeMismatchError, match="blocks disagree"):
+        ops.DarbouxOperator(ops.field_ring(3), ragged, eye3, zero3, _checked=checked)
+    ragged = [[1, 0, 0], [0, 1], [0, 0, 1]]
+    for g, omega in ((eye3, ragged), (ragged, zero3)):
+        with pytest.raises(ShapeMismatchError, match="blocks disagree"):
+            ops.PolyOperator(ops.field_ring(3), g, omega, _checked=checked)
+
+
 def test_darboux_general_equivalence_on_samples(rng):
     pool = [lie.so3(), lie.s46(), lie.heisenberg3(), lie.abelian(3)]
     for _ in range(25):

@@ -479,16 +479,6 @@ def test_lambda_route_matches_the_full_pencil_on_listed_pairs():
     assert any("phi-constant" in kind for kind in seen)
 
 
-def _sympy_of(sp, p, symbols):
-    total = sp.Integer(0)
-    for e, c in p.terms.items():
-        coeff = sp.Rational(c.a.numerator, c.a.denominator)
-        if c.d:
-            coeff += sp.Rational(c.b.numerator, c.b.denominator) * sp.sqrt(c.d)
-        total += coeff * sp.Mul(*(s**k for s, k in zip(symbols, e)))
-    return total
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_lambda_route_matches_sympy_expansion(data):
@@ -506,9 +496,9 @@ def test_lambda_route_matches_sympy_expansion(data):
     syms = [sp.Symbol(name) for name in ring.names]
     u = [syms[i] for i in ring.field_indices()]
     lam = sp.Dummy("lambda")
-    g = [[_sympy_of(sp, x, syms) + lam * _sympy_of(sp, y, syms) for x, y in zip(ra, rb)]
+    g = [[helpers.sympy_of(sp, x, syms) + lam * helpers.sympy_of(sp, y, syms) for x, y in zip(ra, rb)]
          for ra, rb in zip(a.g, b.g)]
-    w = [[_sympy_of(sp, x, syms) + lam * _sympy_of(sp, y, syms) for x, y in zip(ra, rb)]
+    w = [[helpers.sympy_of(sp, x, syms) + lam * helpers.sympy_of(sp, y, syms) for x, y in zip(ra, rb)]
          for ra, rb in zip(a.omega, b.omega)]
     dw = [[[sp.diff(w[j][k], u[s]) for s in range(n)] for k in range(n)] for j in range(n)]
 
