@@ -123,12 +123,9 @@ def cmd_check(args) -> int:
 def cmd_spaces(args) -> int:
     g = io_json.load_algebra(args.algebra)
     which = args.which
-    if which == "casimirs":
-        space = invariants.quadratic_casimir_space(g)
-    elif which == "metrics":
-        space = invariants.compatible_metric_space(g)
-    else:
-        space = invariants.two_cocycle_space(g)
+    space = {"casimirs": invariants.quadratic_casimir_space,
+             "metrics": invariants.compatible_metric_space,
+             "cocycles": invariants.two_cocycle_space}[which](g)
     payload = io_json.space_to_dict(space.basis)
     lines = [f"{which}: dim {space.dim}"]
     if which in ("casimirs", "metrics"):

@@ -29,7 +29,7 @@ from .lie import (
     solve,
 )
 from .poly import Poly, PolyRing, dot
-from .scalars import Scalar, field_tag
+from .scalars import ZERO, Scalar, field_tag
 
 Matrix = linalg.Matrix
 
@@ -224,13 +224,8 @@ def nondegenerate_witness(basis: Sequence[Matrix]) -> Optional[Tuple[Tuple[int, 
         assert chosen is not None, "degree bound guarantees a nonzero value"
         point.append(chosen)
     n = len(basis[0])
-    witness = linalg.zeros(n, n)
-    for m, b in enumerate(basis):
-        if point[m]:
-            for i in range(n):
-                for j in range(n):
-                    if b[i][j]:
-                        witness[i][j] = witness[i][j] + b[i][j] * point[m]
+    witness = [[sum((b[i][j] * t for b, t in zip(basis, point) if t and b[i][j]), ZERO)
+                for j in range(n)] for i in range(n)]
     return tuple(point), witness
 
 

@@ -35,7 +35,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .poly import Poly, dot
-from .scalars import ZERO, Scalar, field_tag, join_field_tags
+from .scalars import Scalar, field_tag, join_field_tags
 
 Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
@@ -188,7 +188,9 @@ def solve(equations, ncols: int) -> List[linalg.Vector]:
 
     A polynomial coefficient gives one row per (key, monomial), so a
     solution holds identically in every indeterminate; the coefficients of
-    one equation are all Scalars or all polynomials of one ring.
+    one equation are all Scalars or all polynomials of one ring.  A row
+    entry is the coefficient itself; only a negative marker or a second
+    coefficient in the same (monomial, column) costs Scalar arithmetic.
     """
     rows = []
     for _, eq in equations:
@@ -196,9 +198,14 @@ def solve(equations, ncols: int) -> List[linalg.Vector]:
         for coeff, (col, sign) in eq:
             for e, v in coeff.terms.items() if type(coeff) is Poly else (((), coeff),):
                 row = by_monomial.setdefault(e, {})
-                row[col] = row.get(col, ZERO) + (v if sign > 0 else -v)
-        rows += [{col: v for col, v in row.items() if v} for row in by_monomial.values()]
-    return linalg.sparse_nullspace([row for row in rows if row], ncols)
+                v = v if sign > 0 else -v
+                w = row.pop(col, None)
+                if w is not None:
+                    v = w + v
+                if w is None or v:
+                    row[col] = v
+        rows += [row for row in by_monomial.values() if row]
+    return linalg.sparse_nullspace(rows, ncols)
 
 
 def jacobi_defect(c: Sequence[Sequence[Sequence]]) -> Dict[tuple, Scalar]:
@@ -379,17 +386,12 @@ def structure_tags(g: LieAlgebra) -> StructureTags:
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
     join_field_tags(g1.field_tag(), g2.field_tag(), "direct sum over sqrt({}) and sqrt({})")
-    n1, n2 = g1.dim, g2.dim
-    n = n1 + n2
+    n1, n = g1.dim, g1.dim + g2.dim
     c = [[[Scalar(0) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n1):
-        for j in range(n1):
-            for k in range(n1):
-                c[i][j][k] = g1.c[i][j][k]
-    for i in range(n2):
-        for j in range(n2):
-            for k in range(n2):
-                c[n1 + i][n1 + j][n1 + k] = g2.c[i][j][k]
+    for shift, h in ((0, g1), (n1, g2)):
+        for i, plane in enumerate(h.c):
+            for j, row in enumerate(plane):
+                c[shift + i][shift + j][shift:shift + h.dim] = row
     return LieAlgebra(c, _validated=True)
 
 
@@ -447,8 +449,7 @@ def build_two_step_nilpotent(g: LieAlgebra, a: Sequence[Sequence],
     c = [[[Scalar(0)] * n2 for _ in range(n2)] for _ in range(n2)]
     for i in range(n):
         for j in range(n):
-            for s in range(n):
-                c[i][j][n + s] = g.c[i][j][s]
+            c[i][j][n:] = g.c[i][j]
     out = LieAlgebra(c)
     cas = linalg.zeros(n2, n2)
     for i in range(n):

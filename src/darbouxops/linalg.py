@@ -2,16 +2,22 @@
 
 Matrices are plain lists of lists of Scalar; the large solver systems are
 lists of sparse rows {column: Scalar}.  Every elimination goes through one
-sparse row-insertion reducer: each row, taken in order, is reduced against
-the pivot rows kept so far (leading column first), and whatever is left is
-normalized and kept as the pivot row of its leading column.  `sparse_rref`
-then back-substitutes to the reduced row echelon form.  The RREF is unique,
-so pivots, nullspace bases (one vector per free column, free entry 1) and
-everything derived from them are canonical.
+fraction-free sparse reducer over Z[sqrt(d)] (after Bareiss 1968).  Each
+row is written once as integer pairs (A, B), for A + B*sqrt(d), over its
+lcm denominator.  Taken in order, each row is reduced against the pivot
+rows kept so far, leading column first, by row <- p*row - f*pivot (p the
+pivot's integer lead, f the row's entry there), with the integer content
+divided out after each step; the remainder becomes the pivot row of its
+leading column, times the conjugate of its lead if that lead carries
+sqrt(d).  `sparse_rref` back-substitutes the same way and divides each
+pivot row by its lead once: Scalars are built only for the result.  The
+RREF is unique, so pivots, nullspace bases (one vector per free column,
+free entry 1) and everything derived from them are canonical.
 
 `rref`, `nullspace` and `inverse` (which reduces [A | I]) are dense views of
-that result.  `det` is the product of the leading coefficients met during
-insertion times the sign of the permutation from row order to pivot column.
+that result.  `det` is the product of the leads met during insertion, each
+over its row's rational scale (tracked as two integers per step), times the
+sign of the permutation from row order to pivot column.
 
 `first_asymmetry` is the package's one symmetry/skewness law: metrics,
 cocycles, Casimirs, operator blocks and structure tensors (skew in the
@@ -20,21 +26,17 @@ upper pair), with Scalar or polynomial entries, are all checked by it.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatchError, SingularMatrixError
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _make, _rational, join_field_tags
 
 Matrix = List[List[Scalar]]
 Vector = List[Scalar]
 SparseRow = Dict[int, Scalar]
-
-
-def _as_scalar_rows(m: Sequence[Sequence]) -> Matrix:
-    rows = [[Scalar.of(x) for x in row] for row in m]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ShapeMismatchError("ragged matrix")
-    return rows
 
 
 def identity(n: int) -> Matrix:
@@ -43,36 +45,6 @@ def identity(n: int) -> Matrix:
 
 def zeros(r: int, c: int) -> Matrix:
     return [[ZERO] * c for _ in range(r)]
-
-
-def transpose(m: Matrix) -> Matrix:
-    return [list(col) for col in zip(*m)] if m else []
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ShapeMismatchError("matrix product shape mismatch")
-    bt = transpose(b)
-    return [[_dot(row, col) for col in bt] for row in a]
-
-
-def _dot(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
-    total = ZERO
-    for a, b in zip(x, y):
-        if a and b:
-            total = total + a * b
-    return total
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [_dot(row, v) for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
 
 
 def first_asymmetry(m, skew: bool = False) -> Optional[tuple]:
@@ -96,7 +68,9 @@ def first_asymmetry(m, skew: bool = False) -> Optional[tuple]:
 
 
 def _sparse_rows(m: Sequence[Sequence]) -> Tuple[List[SparseRow], int]:
-    rows = _as_scalar_rows(m)
+    rows = [[Scalar.of(x) for x in row] for row in m]
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ShapeMismatchError("ragged matrix")
     return [{j: x for j, x in enumerate(row) if x} for row in rows], len(rows[0]) if rows else 0
 
 
@@ -124,17 +98,21 @@ def det(m: Sequence[Sequence]) -> Scalar:
     rows, n = _sparse_rows(m)
     if len(rows) != n:
         raise ShapeMismatchError("determinant of non-square matrix")
-    pivots: Dict[int, SparseRow] = {}
-    out = ONE
-    for row in rows:
-        lead = _insert_row(row, pivots)
-        if not lead:
+    d, int_rows = _integer_rows(rows)
+    pivots: Dict[int, dict] = {}
+    (a, b), num, den = (1, 0), 1, 1  # det = (a + b*sqrt(d)) * den / num
+    for row, scale, content in int_rows:
+        inserted = _insert(row, pivots, d)
+        if inserted is None:
             return ZERO
-        out = out * lead
-    # normalized rows sorted by pivot column form a unit upper triangle
+        (x, y), mul, div = inserted
+        a, b = a * x + d * b * y, a * y + b * x
+        num, den = num * scale * mul, den * content * div
+    # sorted by pivot column the normalized rows form a unit upper triangle
     order = list(pivots)
-    swaps = sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n))
-    return -out if swaps % 2 else out
+    if sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n)) % 2:
+        num = -num
+    return _scalar(a * den, b * den, num, d)
 
 
 def inverse(m: Sequence[Sequence]) -> Matrix:
@@ -158,53 +136,98 @@ def basis_change_pair(a: Sequence[Sequence], n: int) -> Tuple[Matrix, Matrix]:
     return amat, inverse(amat)  # raises SingularMatrixError
 
 
-# -- the sparse reducer ---------------------------------------------------
+# -- the fraction-free reducer ---------------------------------------------
+# An integer row {col: (A, B)} never stores (0, 0); a pivot row's lead is (P, 0), P != 0.
 
 
-def _subtract(row: SparseRow, f: Scalar, other: SparseRow) -> None:
-    """row -= f * other in place, dropping entries that cancel."""
-    nf = -f
-    for c, v in other.items():
-        w = row.get(c)
-        w = nf * v if w is None else w + nf * v
-        if w:
-            row[c] = w
-        elif c in row:
-            del row[c]
+def _scalar(a: int, b: int, den: int, d: int) -> Scalar:
+    """(a + b*sqrt(d)) / den."""
+    return _make(Fraction(a, den), Fraction(b, den), d) if b else _rational(Fraction(a, den))
 
 
-def _insert_row(row: SparseRow, pivots: Dict[int, SparseRow]) -> Scalar:
-    """Reduce a copy of `row` against `pivots` and keep the remainder.
+def _primitive(row: dict) -> Tuple[dict, int]:
+    """(row / g, g) with g the gcd of all integers of the row (0 if it is empty)."""
+    g = gcd(*chain.from_iterable(row.values()))
+    if g < 2:
+        return row, g
+    return {c: (a // g, b // g) for c, (a, b) in row.items()}, g
 
-    The remainder, divided by its leading coefficient, becomes the pivot row
-    of its leading column.  Returns that coefficient, or ZERO when the row is
-    in the span of the pivot rows.
+
+def _integer_rows(rows: Sequence[SparseRow]) -> Tuple[int, list]:
+    """(d, [(R, L, g), ...]): the field tag of all entries, and each row as
+    R = (L / g) * row, L its lcm denominator and g the content of L * row."""
+    d = 0
+    for tag in sorted({x.d for row in rows for x in row.values()}):
+        d = join_field_tags(d, tag)
+    out = []
+    for row in rows:
+        parts = [(c, x.a, x.b) for c, x in row.items() if x]
+        den = lcm(*[q.denominator for _, a, b in parts for q in (a, b)])
+        ints, g = _primitive({c: (a.numerator * (den // a.denominator),
+                                  b.numerator * (den // b.denominator)) for c, a, b in parts})
+        out.append((ints, den, g or 1))
+    return d, out
+
+
+def _eliminate(row: dict, c0: int, piv: dict, d: int) -> Tuple[dict, int, int]:
+    """(p * row - f * piv) / g with f = row[c0], p the lead of the pivot row
+    of c0 (both first divided by their gcd) and g the content of the result;
+    returns it, p and g.  `row` itself may be reused."""
+    (fa, fb), p = row[c0], piv[c0][0]
+    h = gcd(fa, fb, p)
+    fa, fb, p = fa // h, fb // h, p // h
+    dfb = d * fb
+    out = {c: (p * a, p * b) for c, (a, b) in row.items()} if p != 1 else row
+    for c, (u, v) in piv.items():
+        a, b = out.get(c, (0, 0))
+        a -= fa * u + dfb * v
+        b -= fa * v + fb * u
+        if a or b:
+            out[c] = (a, b)
+        else:  # Z[sqrt(d)] has no zero divisors, so c was present
+            del out[c]
+    out, g = _primitive(out)
+    return out, p, g
+
+
+def _insert(row: dict, pivots: Dict[int, dict], d: int) -> Optional[tuple]:
+    """Reduce the integer row against `pivots` and keep the remainder as a pivot row.
+
+    Returns (lead, mul, div): the remainder's lead before it is made
+    rational, which is mul / div times the one that field arithmetic
+    reaches by the same steps; None when the row is in the span of `pivots`.
     """
-    row = {c: v for c, v in row.items() if v}
+    mul = div = 1
     while row:
         c0 = min(row)
-        f = row[c0]
         piv = pivots.get(c0)
         if piv is None:
-            inv = f.inverse()
-            pivots[c0] = {c: v * inv for c, v in row.items()}
-            return f
-        _subtract(row, f, piv)
-    return ZERO
+            lead = a, b = row[c0]
+            if b:  # times the conjugate: the lead becomes a^2 - d*b^2
+                row = _primitive({c: (x * a - d * b * y, y * a - x * b)
+                                  for c, (x, y) in row.items()})[0]
+            pivots[c0] = row
+            return lead, mul, div
+        row, p, g = _eliminate(row, c0, piv, d)
+        mul *= p
+        div *= g
+    return None
 
 
 def sparse_rref(rows: Sequence[SparseRow]) -> Dict[int, SparseRow]:
     """Canonical reduced pivot rows (pivot -> normalized row)."""
-    pivots: Dict[int, SparseRow] = {}
-    for row in rows:
-        _insert_row(row, pivots)
+    d, int_rows = _integer_rows(rows)
+    pivots: Dict[int, dict] = {}
+    for row, _, _ in int_rows:
+        _insert(row, pivots, d)
     # full back-substitution so the pivot rows form the unique RREF
     for p in sorted(pivots, reverse=True):
         prow = pivots[p]
         for q, qrow in pivots.items():
             if q < p and p in qrow:
-                _subtract(qrow, qrow[p], prow)
-    return pivots
+                pivots[q] = _eliminate(qrow, p, prow, d)[0]
+    return {p: {c: _scalar(a, b, row[p][0], d) for c, (a, b) in row.items()}
+            for p, row in pivots.items()}
 
 
 def sparse_nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:

@@ -50,6 +50,8 @@ def field_ring(n: int, params: Sequence[str] = (), d: int = 0) -> PolyRing:
 
 def _lift_entry(ring: PolyRing, x) -> Poly:
     if isinstance(x, Poly):
+        if x.ring is not ring and x.ring != ring:
+            raise ShapeMismatchError(f"an entry from {x.ring!r} in an operator over {ring!r}")
         return x
     if isinstance(x, str):
         return ring.parse(x)

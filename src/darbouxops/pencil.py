@@ -70,12 +70,10 @@ class PencilReport:
         }
 
 
-def _require_common_ring(a: DarbouxOperator, b: DarbouxOperator) -> PolyRing:
+def _require_common_ring(a, b) -> None:
+    """Both operators over one ring (which also fixes their common dimension)."""
     if a.ring != b.ring:
-        raise ShapeMismatchError(
-            "pencil operands must share one ring; use unify_operators first"
-        )
-    return a.ring
+        raise ShapeMismatchError("pencil operands must share one ring; use unify_operators first")
 
 
 def pencil_compatible_darboux(a: DarbouxOperator, b: DarbouxOperator) -> PencilReport:
@@ -97,17 +95,10 @@ def pencil_compatible_darboux(a: DarbouxOperator, b: DarbouxOperator) -> PencilR
     return PencilReport(ra, rb, report.conditions)
 
 
-def _require_pencil_shape(a: PolyOperator, b: PolyOperator) -> None:
-    if a.ring != b.ring:
-        raise ShapeMismatchError("pencil operands must share one ring")
-    if a.n != b.n:
-        raise ShapeMismatchError("pencil operands disagree in dimension")
-
-
 def pencil_operator(a: PolyOperator, b: PolyOperator, lam: str = "lam") -> PolyOperator:
     """A + lambda B over a ring extended by the pencil parameter `lam`,
     which must not already name an indeterminate of the operands' ring."""
-    _require_pencil_shape(a, b)
+    _require_common_ring(a, b)
     if lam in a.ring.names:
         raise ShapeMismatchError(f"pencil parameter {lam!r} already names an indeterminate")
     ring = a.ring.extend_params([lam])
@@ -134,7 +125,7 @@ def pencil_compatible_general(a: PolyOperator, b: PolyOperator) -> PencilReport:
             f"operands must be Hamiltonian before pairing: "
             f"A failed {ra.failed_names()}, B failed {rb.failed_names()}"
         )
-    _require_pencil_shape(a, b)
+    _require_common_ring(a, b)
     ring = a.ring
     lam_report = hamiltonian_report(
         ring, b.omega,

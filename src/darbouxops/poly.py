@@ -45,6 +45,7 @@ from .errors import (
     UnknownIndeterminateError,
 )
 from .scalars import (
+    MINUS_ONE,
     ONE,
     Scalar,
     _int,
@@ -119,7 +120,7 @@ class PolyRing:
         i = self.index(name)
         exp = list(self._zero_exp)
         exp[i] = 1
-        return Poly(self, {tuple(exp): Scalar(1)})
+        return Poly(self, {tuple(exp): ONE})
 
     def const(self, value) -> "Poly":
         s = Scalar.of(value)
@@ -343,9 +344,9 @@ class Poly:
             cs = str(c)
             negative = cs.startswith("-") and ("+" not in cs[1:] and "-" not in cs[1:])
             if mono:
-                if c == Scalar(1):
+                if c == ONE:
                     body = mono
-                elif c == Scalar(-1):
+                elif c == MINUS_ONE:
                     body = f"-{mono}"
                 elif negative or ("+" not in cs and "-" not in cs[1:]):
                     body = f"{cs}*{mono}"
@@ -379,9 +380,9 @@ class Poly:
             mono = mono_latex(e)
             if not mono:
                 body = c.latex()
-            elif c == Scalar(1):
+            elif c == ONE:
                 body = mono
-            elif c == Scalar(-1):
+            elif c == MINUS_ONE:
                 body = f"-{mono}"
             else:
                 cl = c.latex()

@@ -305,6 +305,7 @@ def _make(a: Fraction, b: Fraction, d: int) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+MINUS_ONE = Scalar(-1)
 
 # One signed term of a scalar literal: signs, an optional rational factor
 # p or p/q, and an optional radical sqrt(r).  A "*" after the factor is

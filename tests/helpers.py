@@ -1,10 +1,42 @@
-"""Shared fixtures-in-code for the operator and pencil tests."""
+"""Shared fixtures-in-code for the tests: dense matrix products, the KdV
+pair and random matrices."""
 
 from fractions import Fraction
 
 from darbouxops import linalg
+from darbouxops.errors import ShapeMismatchError
 from darbouxops.operators import DarbouxOperator, field_ring
-from darbouxops.scalars import Scalar
+from darbouxops.scalars import ZERO, Scalar
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)] if m else []
+
+
+def _dot(x, y):
+    total = ZERO
+    for a, b in zip(x, y):
+        if a and b:
+            total = total + a * b
+    return total
+
+
+def mat_mul(a, b):
+    if a and b and len(a[0]) != len(b):
+        raise ShapeMismatchError("matrix product shape mismatch")
+    bt = transpose(b)
+    return [[_dot(row, col) for col in bt] for row in a]
+
+
+def mat_vec(a, v):
+    return [_dot(row, v) for row in a]
+
+
+def mat_eq(a, b):
+    return len(a) == len(b) and all(
+        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b)
+    )
 
 
 def tensor(dim, brackets):

@@ -47,12 +47,12 @@ def test_criterion_1_catalog_regression():
 
 def test_criterion_2_killing_forms():
     k_so3 = lie.killing_form(lie.so3())
-    ok = linalg.mat_eq(
+    ok = helpers.mat_eq(
         k_so3, [[Scalar(-2 if i == j else 0) for j in range(3)] for i in range(3)]
     )
     k_sl2 = lie.killing_form(lie.sl2_jbasis())
     expected = [[0, -16, 0], [-16, 0, 0], [0, 0, 8]]
-    ok = ok and linalg.mat_eq(k_sl2, [[Scalar(x) for x in row] for row in expected])
+    ok = ok and helpers.mat_eq(k_sl2, [[Scalar(x) for x in row] for row in expected])
     scalars = {}
     for n in (3, 4, 5):
         k = lie.killing_form(lie.so_n(n))
@@ -520,7 +520,7 @@ def test_criterion_8_two_step_builder():
     expected[0][3] = expected[3][0] = Scalar(half)
     expected[1][5] = expected[5][1] = Scalar(-half)
     expected[2][4] = expected[4][2] = Scalar(-half)
-    ok = ok and linalg.mat_eq(cas, expected)
+    ok = ok and helpers.mat_eq(cas, expected)
     # and the direction lies in the computed Casimir space of the output
     ok = ok and inv.casimir_residual(out.c, expected) is None
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from darbouxops import linalg
-from darbouxops.errors import SingularMatrixError
+from darbouxops.errors import FieldMismatchError, SingularMatrixError
 from darbouxops.scalars import Scalar
 
 
@@ -14,7 +15,7 @@ def test_rref_identity():
     red, pivots, rank = linalg.rref(linalg.identity(3))
     assert rank == 3
     assert pivots == (0, 1, 2)
-    assert linalg.mat_eq(red, linalg.identity(3))
+    assert helpers.mat_eq(red, linalg.identity(3))
 
 
 def test_rref_zero_matrix():
@@ -81,12 +82,12 @@ def matrices(min_n=1, max_n=4):
 def test_rref_idempotent_and_rank_nullity(m):
     red, pivots, rank = linalg.rref(m)
     red2, pivots2, rank2 = linalg.rref(red)
-    assert linalg.mat_eq(red, red2)
+    assert helpers.mat_eq(red, red2)
     assert pivots == pivots2 and rank == rank2
     basis = linalg.nullspace(m)
     assert rank + len(basis) == len(m[0])
     for v in basis:
-        assert all(not x for x in linalg.mat_vec([[Scalar.of(e) for e in row] for row in m], v))
+        assert all(not x for x in helpers.mat_vec([[Scalar.of(e) for e in row] for row in m], v))
 
 
 @pytest.fixture(scope="module")
@@ -181,8 +182,8 @@ def test_inverse_roundtrip(m):
         return
     n = len(m)
     mm = [[Scalar.of(x) for x in row] for row in m]
-    assert linalg.mat_eq(linalg.mat_mul(mm, inv), linalg.identity(n))
-    assert linalg.mat_eq(linalg.mat_mul(inv, mm), linalg.identity(n))
+    assert helpers.mat_eq(helpers.mat_mul(mm, inv), linalg.identity(n))
+    assert helpers.mat_eq(helpers.mat_mul(inv, mm), linalg.identity(n))
 
 
 def test_rref_over_extension_field():
@@ -193,4 +194,182 @@ def test_rref_over_extension_field():
     assert rank == 1
     basis = linalg.nullspace(m)
     assert len(basis) == 1
-    assert all(not x for x in linalg.mat_vec(m, basis[0]))
+    assert all(not x for x in helpers.mat_vec(m, basis[0]))
+
+
+# -- reference: the Scalar reducer the integer one replaced ------------------
+
+
+def ref_subtract(row, f, other):
+    """row -= f * other in place, dropping entries that cancel."""
+    nf = -f
+    for c, v in other.items():
+        w = row.get(c)
+        w = nf * v if w is None else w + nf * v
+        if w:
+            row[c] = w
+        elif c in row:
+            del row[c]
+
+
+def ref_insert_row(row, pivots):
+    """Reduce a copy of `row` against `pivots`; keep the remainder, divided by
+    its leading coefficient, as a pivot row; return that coefficient or 0."""
+    row = {c: v for c, v in row.items() if v}
+    while row:
+        c0 = min(row)
+        f = row[c0]
+        piv = pivots.get(c0)
+        if piv is None:
+            inv = f.inverse()
+            pivots[c0] = {c: v * inv for c, v in row.items()}
+            return f
+        ref_subtract(row, f, piv)
+    return Scalar(0)
+
+
+def ref_sparse_rref(rows):
+    pivots = {}
+    for row in rows:
+        ref_insert_row(row, pivots)
+    for p in sorted(pivots, reverse=True):
+        prow = pivots[p]
+        for q, qrow in pivots.items():
+            if q < p and p in qrow:
+                ref_subtract(qrow, qrow[p], prow)
+    return pivots
+
+
+def ref_det(m):
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    n = len(rows)
+    pivots, out = {}, Scalar(1)
+    for row in rows:
+        lead = ref_insert_row(row, pivots)
+        if not lead:
+            return Scalar(0)
+        out = out * lead
+    order = list(pivots)
+    swaps = sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n))
+    return -out if swaps % 2 else out
+
+
+def ref_inverse(m):
+    """The inverse from the reference RREF of [A | I], or None when A is singular."""
+    n = len(m)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    for i, row in enumerate(rows):
+        row[n + i] = Scalar(1)
+    pivots = ref_sparse_rref(rows)
+    if any(p >= n for p in pivots):
+        return None
+    return [[pivots[i].get(n + j, Scalar(0)) for j in range(n)] for i in range(n)]
+
+
+# Entries a + b*sqrt(d): small fractions, and integers and fractions near
+# 10**40, so that coefficient growth in the integer reducer shows.
+big = st.integers(-10**6, 10**6).map(lambda k: 10**40 + k) | st.integers(-10**40, 10**40)
+rational_parts = (st.fractions(min_value=-30, max_value=30, max_denominator=6)
+                  | big | st.builds(Fraction, big, st.integers(1, 10**40)))
+
+
+@st.composite
+def field_matrices(draw, square=False):
+    """(d, rows of Scalars over Q(sqrt(d))), with zero, duplicate and scaled rows."""
+    d = draw(st.sampled_from([0, 2, 3]))
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    parts = st.tuples(rational_parts, rational_parts if d else st.just(0))
+    sparse = st.one_of(st.just((0, 0)), parts)
+    rows = [[Scalar(a, b, d) for a, b in draw(st.lists(sparse, min_size=ncols, max_size=ncols))]
+            for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        kind = draw(st.sampled_from(["zero", "copy", "scaled"]))
+        if kind == "zero":
+            rows[i] = [Scalar(0)] * ncols
+        else:
+            a, b = draw(parts)
+            factor = Scalar(1) if kind == "copy" else Scalar(a, b, d) or Scalar(1)
+            rows[i] = [x * factor for x in rows[j]]
+    return d, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices())
+def test_sparse_rref_matches_the_scalar_reference(case):
+    """Pivots, RREF rows, dense rref and nullspace bases over Q, Q(sqrt 2), Q(sqrt 3)."""
+    _, m = case
+    ncols = len(m[0])
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    ref = ref_sparse_rref([dict(r) for r in rows])
+    got = linalg.sparse_rref(rows)
+    assert list(got) == list(ref) and got == ref
+    red, pivots, rank = linalg.rref(m)
+    assert pivots == tuple(sorted(ref)) and rank == len(ref)
+    assert red[:rank] == [[ref[p].get(j, Scalar(0)) for j in range(ncols)] for p in pivots]
+    assert all(not any(row) for row in red[rank:])
+    ref_null = []
+    for free in range(ncols):
+        if free not in ref:
+            v = [Scalar(0)] * ncols
+            v[free] = Scalar(1)
+            for p, prow in ref.items():
+                if prow.get(free):
+                    v[p] = -prow[free]
+            ref_null.append(v)
+    assert linalg.nullspace(m) == ref_null
+    # explicit zero entries in a sparse row are ignored
+    padded = [dict(r) for r in rows]
+    for r in padded:
+        r.update({j: Scalar(0) for j in range(ncols) if j not in r})
+    assert linalg.sparse_nullspace(padded, ncols) == ref_null
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices(square=True))
+def test_det_and_inverse_match_the_scalar_reference(case):
+    _, m = case
+    assert linalg.det(m) == ref_det(m)
+    ref = ref_inverse(m)
+    if ref is None:
+        assert not linalg.det(m)
+        with pytest.raises(SingularMatrixError):
+            linalg.inverse(m)
+    else:
+        assert linalg.inverse(m) == ref
+
+
+def test_reducer_refuses_two_radicals():
+    """Values of two radicals are refused even where their rows never meet."""
+    m = [[Scalar(0, 1, 2), 0], [0, Scalar(0, 1, 3)]]
+    for fn in (linalg.rref, linalg.det, linalg.inverse, linalg.nullspace):
+        with pytest.raises(FieldMismatchError):
+            fn(m)
+
+
+small_sqrt2 = st.integers(1, 4).flatmap(lambda r: st.integers(1, 5).flatmap(
+    lambda c: st.lists(st.lists(st.tuples(small, small), min_size=c, max_size=c),
+                       min_size=r, max_size=r)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_sqrt2)
+def test_rref_nullspace_sqrt2_match_sympy(sp, pairs):
+    """rref and nullspace over Q(sqrt(2)) against sympy's DomainMatrix over QQ<sqrt(2)>."""
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sp.QQ.algebraic_field(sp.sqrt(2))
+    m = [[Scalar(a, b, 2) for a, b in row] for row in pairs]
+    shape = (len(m), len(m[0]))
+
+    def ours(x):
+        return field.from_sympy(_to_sympy(sp, x))
+
+    ref = DomainMatrix([[ours(x) for x in row] for row in m], shape, field)
+    ref_red, ref_pivots = ref.rref()
+    red, pivots, rank = linalg.rref(m)
+    assert pivots == tuple(ref_pivots) and rank == len(ref_pivots)
+    assert [[ours(x) for x in row] for row in red] == ref_red.to_list()
+    ref_null = ref.nullspace(divide_last=True).to_list() if rank < shape[1] else []
+    assert [[ours(x) for x in v] for v in linalg.nullspace(m)] == ref_null

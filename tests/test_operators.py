@@ -467,6 +467,40 @@ def test_constructors_check_the_shape_against_the_ring(checked):
             ops.PolyOperator(ops.field_ring(3), g, omega, _checked=checked)
 
 
+
+def _foreign_f():
+    """f = [[0, a], [-a, 0]] with a from field_ring(2, ["a"]), not from field_ring(2)."""
+    a = ops.field_ring(2, ["a"]).var("a")
+    return [[0, a], [-a, 0]]
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_poly_operator_refuses_entries_from_another_ring(checked):
+    ring, eye2 = ops.field_ring(2), linalg.identity(2)
+    # refused before anything is verified (it would pass verify_hamiltonian)
+    with pytest.raises(ShapeMismatchError, match="in an operator over"):
+        ops.PolyOperator(ring, eye2, _foreign_f(), _checked=checked)
+    # a sqrt(2) ring with the same names is another ring too
+    u1 = ops.field_ring(2, d=2).var("u1")
+    with pytest.raises(ShapeMismatchError, match="in an operator over"):
+        ops.PolyOperator(ring, eye2, [[0, u1], [-u1, 0]], _checked=checked)
+    # an equal ring built anew is the same ring
+    u1 = ops.field_ring(2).var("u1")
+    assert ops.PolyOperator(ring, eye2, [[0, u1], [-u1, 0]], _checked=checked).omega[0][1] is u1
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_darboux_operator_refuses_entries_from_another_ring(checked):
+    ring, eye2 = ops.field_ring(2), linalg.identity(2)
+    zero_c = [[[0] * 2 for _ in range(2)] for _ in range(2)]
+    # refused at construction, not at the first .omega()
+    with pytest.raises(ShapeMismatchError, match="in an operator over"):
+        ops.DarbouxOperator(ring, zero_c, eye2, _foreign_f(), _checked=checked)
+    b = ops.field_ring(2, ["b"]).var("b")
+    f = [[0, b], [-b, 0]]
+    assert ops.DarbouxOperator(b.ring, zero_c, eye2, f, _checked=checked).f == f
+
+
 def test_darboux_general_equivalence_on_samples(rng):
     pool = [lie.so3(), lie.s46(), lie.heisenberg3(), lie.abelian(3)]
     for _ in range(25):
