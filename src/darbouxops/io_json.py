@@ -9,7 +9,8 @@ omitted pairs are zero.  Coefficients are scalar strings.
 Operator files:
     { "dim": n, "field_sqrt": d, "g": [[...]], "omega": [[...]],
       "params": ["alpha", ...] }
-with g and omega given entrywise as scalar/polynomial strings.
+with g and omega given entrywise as scalar/polynomial strings and params a
+list of strings (ParseError otherwise).
 
 In both formats every sqrt coefficient must use the declared field_sqrt
 (default 0, plain Q); any other radical is a ParseError.  An algebra's dim
@@ -145,7 +146,9 @@ def operator_from_dict(data: dict) -> PolyOperator:
                or any(not isinstance(row, list) or len(row) != dim for row in m) for m in rows):
             raise ParseError("g and omega must be dim x dim")
         d = int(data.get("field_sqrt", 0))
-        params = [str(p) for p in data.get("params", [])]
+        params = data.get("params", [])
+        if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
+            raise ParseError("params must be a list of strings")
         ring = field_ring(dim, params, d=d)
         g, omega = ([[ring.parse(str(x)) for x in row] for row in m] for m in rows)
         check_radicals(ring, "g", g)

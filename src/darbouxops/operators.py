@@ -12,7 +12,10 @@ Two views of the same object:
   verifier checks skewness, the Schouten identity, cyclic symmetry of
   Phi^{ijk} = g^{is} d omega^{jk} / d u^s and constancy of Phi.  Both
   identities are bilinear (`schouten_terms`, `phi_sum`), so the pencil's
-  lambda route reads its lambda^1 coefficient through the same code.
+  lambda route reads its lambda^1 coefficient through the same code.  The
+  omega-skew condition is decided first; for a skew omega the Jacobian
+  d omega^{jk} / d u^s and Phi are skew in j, k, so only j <= k is computed
+  and the rest is filled in by negation (`field_jacobian`, `phi_sum`).
 
 The views meet in one reader and one transport: `linear_parts` reads
 omega = c.u + f back as (c, f) and `darboux_view` turns an affine-omega
@@ -231,29 +234,51 @@ class PolyOperator:
                             [[lift(x) for x in row] for row in self.omega], _checked=True)
 
 
-def field_jacobian(ring: PolyRing, omega: PolyMatrix):
-    """d omega^{jk} / d u^s, indexed [j][k][s]."""
+def _fill_skew(m, negate) -> None:
+    """Set m[j][k] = negate(m[k][j]) for every k < j (the lower triangle of a
+    tensor skew in its first two indices, from the upper one)."""
+    for j in range(len(m)):
+        for k in range(j):
+            m[j][k] = negate(m[k][j])
+
+
+def field_jacobian(ring: PolyRing, omega: PolyMatrix, skew: bool = False):
+    """d omega^{jk} / d u^s, indexed [j][k][s].
+
+    With `skew` (omega skew, as its omega-skew condition decides) only
+    j <= k is differentiated and [k][j] is the negation of [j][k].
+    """
     n = len(omega)
     fidx = ring.field_indices()
-    return [[[omega[j][k].partial(fidx[s]) for s in range(n)] for k in range(n)] for j in range(n)]
+    jac = [[[omega[j][k].partial(i) for i in fidx] if j <= k or not skew else None
+            for k in range(n)] for j in range(n)]
+    if skew:
+        _fill_skew(jac, lambda row: [-x for x in row])
+    return jac
 
 
-def phi_sum(ring: PolyRing, *factors) -> list:
+def phi_sum(ring: PolyRing, *factors, skew: bool = False) -> list:
     """Phi^{ijk} = sum over the (g, domega) factors of g^{is} domega[j][k][s].
 
-    One factor gives the Phi tensor of an operator (`phi_tensor`).
+    One factor gives the Phi tensor of an operator (`phi_tensor`).  With
+    `skew` (every domega skew in j, k, as the Jacobian of a skew omega is)
+    only j <= k is summed and Phi^{ikj} is the negation of Phi^{ijk}.
     """
     n = len(factors[0][0])
-    return [
+    phi = [
         [[dot(ring, [(x, y) for g, domega in factors for x, y in zip(g[i], domega[j][k])
-                     if x and y]) for k in range(n)]
+                     if x and y]) if j <= k or not skew else None for k in range(n)]
          for j in range(n)]
         for i in range(n)
     ]
+    if skew:
+        for plane in phi:
+            _fill_skew(plane, Poly.__neg__)
+    return phi
 
 
 def phi_tensor(op: PolyOperator, domega=None):
-    """Phi^{ijk} = g^{is} d omega^{jk} / d u^s (b = 0).
+    """Phi^{ijk} = g^{is} d omega^{jk} / d u^s (b = 0), the full n^3 tensor.
 
     `domega` is `field_jacobian(op.ring, op.omega)`, computed when not given.
     """
@@ -290,16 +315,26 @@ def schouten_residual(ring: PolyRing, omega: PolyMatrix, domega=None) -> Optiona
     return first_violation(schouten_terms(omega, domega))
 
 
-def hamiltonian_report(ring: PolyRing, omega: PolyMatrix, schouten: Optional[tuple],
+def _first_field(p: Poly, fidx) -> Optional[int]:
+    """The least r such that a term of p has a positive exponent of the
+    field variable at index fidx[r], or None when p is constant in u."""
+    return min((r for e in p.terms for r, i in enumerate(fidx) if e[i]), default=None)
+
+
+def hamiltonian_report(ring: PolyRing, skew: Optional[tuple], schouten: Optional[tuple],
                        phi) -> VerificationReport:
-    """The report of `verify_hamiltonian`: omega skew, the given Schouten
-    violation, then Phi^{ijk} = Phi^{kij} and Phi constant in u read off
+    """The report of `verify_hamiltonian`: the given omega-skew and Schouten
+    violations, then Phi^{ijk} = Phi^{kij} and Phi constant in u read off
     `phi`.  Poly terms are canonical, so equal terms mean a zero difference
     and a term with a positive exponent of u^r means a nonzero d/du^r.
+
+    Each entry of Phi is read once for constancy.  When omega is skew
+    (`skew` is None) Phi is skew in j, k, so the first non-constant entry
+    has j <= k and only those entries are read.
     """
     n = len(phi)
     report = VerificationReport()
-    report.add("omega-skew", linalg.first_asymmetry(omega, skew=True))
+    report.add("omega-skew", skew)
     report.add("schouten", schouten)
     report.add("phi-cyclic-symmetry", next(
         ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
@@ -307,11 +342,9 @@ def hamiltonian_report(ring: PolyRing, omega: PolyMatrix, schouten: Optional[tup
         None,
     ))
     fidx = ring.field_indices()
-    report.add("phi-constant", next(
-        ((i, j, k, r) for i in range(n) for j in range(n) for k in range(n) for r in range(n)
-         if phi[i][j][k].depends_on(fidx[r])),
-        None,
-    ))
+    keys = ((i, j, k, _first_field(phi[i][j][k], fidx)) for i in range(n) for j in range(n)
+            for k in range(j if skew is None else 0, n))
+    report.add("phi-constant", next((key for key in keys if key[3] is not None), None))
     return report
 
 
@@ -321,13 +354,17 @@ def verify_hamiltonian(op: PolyOperator, domega=None) -> VerificationReport:
     Conditions: omega skew; Schouten-Jacobi identity; Phi^{ijk} = Phi^{kij};
     Phi constant in u (`hamiltonian_report`).  A pass means every identity
     holds identically in the field variables and all formal parameters.
-    `domega` is `field_jacobian(op.ring, op.omega)`, computed when not
-    given, and shared by the Schouten and Phi checks.
+    The omega-skew condition is decided first; when it holds, Phi is built
+    on j <= k (`phi_sum`), and so is the Jacobian of omega when it is not
+    given (`field_jacobian`).  A given `domega` is the Jacobian of omega,
+    shared by the Schouten and Phi checks.
     """
+    ring, omega = op.ring, op.omega
+    skew = linalg.first_asymmetry(omega, skew=True)
     if domega is None:
-        domega = field_jacobian(op.ring, op.omega)
-    return hamiltonian_report(op.ring, op.omega, schouten_residual(op.ring, op.omega, domega),
-                              phi_tensor(op, domega))
+        domega = field_jacobian(ring, omega, skew is None)
+    return hamiltonian_report(ring, skew, schouten_residual(ring, omega, domega),
+                              phi_sum(ring, (op.g, domega), skew=skew is None))
 
 
 def apply_to_density(op: PolyOperator, h: Poly) -> Tuple[PolyMatrix, List[Poly]]:

@@ -127,10 +127,12 @@ def pencil_compatible_general(a: PolyOperator, b: PolyOperator) -> PencilReport:
         )
     _require_common_ring(a, b)
     ring = a.ring
+    # both operands passed, so omega_A and omega_B are skew: the lambda^1
+    # omega-skew condition holds and the lambda^1 Phi is skew in j, k
     lam_report = hamiltonian_report(
-        ring, b.omega,
+        ring, None,
         first_violation(schouten_terms(a.omega, db), schouten_terms(b.omega, da)),
-        phi_sum(ring, (a.g, db), (b.g, da)),
+        phi_sum(ring, (a.g, db), (b.g, da), skew=True),
     )
     return PencilReport(ra, rb, [], lambda_report=lam_report)
 

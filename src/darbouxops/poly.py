@@ -12,10 +12,13 @@ denominator D, one pair per term, so that a coefficient is
 (A + B*sqrt(d))/D, and each monomial is packed into one int with a 16-bit
 field per indeterminate.  `dot` caches this form on the polynomial, because
 the entries of a structure tensor or an operator are multiplied many times;
-a single product `*` does not keep it.  A sum of products then multiplies
-monomials by adding their packed ints, accumulates plain integers keyed by
-the packed monomial, each product scaled to the lcm L of the operand
-denominators, and unpacks and builds one `Scalar` per nonzero output term.
+a single product `*` does not keep it, and a form cached for the very ring
+of the call is used without a ring check.  A sum of products then
+multiplies monomials by adding their packed ints, accumulates integers
+keyed by the packed monomial, each product scaled to the lcm L of the
+operand denominators -- over Q one int per monomial, over Q(sqrt(d)) one
+two-slot [a, b] list updated in place -- and unpacks and builds one
+`Scalar` per nonzero output term.
 The contract is the one of Scalar arithmetic summed term by term: the same
 terms and no stored zeros, with ShapeMismatchError for operands from
 different rings and FieldMismatchError for sqrt(d) against sqrt(d') with
@@ -25,6 +28,13 @@ Packed fields never carry into each other: an operand exponent is at most
 MAX_EXPONENT = 2**15 - 1, so a product exponent stays below 2**16.  A
 product operand with a larger exponent raises ExponentOverflowError, and
 the parser rejects larger exponents with ParseError.
+
+`parse_poly` reads a literal factor by factor with one compiled pattern,
+which also captures the parts of the printed coefficient "(a+b*sqrt(d))",
+and builds one coefficient and one exponent tuple per term.  An unreadable
+factor is delimited and reported as the factor a character-by-character
+reading would see (`_factor_error`), so each bad literal keeps its error
+type.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import or_
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     ExponentOverflowError,
@@ -53,6 +63,7 @@ from .scalars import (
     _make,
     _printable,
     _rational,
+    join_field_tags,
     parse_scalar,
     validate_field_tag,
 )
@@ -493,17 +504,18 @@ def dot(ring: PolyRing, pairs, keep: bool = True) -> Poly:
     d = 0
     den = 1
     for x, y in pairs:
-        dx, den_x, xs = _operand_form(ring, x, keep)
-        dy, den_y, ys = _operand_form(ring, y, keep)
+        # a form cached for this very ring needs no ring check
+        fx = x._ints if type(x) is Poly and x.ring is ring else None
+        fy = y._ints if type(y) is Poly and y.ring is ring else None
+        dx, den_x, xs = fx or _operand_form(ring, x, keep)
+        dy, den_y, ys = fy or _operand_form(ring, y, keep)
         if not (xs and ys):
             continue
-        for tag in (dx, dy):
-            if tag:
-                if d and tag != d:
-                    raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({tag})")
-                d = tag
+        if (dx and dx != d) or (dy and dy != d):
+            d = join_field_tags(join_field_tags(d, dx), dy)
         scale = den_x * den_y
-        den = lcm(den, scale)
+        if den % scale:
+            den = lcm(den, scale)
         operands.append((xs, ys, scale))
     acc: dict = {}
     terms = {}
@@ -521,8 +533,9 @@ def dot(ring: PolyRing, pairs, keep: bool = True) -> Poly:
             if a:
                 terms[unpack(e.to_bytes(nbytes, "little"))] = _rational(Fraction(a, den))
         return _poly(ring, terms)
-    # (a1 + b1 r)(a2 + b2 r) = a1 a2 + d b1 b2 + (a1 b2 + b1 a2) r, r = sqrt(d)
-    acc_b: dict = {}
+    # (a1 + b1 r)(a2 + b2 r) = a1 a2 + d b1 b2 + (a1 b2 + b1 a2) r, r = sqrt(d),
+    # accumulated in one [a, b] slot per monomial
+    get = acc.get
     for xs, ys, scale in operands:
         k = den // scale
         for e1, a1, b1 in xs:
@@ -530,10 +543,13 @@ def dot(ring: PolyRing, pairs, keep: bool = True) -> Poly:
             dkb1 = d * kb1
             for e2, a2, b2 in ys:
                 e = e1 + e2
-                acc[e] = acc.get(e, 0) + ka1 * a2 + dkb1 * b2
-                acc_b[e] = acc_b.get(e, 0) + ka1 * b2 + kb1 * a2
-    for e, a in acc.items():
-        b = acc_b[e]
+                slot = get(e)
+                if slot is None:
+                    acc[e] = [ka1 * a2 + dkb1 * b2, ka1 * b2 + kb1 * a2]
+                else:
+                    slot[0] += ka1 * a2 + dkb1 * b2
+                    slot[1] += ka1 * b2 + kb1 * a2
+    for e, (a, b) in acc.items():
         if b:
             c = _make(Fraction(a, den), Fraction(b, den), d)
         elif a:
@@ -556,77 +572,110 @@ def _latex_name(name: str) -> str:
 
 # -- parsing -------------------------------------------------------------
 
+# One factor of a term and the separator before it: "*" inside a term, or
+# the sign run (empty for a first term without signs) that opens a term.
+# The factor is a parenthesised scalar -- in the printed form "(a+b*sqrt(r))"
+# with its parts captured, or any other text for `parse_scalar` -- sqrt(r),
+# or a word -- a run of characters other than +-*/^() -- that is a number
+# p or p/q (negative right after "*") or an indeterminate, with an optional
+# exponent.  The factor is optional, so the
+# pattern always matches and an unreadable factor shows as an empty one.
+_FACTOR_RE = re.compile(
+    r"(\*|[+-]*)(?:"
+    r"\((-?\d+)(?:/(\d+))?([+-])(?:(\d+)(?:/(\d+))?\*)?sqrt\((\d+)\)\)"
+    r"|\(((?:[^()]|\([^()]*\))*)\)"
+    r"|sqrt\((\d+)\)"
+    r"|(-?[^-+*/^()]+)(?:/([^-+*/^()]+))?(?:\^([^-+*/^()]+))?"
+    r")?"
+)
 
-def _split_factors(term: str):
-    """Split a term at the "*" signs that are not nested inside parentheses."""
-    chunks = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(term):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch == "*" and i > start:
-            chunks.append(term[start:i])
-            start = i + 1
-    chunks.append(term[start:])
-    return chunks
+
+def _printed_scalar(a, qa, sign, b, qb, r) -> Optional[Scalar]:
+    """The value of "(a/qa+b/qb*sqrt(r))" (sign "+" or "-"), when both
+    denominators and b are nonzero and r > 1; None otherwise, and then
+    `parse_scalar` reads the text.  The parts have at most the digits of
+    the literal, so the value prints."""
+    qa = 1 if qa is None else _int(qa)
+    qb = 1 if qb is None else _int(qb)
+    b = 1 if b is None else _int(b)
+    r = _int(r)
+    if not (qa and qb and b) or r < 2:
+        return None
+    a = Fraction(_int(a), qa)
+    return _make(a, Fraction(-b if sign == "-" else b, qb), validate_field_tag(r))
 
 
 def parse_poly(ring: PolyRing, text: str) -> Poly:
     """Parse a signed sum of terms "coef*var1^e1*var2^e2".
 
     Bare variable names, parenthesised scalar coefficients and sqrt(d)
-    factors are accepted; whitespace is ignored.  Each term is read as one
-    coefficient and one exponent tuple.
+    factors are accepted; whitespace is ignored.  An indeterminate name is
+    read as a run of characters other than +-*/^ and parentheses.  Each term is read factor by factor
+    with one compiled pattern (`_FACTOR_RE`) into one coefficient and one
+    exponent tuple; a factor must end at the end of the literal, at a "*"
+    or at the sign of the next term.
     """
     s = "".join(text.split())
     if not s:
         raise ParseError("empty polynomial literal")
-    # carve into signed terms at top-level +/- (not following * or ( or ^ ...)
-    terms = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > start and s[i - 1] not in "*/^(+-":
-            terms.append(s[start:i])
-            start = i
-    terms.append(s[start:])
+    index = ring._index
+    match = _FACTOR_RE.match
+    n = len(s)
     out: dict = {}
-    for term in terms:
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if not term:
-            raise ParseError(f"dangling sign in {text!r}")
+    pos = 0
+    while pos < n:
+        m = match(s, pos)
+        signs = m.group(1)
+        if signs == "*":  # a literal that starts with "*"
+            raise _factor_error(ring, s, pos, text)
         coef = None
         exp = list(ring._zero_exp)
-        for factor in _split_factors(term):
-            if not factor:
-                raise ParseError(f"empty factor in {term!r}")
-            value = _parse_factor(ring, factor, text)
-            if type(value) is Scalar:
-                coef = value if coef is None else _printable(coef * value, text)
+        while True:
+            _, a, qa, sign, b, qb, r, inner, rad, word, den, power = m.groups()
+            start, pos = m.end(1), m.end()
+            if pos == start or (pos < n and s[pos] not in "*+-"):
+                raise _factor_error(ring, s, start, text)
+            if r is not None:
+                value = _printed_scalar(a, qa, sign, b, qb, r) or parse_scalar(s[start + 1:pos - 1])
+            elif inner is not None:
+                value = parse_scalar(inner)
+            elif rad is not None:
+                value = Scalar.sqrt(_int(rad))
             else:
-                i, power = value
-                exp[i] += power
-                if exp[i] > MAX_EXPONENT:
-                    raise ParseError(
-                        f"exponent {exp[i]} of {ring.names[i]} above MAX_EXPONENT = {MAX_EXPONENT}"
-                        f" ({text!r})"
-                    )
+                if power is None:
+                    k = 1
+                else:
+                    if not power.isdecimal():  # the pattern also admits "x" or "²" here
+                        raise ParseError(f"bad exponent in {s[start:pos]!r} ({text!r})")
+                    k = _int(power)
+                    if k > MAX_EXPONENT:
+                        raise ParseError(
+                            f"exponent {power} above MAX_EXPONENT = {MAX_EXPONENT} ({text!r})")
+                name = word if den is None else f"{word}/{den}"
+                if word.lstrip("-").isdecimal() and (den is None or den.isdecimal()):
+                    value = _literal_power(name, k, text)
+                elif name in index:
+                    i = index[name]
+                    exp[i] += k
+                    if exp[i] > MAX_EXPONENT:
+                        raise ParseError(
+                            f"exponent {exp[i]} of {ring.names[i]} above MAX_EXPONENT ="
+                            f" {MAX_EXPONENT} ({text!r})"
+                        )
+                    value = None
+                else:
+                    raise UnknownIndeterminateError(
+                        f"{name!r} not in ring {ring.names} ({text!r})")
+            if value is not None:
+                coef = value if coef is None else _printable(coef * value, text)
+            if pos == n or s[pos] != "*":
+                break
+            m = match(s, pos)
         if coef is None:
             coef = ONE
         elif not coef:
             continue
-        if sign < 0:
+        if signs.count("-") % 2:
             coef = -coef
         e = tuple(exp)
         prev = out.get(e)
@@ -641,23 +690,37 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
     return _poly(ring, out)
 
 
-def _parse_factor(ring: PolyRing, factor: str, context: str):
-    """A coefficient factor as a Scalar, or a variable power as (index, power)."""
+def _factor_error(ring: PolyRing, s: str, start: int, context: str) -> Exception:
+    """The error for the unreadable factor that starts at s[start].
+
+    The factor runs to the first "*", or sign of a next term (one that does
+    not follow "*", "/", "^", "(" or a sign), outside parentheses.  It is a
+    ParseError when empty, the error of `parse_scalar` when it is
+    parenthesised or a radical, a ParseError for a bad exponent, and an
+    UnknownIndeterminateError otherwise.
+    """
+    depth = 0
+    end = len(s)
+    for i in range(start, len(s)):
+        ch = s[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and i > start and (ch == "*" or ch in "+-" and s[i - 1] not in "*/^(+-"):
+            end = i
+            break
+    factor = s[start:end]
+    if not factor:
+        return ParseError(f"empty factor or dangling sign in {context!r}")
     if factor.startswith("(") and factor.endswith(")"):
-        return parse_scalar(factor[1:-1])
-    if factor.startswith("sqrt(") and factor.endswith(")"):
-        return parse_scalar(factor)
+        parse_scalar(factor[1:-1])
+    elif factor.startswith("sqrt(") and factor.endswith(")"):
+        parse_scalar(factor)
     name, caret, exp = factor.partition("^")
     if caret:
-        if not exp.isdecimal():  # isdigit() also admits "²", which int() rejects
-            raise ParseError(f"bad exponent in {factor!r} ({context!r})")
-        power = _int(exp)
-        if power > MAX_EXPONENT:
-            raise ParseError(f"exponent {exp} above MAX_EXPONENT = {MAX_EXPONENT} ({context!r})")
-    else:
-        power = 1
-    if re.fullmatch(r"-?\d+(/\d+)?", name):
-        return _literal_power(name, power, context)
-    if name in ring._index:
-        return (ring._index[name], power)
-    raise UnknownIndeterminateError(f"{name!r} not in ring {ring.names} ({context!r})")
+        if not exp.isdecimal():
+            return ParseError(f"bad exponent in {factor!r} ({context!r})")
+        if _int(exp) > MAX_EXPONENT:
+            return ParseError(f"exponent {exp} above MAX_EXPONENT = {MAX_EXPONENT} ({context!r})")
+    return UnknownIndeterminateError(f"{name!r} not in ring {ring.names} ({context!r})")

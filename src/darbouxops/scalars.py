@@ -111,7 +111,10 @@ class Scalar:
 
     @staticmethod
     def sqrt(d: int) -> "Scalar":
-        return Scalar(0, 1, d)
+        d = int(d)
+        if d in (0, 1):
+            return _rational(Fraction(d))
+        return _make(_FRACTION_ZERO, _FRACTION_ONE, validate_field_tag(d))
 
     @property
     def is_rational(self) -> bool:
@@ -279,6 +282,7 @@ _set_a = Scalar.a.__set__
 _set_b = Scalar.b.__set__
 _set_d = Scalar.d.__set__
 _FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
 
 
 def _rational(a: Fraction) -> Scalar:

@@ -138,6 +138,15 @@ def test_wellformed_files_still_load(tmp_path):
     assert io_json.load_operator(str(op)).n == 2
 
 
+@pytest.mark.parametrize("params", ["ab", "alpha", [1, None, 2.5], ["a", 3], {"a": 1}, None])
+def test_operator_params_must_be_a_list_of_strings(tmp_path, params):
+    """A string is not read as its characters, nor a number or null as a name."""
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"dim": 1, "g": [["1"]], "omega": [["0"]], "params": params}))
+    with pytest.raises(ParseError, match="params must be a list of strings"):
+        io_json.load_operator(str(path))
+
+
 def test_writers_keep_an_existing_file_when_a_value_cannot_be_printed(tmp_path):
     """The text is built before the file is opened: a failed write truncates nothing."""
     op_path, alg_path = tmp_path / "op.json", tmp_path / "alg.json"

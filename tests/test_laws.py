@@ -10,10 +10,12 @@ matrix entries.  The references below are the earlier implementations:
 eight symmetry and skewness predicates, the staged loops of `change_basis`,
 the direct sums of `transform_darboux` and of the (2,0) law, the entry
 builder of `space_latex`, both series loops, the rref slice of
-`coboundary_basis` and the sparse reduction of the matrix algebras.  They
-are compared with hypothesis over Q and Q(sqrt(2)), on Scalar entries and
-on polynomial entries with a parameter, on matrices and on 3-tensors;
-sympy's matrix commutators are an independent oracle for so(n) and sl(n).
+`coboundary_basis`, the sparse reduction of the matrix algebras, and the
+n^3 Jacobian and Phi tensors with the n^4 Phi-constancy loop of the
+Hamiltonian verifier (now built on j <= k for a skew omega).  They are
+compared with hypothesis over Q and Q(sqrt(2)), on Scalar entries and on
+polynomial entries with a parameter, on matrices and on 3-tensors; sympy's
+matrix commutators are an independent oracle for so(n) and sl(n).
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from darbouxops import catalog, latexout, lie, linalg
+from darbouxops import catalog, latexout, lie, linalg, pencil
 from darbouxops import invariants as inv
 from darbouxops import operators as ops
 from darbouxops.poly import PolyRing, dot
@@ -298,6 +300,65 @@ def ref_sl_basis(n):
     return basis
 
 
+# -- references: the Hamiltonian verifier on the full tensors ----------------
+
+
+def ref_field_jacobian(ring, omega):
+    """d omega^{jk} / d u^s differentiated for every (j, k)."""
+    n = len(omega)
+    fidx = ring.field_indices()
+    return [[[omega[j][k].partial(fidx[s]) for s in range(n)] for k in range(n)]
+            for j in range(n)]
+
+
+def ref_phi_sum(ring, *factors):
+    """Phi^{ijk} summed for every (i, j, k)."""
+    n = len(factors[0][0])
+    return [
+        [[dot(ring, [(x, y) for g, domega in factors for x, y in zip(g[i], domega[j][k])
+                     if x and y]) for k in range(n)]
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def ref_hamiltonian_report(ring, omega, schouten, phi):
+    """omega-skew read off omega, and one `depends_on` per entry and field variable."""
+    n = len(phi)
+    report = ops.VerificationReport()
+    report.add("omega-skew", linalg.first_asymmetry(omega, skew=True))
+    report.add("schouten", schouten)
+    report.add("phi-cyclic-symmetry", next(
+        ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+         if phi[i][j][k].terms != phi[k][i][j].terms),
+        None,
+    ))
+    fidx = ring.field_indices()
+    report.add("phi-constant", next(
+        ((i, j, k, r) for i in range(n) for j in range(n) for k in range(n) for r in range(n)
+         if phi[i][j][k].depends_on(fidx[r])),
+        None,
+    ))
+    return report
+
+
+def ref_verify_hamiltonian(op):
+    domega = ref_field_jacobian(op.ring, op.omega)
+    return ref_hamiltonian_report(op.ring, op.omega,
+                                  ops.schouten_residual(op.ring, op.omega, domega),
+                                  ref_phi_sum(op.ring, (op.g, domega)))
+
+
+def ref_lambda_report(a, b):
+    """The lambda^1 report of the pencil on the full Jacobians and Phi."""
+    da, db = ref_field_jacobian(a.ring, a.omega), ref_field_jacobian(b.ring, b.omega)
+    return ref_hamiltonian_report(
+        a.ring, b.omega,
+        lie.first_violation(ops.schouten_terms(a.omega, db), ops.schouten_terms(b.omega, da)),
+        ref_phi_sum(a.ring, (a.g, db), (b.g, da)),
+    )
+
+
 # -- random data -------------------------------------------------------------
 
 _Q = [Scalar(0)] * 5 + [Scalar(1), Scalar(-1), Scalar(2), Scalar(Fraction(-1, 3))]
@@ -502,6 +563,74 @@ def test_transported_catalog_operators_match_direct_sum():
         assert moved.c == ref_transport_direct(op.ring, a, linalg.inverse(a), op.c)
         assert moved.eta == ref_two_tensor(op.ring, a, op.eta)
         assert moved.f == ref_two_tensor(op.ring, a, op.f)
+
+
+# -- the Hamiltonian verifier on j <= k --------------------------------------
+
+
+def _field_pool(ring):
+    alpha, u = ring.var("alpha"), [ring.var(name) for name in ring.names[:-1]]
+    r2 = ring.const(Scalar(0, 1, 2))
+    return [ring.zero] * 4 + [ring.const(1), alpha, r2 * alpha - 1, u[-1], u[0] * u[-1],
+                              alpha * u[0] - u[-1] ** 2, (r2 + 1) * u[0], r2 * u[0] * u[0]]
+
+
+def _assert_skew_half_matches(op):
+    ring, omega = op.ring, op.omega
+    skew = linalg.first_asymmetry(omega, skew=True) is None
+    domega = ops.field_jacobian(ring, omega, skew)
+    assert domega == ref_field_jacobian(ring, omega)
+    assert ops.phi_sum(ring, (op.g, domega), skew=skew) == ref_phi_sum(ring, (op.g, domega))
+    assert ops.verify_hamiltonian(op).as_dict() == ref_verify_hamiltonian(op).as_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_skew_half_verifier_matches_full_tensors(data):
+    """Skew omegas (Jacobian and Phi on j <= k) and omegas that fail
+    omega-skew (the full tensors), g constant, symmetric or not."""
+    n = data.draw(st.integers(1, 4))
+    ring = ops.field_ring(n, ["alpha"], d=2)
+    pool = _field_pool(ring)
+    g = data.draw(_matrix(pool[:7], n))
+    if data.draw(st.booleans()):
+        omega = [[ring.zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                omega[i][j] = data.draw(st.sampled_from(pool))
+                omega[j][i] = -omega[i][j]
+    else:
+        omega = data.draw(_matrix(pool, n))
+    _assert_skew_half_matches(ops.PolyOperator(ring, g, omega, _checked=True))
+
+
+def test_non_skew_omega_reports_the_first_varying_phi_below_the_diagonal():
+    """omega^{10} = u1^2 with omega^{01} = 0: Phi^{010} = 0 but Phi^{100} = 2 u1."""
+    ring = ops.field_ring(2, ["alpha"], d=2)
+    u1 = ring.var("u1")
+    op = ops.PolyOperator(ring, linalg.identity(2), [[ring.zero, ring.zero], [u1 * u1, ring.zero]])
+    _assert_skew_half_matches(op)
+    got = {c.name: c.first_violation for c in ops.verify_hamiltonian(op).conditions}
+    assert got["omega-skew"] == (0, 1)
+    assert got["phi-constant"] == (0, 1, 0, 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_skew_half_lambda_route_matches_full_tensors(data):
+    """Catalog operators moved over Q(sqrt(2)) and paired: the operands'
+    reports and the lambda^1 report, first violations included."""
+    names = data.draw(st.sampled_from([["A_{3,2}", "A_{3,3}"], ["A_{4,2}", "A_{4,4}", "A_{4,5}"]]))
+    moved = []
+    for _ in range(2):
+        op = catalog.catalog_get(data.draw(st.sampled_from(names))).operator().to_poly_operator()
+        moved.append(ops.transform_poly_operator(op, data.draw(_invertible(_QSQRT2, op.n))))
+    a, b = pencil.unify_operators(*moved)
+    for x in (a, b):
+        _assert_skew_half_matches(x)
+    want = pencil.PencilReport(ref_verify_hamiltonian(a), ref_verify_hamiltonian(b), [],
+                               lambda_report=ref_lambda_report(a, b))
+    assert pencil.pencil_compatible_general(a, b).as_dict() == want.as_dict()
 
 
 # -- the general element and the series --------------------------------------

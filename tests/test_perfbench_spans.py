@@ -6,12 +6,14 @@ the package would otherwise drop out of `--trace 1` runs without notice.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
 
+from darbouxops import io_json
 from darbouxops.lie import LieAlgebra
-from darbouxops.poly import Poly
+from darbouxops.poly import Poly, PolyRing
 from darbouxops.scalars import Scalar
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -53,3 +55,21 @@ def test_install_wraps_and_uninstall_restores(spans):
     for _, module, names in spans._SPANS:
         for name in names:
             assert not hasattr(getattr(module, name), "__wrapped__")
+
+
+def test_traced_readers_count_parse_calls(spans, tmp_path):
+    """`spans` counts `poly.parse.calls` by swapping the module global
+    `parse_poly`, so `PolyRing.parse` and the operator loader must reach it."""
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"dim": 2, "field_sqrt": 2, "g": [["1", "0"], ["0", "sqrt(2)"]],
+                                "omega": [["0", "(1+sqrt(2))*u1*a"], ["(-1-sqrt(2))*u1*a", "0"]],
+                                "params": ["a"]}))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        PolyRing(["u1"], ["a"]).parse("2*u1^2-a")
+        assert tracer.counts["poly.parse.calls"] == 1
+        io_json.load_operator(str(path))
+        assert tracer.counts["poly.parse.calls"] == 1 + 8
+    finally:
+        tracer.uninstall()

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from darbouxops.errors import (
     ShapeMismatchError,
     UnknownIndeterminateError,
 )
-from darbouxops.poly import MAX_EXPONENT, Poly, PolyRing, dot
-from darbouxops.scalars import Scalar
+from darbouxops.poly import MAX_EXPONENT, Poly, PolyRing, dot, parse_poly
+from darbouxops.scalars import ONE, Scalar, _int, _literal_power, _printable, parse_scalar
 
 
 @pytest.fixture
@@ -136,6 +137,185 @@ def test_parse_accepts_max_exponent():
     ring = PolyRing(["u1", "u2"])
     p = ring.parse(f"3*u1^{MAX_EXPONENT}*u2^{MAX_EXPONENT - 1}*u2")
     assert p.terms == {(MAX_EXPONENT, MAX_EXPONENT): Scalar(3)}
+
+
+# -- the reader against the character-loop reader it replaced ----------------
+
+
+def _ref_split_factors(term):
+    chunks = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(term):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and ch == "*" and i > start:
+            chunks.append(term[start:i])
+            start = i + 1
+    chunks.append(term[start:])
+    return chunks
+
+
+def _ref_parse_factor(ring, factor, context):
+    if factor.startswith("(") and factor.endswith(")"):
+        return parse_scalar(factor[1:-1])
+    if factor.startswith("sqrt(") and factor.endswith(")"):
+        return parse_scalar(factor)
+    name, caret, exp = factor.partition("^")
+    if caret:
+        if not exp.isdecimal():
+            raise ParseError(f"bad exponent in {factor!r} ({context!r})")
+        power = _int(exp)
+        if power > MAX_EXPONENT:
+            raise ParseError(f"exponent {exp} above MAX_EXPONENT = {MAX_EXPONENT} ({context!r})")
+    else:
+        power = 1
+    if re.fullmatch(r"-?\d+(/\d+)?", name):
+        return _literal_power(name, power, context)
+    if name in ring._index:
+        return (ring._index[name], power)
+    raise UnknownIndeterminateError(f"{name!r} not in ring {ring.names} ({context!r})")
+
+
+def ref_parse_poly(ring, text):
+    """The reader before the factor pattern: terms carved at top-level signs
+    and factors at top-level "*" by character loops, one `parse_scalar` per
+    parenthesised, radical or numeric factor."""
+    s = "".join(text.split())
+    if not s:
+        raise ParseError("empty polynomial literal")
+    terms = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0 and i > start and s[i - 1] not in "*/^(+-":
+            terms.append(s[start:i])
+            start = i
+    terms.append(s[start:])
+    out = {}
+    for term in terms:
+        sign = 1
+        while term and term[0] in "+-":
+            if term[0] == "-":
+                sign = -sign
+            term = term[1:]
+        if not term:
+            raise ParseError(f"dangling sign in {text!r}")
+        coef = None
+        exp = list(ring._zero_exp)
+        for factor in _ref_split_factors(term):
+            if not factor:
+                raise ParseError(f"empty factor in {term!r}")
+            value = _ref_parse_factor(ring, factor, text)
+            if type(value) is Scalar:
+                coef = value if coef is None else _printable(coef * value, text)
+            else:
+                i, power = value
+                exp[i] += power
+                if exp[i] > MAX_EXPONENT:
+                    raise ParseError(f"exponent {exp[i]} above MAX_EXPONENT ({text!r})")
+        if coef is None:
+            coef = ONE
+        elif not coef:
+            continue
+        if sign < 0:
+            coef = -coef
+        e = tuple(exp)
+        prev = out.get(e)
+        if prev is None:
+            out[e] = coef
+        else:
+            coef = _printable(prev + coef, text)
+            if coef:
+                out[e] = coef
+            else:
+                del out[e]
+    return Poly(ring, out)
+
+
+_PARSE_RINGS = [PolyRing(["u1", "u2"], ["alpha"], d=2), PolyRing(["u1", "u2", "u3"], ["a", "f12"]),
+                PolyRing(["u1"], ["lam_b", "a.b", "x/y", "²", "2a"], d=5)]
+# the characters and pieces of `test_parse_errors`, and long or odd exponents,
+# zero denominators, unbalanced parentheses
+_MUTATIONS = list("+-*^()/0123456789 ") + [
+    "u1", "u2", "u9", "alpha", "a", "sqrt(", "sqrt(2)", "sqrt(3)", "sqrt(4)", "²", "^40000",
+    "/0", "(", ")", "((", "))", "**", "()", "u1()", "(2)^2", ".", "_", "x", "²", "1.5"]
+# factors of printed and unprinted forms, to be joined by "*" and signs
+_FACTORS = [
+    "2", "-3", "1/2", "-1/2", "0", "2^3", "0^0", "1/0", "(3/4)", "(-3)", "(2*)", "()",
+    "(1+sqrt(2))", "(-1/2-3/4*sqrt(2))", "(2-sqrt(5))", "(1+0*sqrt(3))", "(1+0*sqrt(4))", "(1+sqrt(1))",
+    "(0+sqrt(0))", "(1/0+sqrt(2))", "(1+sqrt(4))", "(+1-sqrt(2))", "(1+2sqrt(2))",
+    "sqrt(2)", "sqrt(3)", "sqrt(5)", "sqrt(1)", "sqrt(0)", "sqrt(2)^2", "u1", "u2^2",
+    "alpha^0", "a", "f12", "lam_b", "a.b", "x/y", "²", "2a", "u3", f"u1^{MAX_EXPONENT}", "3^2/4",
+]
+
+
+@st.composite
+def _printed_polys(draw):
+    """str() of a random polynomial over Q or Q(sqrt(d)): the ring and the text."""
+    ring = draw(st.sampled_from(_PARSE_RINGS))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        e = tuple(draw(st.integers(0, 3)) for _ in ring.names)
+        b = draw(_FRACS) if ring.d and draw(st.booleans()) else 0
+        terms[e] = Scalar(draw(_FRACS), b, ring.d)
+    return ring, str(Poly(ring, terms))
+
+
+@st.composite
+def _mutated_literals(draw):
+    ring, text = draw(_printed_polys())
+    for _ in range(draw(st.integers(1, 6))):
+        pos = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(_MUTATIONS))
+        action = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if action == "insert":
+            text = text[:pos] + piece + text[pos:]
+        elif action == "delete":
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + piece + text[pos + len(piece):]
+    return ring, text
+
+
+@st.composite
+def _factor_literals(draw):
+    ring = draw(st.sampled_from(_PARSE_RINGS))
+    parts = []
+    for _ in range(draw(st.integers(1, 7))):
+        parts += [draw(st.sampled_from(["*", "*", "*", "+", "-", "", "*-", "+-"])),
+                  draw(st.sampled_from(_FACTORS))]
+    return ring, "".join(parts[draw(st.integers(0, 1)):])
+
+
+def _outcome(reader, ring, text):
+    try:
+        return reader(ring, text).terms
+    except DarbouxOpsError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_printed_polys())
+def test_parse_printed_polys_matches_reference(ring_text):
+    ring, text = ring_text
+    got = ring.parse(text)
+    _assert_same_poly(got, ref_parse_poly(ring, text))
+    assert str(got) == text
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_mutated_literals(), _factor_literals()))
+def test_parse_matches_reference_on_mutated_literals(ring_text):
+    """The same terms, or the same error type."""
+    ring, text = ring_text
+    assert _outcome(parse_poly, ring, text) == _outcome(ref_parse_poly, ring, text), text
 
 
 def test_ring_from_generators():
@@ -383,6 +563,46 @@ def test_only_sums_of_products_cache_operand_forms():
     assert dot(ring, [(x, y)]) == prod
     assert x._ints is not None and y._ints is not None
     assert x * y == prod
+
+
+def test_dot_cached_forms_from_equal_and_other_rings():
+    """A form cached in an equal but distinct ring is accepted; one cached
+    in another ring, or with another radical, is still refused."""
+    ring, twin = PolyRing(["u1", "u2"], d=2), PolyRing(["u1", "u2"], d=2)
+    x, y = twin.parse("u1+sqrt(2)*u2"), twin.parse("(1-sqrt(2))*u1-u2")
+    want = dot(twin, [(x, y)])  # caches both forms in twin
+    assert x._ints is not None and y._ints is not None
+    got = dot(ring, [(x, y), (y, ring.one)])
+    assert got.ring is ring
+    assert got.terms == (want + y).terms
+    other = PolyRing(["u1", "u2"], ["a"], d=2)
+    z = other.parse("u1+a")
+    dot(other, [(z, z)])
+    with pytest.raises(ShapeMismatchError):
+        dot(ring, [(ring.one, z)])
+    with pytest.raises(ShapeMismatchError):
+        dot(ring, [(x, y), (z, ring.one)])
+    r2, r3 = ring.const(Scalar.sqrt(2)), ring.const(Scalar.sqrt(3))
+    for pairs in ([(r2, r3)], [(r2, ring.one), (r3, ring.one)], [(x, y), (r3, ring.one)]):
+        with pytest.raises(FieldMismatchError):
+            dot(ring, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dot_cancelling_sqrt_sums_give_zero(data):
+    """Multi-pair Q(sqrt(d)) sums whose products cancel, in both parts or in
+    the sqrt(d) part only, from cached and fresh forms alike."""
+    ring = PolyRing(["u1", "u2"], ["a"], d=data.draw(st.sampled_from([2, 3, 5])))
+    pairs = data.draw(st.lists(st.tuples(_sqrt_polys(ring), _sqrt_polys(ring)),
+                               min_size=1, max_size=4))
+    dot(ring, pairs[:1])
+    negated = [(-x, y) if k % 2 else (x, -y) for k, (x, y) in enumerate(pairs)]
+    assert dot(ring, pairs + negated).is_zero()
+    r = ring.const(Scalar.sqrt(ring.d))
+    conj = [(x * (1 + r), y) for x, y in pairs] + [(x * (r - 1), -y) for x, y in pairs]
+    total = dot(ring, conj)
+    assert total == dot(ring, [(2 * x, y) for x, y in pairs])
 
 
 def _reference_subs(p, mapping):
