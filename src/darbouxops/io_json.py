@@ -10,7 +10,7 @@ Operator files:
     { "dim": n, "field_sqrt": d, "g": [[...]], "omega": [[...]],
       "params": ["alpha", ...] }
 with g and omega given entrywise as scalar/polynomial strings and params a
-list of strings (ParseError otherwise).
+list of names that polynomial strings can use (ParseError otherwise).
 
 In both formats every sqrt coefficient must use the declared field_sqrt
 (default 0, plain Q); any other radical is a ParseError.  An algebra's dim

@@ -13,9 +13,9 @@ Two views of the same object:
   Phi^{ijk} = g^{is} d omega^{jk} / d u^s and constancy of Phi.  Both
   identities are bilinear (`schouten_terms`, `phi_sum`), so the pencil's
   lambda route reads its lambda^1 coefficient through the same code.  The
-  omega-skew condition is decided first; for a skew omega the Jacobian
-  d omega^{jk} / d u^s and Phi are skew in j, k, so only j <= k is computed
-  and the rest is filled in by negation (`field_jacobian`, `phi_sum`).
+  omega-skew condition is decided first; for a skew omega Phi is skew in
+  j, k, so only j <= k is summed and the rest is filled in by negation
+  (`phi_sum`).
 
 The views meet in one reader and one transport: `linear_parts` reads
 omega = c.u + f back as (c, f) and `darboux_view` turns an affine-omega
@@ -234,27 +234,11 @@ class PolyOperator:
                             [[lift(x) for x in row] for row in self.omega], _checked=True)
 
 
-def _fill_skew(m, negate) -> None:
-    """Set m[j][k] = negate(m[k][j]) for every k < j (the lower triangle of a
-    tensor skew in its first two indices, from the upper one)."""
-    for j in range(len(m)):
-        for k in range(j):
-            m[j][k] = negate(m[k][j])
-
-
-def field_jacobian(ring: PolyRing, omega: PolyMatrix, skew: bool = False):
-    """d omega^{jk} / d u^s, indexed [j][k][s].
-
-    With `skew` (omega skew, as its omega-skew condition decides) only
-    j <= k is differentiated and [k][j] is the negation of [j][k].
-    """
+def field_jacobian(ring: PolyRing, omega: PolyMatrix):
+    """d omega^{jk} / d u^s, indexed [j][k][s]."""
     n = len(omega)
     fidx = ring.field_indices()
-    jac = [[[omega[j][k].partial(i) for i in fidx] if j <= k or not skew else None
-            for k in range(n)] for j in range(n)]
-    if skew:
-        _fill_skew(jac, lambda row: [-x for x in row])
-    return jac
+    return [[[omega[j][k].partial(fidx[s]) for s in range(n)] for k in range(n)] for j in range(n)]
 
 
 def phi_sum(ring: PolyRing, *factors, skew: bool = False) -> list:
@@ -273,7 +257,9 @@ def phi_sum(ring: PolyRing, *factors, skew: bool = False) -> list:
     ]
     if skew:
         for plane in phi:
-            _fill_skew(plane, Poly.__neg__)
+            for j in range(n):
+                for k in range(j):
+                    plane[j][k] = -plane[k][j]
     return phi
 
 
@@ -355,14 +341,13 @@ def verify_hamiltonian(op: PolyOperator, domega=None) -> VerificationReport:
     Phi constant in u (`hamiltonian_report`).  A pass means every identity
     holds identically in the field variables and all formal parameters.
     The omega-skew condition is decided first; when it holds, Phi is built
-    on j <= k (`phi_sum`), and so is the Jacobian of omega when it is not
-    given (`field_jacobian`).  A given `domega` is the Jacobian of omega,
-    shared by the Schouten and Phi checks.
+    on j <= k (`phi_sum`).  `domega` is `field_jacobian(op.ring, op.omega)`,
+    computed when not given, and shared by the Schouten and Phi checks.
     """
     ring, omega = op.ring, op.omega
     skew = linalg.first_asymmetry(omega, skew=True)
     if domega is None:
-        domega = field_jacobian(ring, omega, skew is None)
+        domega = field_jacobian(ring, omega)
     return hamiltonian_report(ring, skew, schouten_residual(ring, omega, domega),
                               phi_sum(ring, (op.g, domega), skew=skew is None))
 

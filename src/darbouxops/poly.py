@@ -12,8 +12,7 @@ denominator D, one pair per term, so that a coefficient is
 (A + B*sqrt(d))/D, and each monomial is packed into one int with a 16-bit
 field per indeterminate.  `dot` caches this form on the polynomial, because
 the entries of a structure tensor or an operator are multiplied many times;
-a single product `*` does not keep it, and a form cached for the very ring
-of the call is used without a ring check.  A sum of products then
+a single product `*` does not keep it.  A sum of products then
 multiplies monomials by adding their packed ints, accumulates integers
 keyed by the packed monomial, each product scaled to the lcm L of the
 operand denominators -- over Q one int per monomial, over Q(sqrt(d)) one
@@ -29,8 +28,7 @@ MAX_EXPONENT = 2**15 - 1, so a product exponent stays below 2**16.  A
 product operand with a larger exponent raises ExponentOverflowError, and
 the parser rejects larger exponents with ParseError.
 
-`parse_poly` reads a literal factor by factor with one compiled pattern,
-which also captures the parts of the printed coefficient "(a+b*sqrt(d))",
+`parse_poly` reads a literal factor by factor with one compiled pattern
 and builds one coefficient and one exponent tuple per term.  An unreadable
 factor is delimited and reported as the factor a character-by-character
 reading would see (`_factor_error`), so each bad literal keeps its error
@@ -45,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import or_
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .errors import (
     ExponentOverflowError,
@@ -84,6 +82,9 @@ class PolyRing:
         kinds = (FIELD,) * len(field_vars) + (PARAM,) * len(params)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate indeterminate names in {names}")
+        for name in names:
+            if not _readable_name(name):
+                raise ValueError(f"indeterminate name {name!r} cannot be read in a polynomial")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "d", validate_field_tag(d))
@@ -504,11 +505,8 @@ def dot(ring: PolyRing, pairs, keep: bool = True) -> Poly:
     d = 0
     den = 1
     for x, y in pairs:
-        # a form cached for this very ring needs no ring check
-        fx = x._ints if type(x) is Poly and x.ring is ring else None
-        fy = y._ints if type(y) is Poly and y.ring is ring else None
-        dx, den_x, xs = fx or _operand_form(ring, x, keep)
-        dy, den_y, ys = fy or _operand_form(ring, y, keep)
+        dx, den_x, xs = _operand_form(ring, x, keep)
+        dy, den_y, ys = _operand_form(ring, y, keep)
         if not (xs and ys):
             continue
         if (dx and dx != d) or (dy and dy != d):
@@ -572,37 +570,29 @@ def _latex_name(name: str) -> str:
 
 # -- parsing -------------------------------------------------------------
 
+# A word: a run of characters other than +-*/^, parentheses and whitespace.
+_WORD = r"[^-+*/^()\s]+"
 # One factor of a term and the separator before it: "*" inside a term, or
 # the sign run (empty for a first term without signs) that opens a term.
-# The factor is a parenthesised scalar -- in the printed form "(a+b*sqrt(r))"
-# with its parts captured, or any other text for `parse_scalar` -- sqrt(r),
-# or a word -- a run of characters other than +-*/^() -- that is a number
-# p or p/q (negative right after "*") or an indeterminate, with an optional
-# exponent.  The factor is optional, so the
+# The factor is a parenthesised scalar (for `parse_scalar`), sqrt(r), or a
+# word that is a number p or p/q (negative right after "*") or an
+# indeterminate, with an optional exponent.  The factor is optional, so the
 # pattern always matches and an unreadable factor shows as an empty one.
-_FACTOR_RE = re.compile(
+# It is compiled on first use (`re` keeps it).
+_FACTOR_PATTERN = (
     r"(\*|[+-]*)(?:"
-    r"\((-?\d+)(?:/(\d+))?([+-])(?:(\d+)(?:/(\d+))?\*)?sqrt\((\d+)\)\)"
-    r"|\(((?:[^()]|\([^()]*\))*)\)"
+    r"\(((?:[^()]|\([^()]*\))*)\)"
     r"|sqrt\((\d+)\)"
-    r"|(-?[^-+*/^()]+)(?:/([^-+*/^()]+))?(?:\^([^-+*/^()]+))?"
+    rf"|(-?{_WORD})(?:/({_WORD}))?(?:\^({_WORD}))?"
     r")?"
 )
 
 
-def _printed_scalar(a, qa, sign, b, qb, r) -> Optional[Scalar]:
-    """The value of "(a/qa+b/qb*sqrt(r))" (sign "+" or "-"), when both
-    denominators and b are nonzero and r > 1; None otherwise, and then
-    `parse_scalar` reads the text.  The parts have at most the digits of
-    the literal, so the value prints."""
-    qa = 1 if qa is None else _int(qa)
-    qb = 1 if qb is None else _int(qb)
-    b = 1 if b is None else _int(b)
-    r = _int(r)
-    if not (qa and qb and b) or r < 2:
-        return None
-    a = Fraction(_int(a), qa)
-    return _make(a, Fraction(-b if sign == "-" else b, qb), validate_field_tag(r))
+def _readable_name(name: str) -> bool:
+    """Whether `parse_poly` reads `name` as an indeterminate: one word, or
+    two joined by "/", that is not a number."""
+    m = re.fullmatch(rf"({_WORD})(?:/({_WORD}))?", name)
+    return m is not None and not (m[1].isdecimal() and (m[2] is None or m[2].isdecimal()))
 
 
 def parse_poly(ring: PolyRing, text: str) -> Poly:
@@ -610,16 +600,18 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
 
     Bare variable names, parenthesised scalar coefficients and sqrt(d)
     factors are accepted; whitespace is ignored.  An indeterminate name is
-    read as a run of characters other than +-*/^ and parentheses.  Each term is read factor by factor
-    with one compiled pattern (`_FACTOR_RE`) into one coefficient and one
-    exponent tuple; a factor must end at the end of the literal, at a "*"
-    or at the sign of the next term.
+    read as a run of characters other than +-*/^ and parentheses, or two
+    such runs joined by "/" (`_readable_name`, checked when a ring is
+    built).  Each term is read factor by factor with one compiled pattern
+    (`_FACTOR_PATTERN`) into one coefficient and one exponent tuple; a
+    factor must end at the end of the literal, at a "*" or at the sign of
+    the next term.
     """
     s = "".join(text.split())
     if not s:
         raise ParseError("empty polynomial literal")
     index = ring._index
-    match = _FACTOR_RE.match
+    match = re.compile(_FACTOR_PATTERN).match
     n = len(s)
     out: dict = {}
     pos = 0
@@ -631,13 +623,11 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
         coef = None
         exp = list(ring._zero_exp)
         while True:
-            _, a, qa, sign, b, qb, r, inner, rad, word, den, power = m.groups()
+            _, inner, rad, word, den, power = m.groups()
             start, pos = m.end(1), m.end()
             if pos == start or (pos < n and s[pos] not in "*+-"):
                 raise _factor_error(ring, s, start, text)
-            if r is not None:
-                value = _printed_scalar(a, qa, sign, b, qb, r) or parse_scalar(s[start + 1:pos - 1])
-            elif inner is not None:
+            if inner is not None:
                 value = parse_scalar(inner)
             elif rad is not None:
                 value = Scalar.sqrt(_int(rad))

@@ -147,6 +147,14 @@ def test_operator_params_must_be_a_list_of_strings(tmp_path, params):
         io_json.load_operator(str(path))
 
 
+def test_operator_params_must_be_readable_names(tmp_path):
+    """A declared parameter that no entry could name is refused."""
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"dim": 1, "g": [["1"]], "omega": [["0"]], "params": ["f(x)"]}))
+    with pytest.raises(ParseError, match="cannot be read"):
+        io_json.load_operator(str(path))
+
+
 def test_writers_keep_an_existing_file_when_a_value_cannot_be_printed(tmp_path):
     """The text is built before the file is opened: a failed write truncates nothing."""
     op_path, alg_path = tmp_path / "op.json", tmp_path / "alg.json"

@@ -318,6 +318,20 @@ def test_parse_matches_reference_on_mutated_literals(ring_text):
     assert _outcome(parse_poly, ring, text) == _outcome(ref_parse_poly, ring, text), text
 
 
+@pytest.mark.parametrize("name", ["f(x)", "a/b/c", "/x", "x/", "a b", "x-y", "a+b", "a*b", "x^2",
+                                  "2", "1/2", "-x", ""])
+def test_ring_refuses_names_the_reader_cannot_read(name):
+    with pytest.raises(ValueError, match="cannot be read"):
+        PolyRing(["u1"], [name])
+
+
+def test_odd_readable_names_parse_as_their_indeterminate():
+    names = ["a.b", "x/y", "2/x", "x/2", "²", "2a", "lam_b", "sqrt"]
+    ring = PolyRing(["u1"], names)
+    for name in names:
+        assert ring.parse(f"3*{name}^2*u1") == 3 * ring.var(name) ** 2 * ring.var("u1")
+
+
 def test_ring_from_generators():
     ring = PolyRing((x for x in ["u1", "u2"]), (p for p in ["a"]))
     assert ring.names == ("u1", "u2", "a")
