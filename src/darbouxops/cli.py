@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -36,7 +37,7 @@ from .errors import (
     SingularMatrixError,
     UnknownIndeterminateError,
 )
-from .poly import PolyRing
+from .poly import _WORD, PolyRing, _readable_name
 from .scalars import validate_field_tag
 
 EXIT_OK = 0
@@ -151,17 +152,17 @@ def cmd_spaces(args) -> int:
     return EXIT_OK
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 def _block_params(text: str, dim: int) -> List[str]:
-    fields = {f"u{i + 1}" for i in range(dim)}
+    """The parameters of a block in order of first appearance: every name the
+    polynomial reader reads as an indeterminate (a word, or two joined by "/",
+    that is not a number; `poly._readable_name`) other than sqrt, I, zero and
+    the field variables u1..u{dim}."""
+    skip = {"sqrt", "I", "zero"} | {f"u{i + 1}" for i in range(dim)}
     names = []
-    for tok in _IDENT.findall(text):
-        if tok in ("sqrt", "I", "zero") or tok in fields:
-            continue
-        if tok not in names:
-            names.append(tok)
+    for entry in re.split("[,;]", "".join(text.split())):
+        for m in re.finditer(rf"{_WORD}(?:/{_WORD})?", entry):
+            if m[0] not in skip and m[0] not in names and _readable_name(m[0]):
+                names.append(m[0])
     return names
 
 
@@ -194,8 +195,7 @@ def _parse_block(ring: PolyRing, text: str, n: int, kind: str):
 def cmd_operator(args) -> int:
     if args.op_command == "build":
         g = io_json.load_algebra(args.algebra)
-        eta_params = _block_params(args.eta, g.dim)
-        params = eta_params + [p for p in _block_params(args.f, g.dim) if p not in eta_params]
+        params = _block_params(f"{args.eta};{args.f}", g.dim)  # eta's names first
         ring = ops.field_ring(g.dim, params, d=g.field_tag() or args.field_sqrt)
         eta = _parse_block(ring, args.eta, g.dim, "eta")
         f = _parse_block(ring, args.f, g.dim, "f")
@@ -340,7 +340,10 @@ def cmd_catalog(args) -> int:
     return EXIT_OK if not failed else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use and shared
+    by every call of `main`."""
     parser = argparse.ArgumentParser(
         prog="darbouxops",
         description="Exact toolkit for 1+0 hydrodynamic Hamiltonian operators in Darboux form.",

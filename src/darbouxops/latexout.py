@@ -10,20 +10,11 @@ from typing import List, Sequence
 
 from .invariants import general_element
 from .operators import PolyMatrix
-from .poly import Poly
-from .scalars import Scalar
-
-
-def _cell(x) -> str:
-    if isinstance(x, Poly):
-        return x.latex()
-    if isinstance(x, Scalar):
-        return x.latex()
-    return str(x)
 
 
 def matrix_latex(m: Sequence[Sequence]) -> str:
-    rows = [" & ".join(_cell(x) for x in row) for row in m]
+    """A pmatrix of Poly or Scalar cells."""
+    rows = [" & ".join(x.latex() for x in row) for row in m]
     body = " \\\\\n".join(rows)
     return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
 

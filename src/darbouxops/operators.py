@@ -76,6 +76,12 @@ class ConditionResult:
     first_violation: Optional[tuple] = None
     residual: Optional[str] = None
 
+    def record(self) -> dict:
+        """{name, ok, first_violation}, as every report prints a condition
+        (`VerificationReport.as_dict` adds the residual)."""
+        return {"name": self.name, "ok": self.ok,
+                "first_violation": list(self.first_violation) if self.first_violation else None}
+
 
 @dataclass
 class VerificationReport:
@@ -99,18 +105,8 @@ class VerificationReport:
         return [c.name for c in self.conditions if not c.ok]
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "conditions": [
-                {
-                    "name": c.name,
-                    "ok": c.ok,
-                    "first_violation": list(c.first_violation) if c.first_violation else None,
-                    "residual": c.residual,
-                }
-                for c in self.conditions
-            ],
-        }
+        return {"passed": self.passed,
+                "conditions": [{**c.record(), "residual": c.residual} for c in self.conditions]}
 
 
 def _check_shape(ring: PolyRing, n: int, *blocks: Tuple[object, int]) -> None:

@@ -26,6 +26,7 @@ from typing import List, Optional, Tuple
 from .errors import InvalidOperandError, ShapeMismatchError
 from .lie import cocycle_terms, first_violation, jacobi_terms, metric_terms
 from .operators import (
+    ConditionResult,
     DarbouxOperator,
     PolyOperator,
     VerificationReport,
@@ -45,7 +46,7 @@ from .scalars import join_field_tags
 class PencilReport:
     operand_a: Optional[VerificationReport]
     operand_b: Optional[VerificationReport]
-    conditions: List  # ConditionResult-compatible entries from VerificationReport.add
+    conditions: List[ConditionResult]  # from VerificationReport.add
     lambda_report: Optional[VerificationReport] = None
 
     @property
@@ -58,14 +59,7 @@ class PencilReport:
     def as_dict(self) -> dict:
         return {
             "compatible": self.compatible,
-            "conditions": [
-                {
-                    "name": c.name,
-                    "ok": c.ok,
-                    "first_violation": list(c.first_violation) if c.first_violation else None,
-                }
-                for c in self.conditions
-            ],
+            "conditions": [c.record() for c in self.conditions],
             "lambda_check": None if self.lambda_report is None else self.lambda_report.as_dict(),
         }
 
@@ -76,16 +70,20 @@ def _require_common_ring(a, b) -> None:
         raise ShapeMismatchError("pencil operands must share one ring; use unify_operators first")
 
 
-def pencil_compatible_darboux(a: DarbouxOperator, b: DarbouxOperator) -> PencilReport:
-    """Darboux-form pencil criterion; both operands must verify on their own."""
-    _require_common_ring(a, b)
-    ra = verify_darboux(a)
-    rb = verify_darboux(b)
+def _require_hamiltonian(ra: VerificationReport, rb: VerificationReport) -> None:
+    """InvalidOperandError unless both operands' own reports passed."""
     if not ra.passed or not rb.passed:
         raise InvalidOperandError(
             f"operands must be Hamiltonian before pairing: "
             f"A failed {ra.failed_names()}, B failed {rb.failed_names()}"
         )
+
+
+def pencil_compatible_darboux(a: DarbouxOperator, b: DarbouxOperator) -> PencilReport:
+    """Darboux-form pencil criterion; both operands must verify on their own."""
+    _require_common_ring(a, b)
+    ra, rb = verify_darboux(a), verify_darboux(b)
+    _require_hamiltonian(ra, rb)
     report = VerificationReport()
     # each condition is the bilinear part of its identity: terms(c_B, x_A) + terms(c_A, x_B)
     for name, terms, x_a, x_b in (("mixed-jacobi", jacobi_terms, a.c, b.c),
@@ -118,13 +116,8 @@ def pencil_compatible_general(a: PolyOperator, b: PolyOperator) -> PencilReport:
     that of `verify_hamiltonian(pencil_operator(a, b, lam))`, lam fresh.
     """
     da, db = field_jacobian(a.ring, a.omega), field_jacobian(b.ring, b.omega)
-    ra = verify_hamiltonian(a, da)
-    rb = verify_hamiltonian(b, db)
-    if not ra.passed or not rb.passed:
-        raise InvalidOperandError(
-            f"operands must be Hamiltonian before pairing: "
-            f"A failed {ra.failed_names()}, B failed {rb.failed_names()}"
-        )
+    ra, rb = verify_hamiltonian(a, da), verify_hamiltonian(b, db)
+    _require_hamiltonian(ra, rb)
     _require_common_ring(a, b)
     ring = a.ring
     # both operands passed, so omega_A and omega_B are skew: the lambda^1

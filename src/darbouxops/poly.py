@@ -32,7 +32,8 @@ the parser rejects larger exponents with ParseError.
 and builds one coefficient and one exponent tuple per term.  An unreadable
 factor is delimited and reported as the factor a character-by-character
 reading would see (`_factor_error`), so each bad literal keeps its error
-type.
+type.  `str` and `latex` print through one loop, `Poly._render`; its two
+styles, `_TEXT` and `_LATEX`, differ only in data.
 """
 
 from __future__ import annotations
@@ -343,69 +344,38 @@ class Poly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda ec: _grlex_key(ec[0]), reverse=True)
 
-    def __str__(self):
+    def _render(self, style) -> str:
+        """The terms in decreasing grlex order, printed by `style` (`_TEXT`, `_LATEX`):
+        a coefficient of +-1 left out before a monomial, a coefficient with
+        an inner sign bracketed, "+" before every later term not starting with "-"."""
         if not self.terms:
             return "0"
+        coef, name, power, times, grouped, grouped_constant = style
+        names = [name(n) for n in self.ring.names]
         pieces = []
         for e, c in self.sorted_terms():
-            mono = "*".join(
-                n if k == 1 else f"{n}^{k}"
-                for n, k in zip(self.ring.names, e)
-                if k
-            )
-            cs = str(c)
-            negative = cs.startswith("-") and ("+" not in cs[1:] and "-" not in cs[1:])
-            if mono:
-                if c == ONE:
-                    body = mono
-                elif c == MINUS_ONE:
-                    body = f"-{mono}"
-                elif negative or ("+" not in cs and "-" not in cs[1:]):
-                    body = f"{cs}*{mono}"
-                else:
-                    body = f"({cs})*{mono}"
+            mono = times.join(n if k == 1 else power.format(n, k) for n, k in zip(names, e) if k)
+            if mono and c == ONE:
+                body = mono
+            elif mono and c == MINUS_ONE:
+                body = "-" + mono
             else:
-                body = cs if (negative or ("+" not in cs and "-" not in cs[1:])) else f"({cs})"
-            if pieces and not body.startswith("-"):
-                pieces.append("+" + body)
-            else:
-                pieces.append(body)
+                body = coef(c)
+                if "+" in body[1:] or "-" in body[1:]:
+                    body = (grouped if mono else grouped_constant).format(body)
+                if mono:
+                    body += times + mono
+            pieces.append("+" + body if pieces and body[0] != "-" else body)
         return "".join(pieces)
+
+    def __str__(self):
+        return self._render(_TEXT)
 
     def __repr__(self):
         return f"Poly({self})"
 
     def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        def mono_latex(e):
-            parts = []
-            for n, k in zip(self.ring.names, e):
-                if not k:
-                    continue
-                name = _latex_name(n)
-                parts.append(name if k == 1 else f"{name}^{{{k}}}")
-            return " ".join(parts)
-
-        pieces = []
-        for e, c in self.sorted_terms():
-            mono = mono_latex(e)
-            if not mono:
-                body = c.latex()
-            elif c == ONE:
-                body = mono
-            elif c == MINUS_ONE:
-                body = f"-{mono}"
-            else:
-                cl = c.latex()
-                if "+" in cl[1:] or "-" in cl[1:]:
-                    cl = f"\\left({cl}\\right)"
-                body = f"{cl} {mono}"
-            if pieces and not body.startswith("-"):
-                pieces.append("+" + body)
-            else:
-                pieces.append(body)
-        return "".join(pieces)
+        return self._render(_LATEX)
 
 
 _new = object.__new__
@@ -566,6 +536,13 @@ def _latex_name(name: str) -> str:
     if name in ("alpha", "beta", "gamma", "delta", "lambda"):
         return "\\" + name
     return name
+
+
+# `Poly._render` styles: how a coefficient, a name and a power k >= 2 print,
+# the product sign, and the brackets around a coefficient with an inner sign
+# before a monomial and as a constant term.
+_TEXT = (str, str, "{}^{}", "*", "({})", "({})")
+_LATEX = (Scalar.latex, _latex_name, "{}^{{{}}}", " ", "\\left({}\\right)", "{}")
 
 
 # -- parsing -------------------------------------------------------------

@@ -103,6 +103,17 @@ def kdv_target_system():
     return v, w
 
 
+# An operator file whose omega = c.u has the brackets [e1,e2] = e2,
+# [e1,e3] = e3, [e2,e3] = e1, which break Jacobi.
+NOT_LIE_OPERATOR = {
+    "dim": 3,
+    "field_sqrt": 0,
+    "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "omega": [["0", "u2", "u3"], ["-u2", "0", "u1"], ["-u3", "-u1", "0"]],
+    "params": [],
+}
+
+
 def three_waves() -> DarbouxOperator:
     ring = field_ring(3)
     eta = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]

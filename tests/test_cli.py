@@ -129,6 +129,18 @@ def test_operator_build_and_verify(tmp_path, so3_file):
     assert run_cli(["operator", "verify", str(out)]).returncode == 0
 
 
+@pytest.mark.parametrize("eta, f, params", [
+    ("α*I", "zero", ["α"]),  # names the reader reads, though not ASCII identifiers
+    ("x/y*I", "0,β,0;-β,0,0;0,0,0", ["x/y", "β"]),
+    ("1/2*b+a,0,0;0,1/2*b+a,0;0,0,a+1/2*b", "0,c,-b;-c,0,a;b,-a,0", ["b", "a", "c"]),
+    ("a , 0, 0; 0, a, 0; 0, 0, (1+sqrt(2))*a-sqrt(2)*a", "zero", ["a"]),
+])
+def test_operator_build_reads_parameters_as_the_reader_does(so3_file, capsys, eta, f, params):
+    """Parameters are the reader's names, in order of first appearance, eta before f."""
+    assert cli.main(["operator", "build", "--algebra", so3_file, "--eta", eta, "--f", f]) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == params
+
+
 _SQUARE = {"g": [["1", "0"], ["0", "1"]], "omega": [["0", "u1"], ["-u1", "0"]]}
 
 

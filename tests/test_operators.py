@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from darbouxops import invariants as inv
-from darbouxops import lie, linalg
+from darbouxops import io_json, lie, linalg
 from darbouxops import operators as ops
 from darbouxops.errors import (
     FieldMismatchError,
@@ -626,3 +627,33 @@ def test_verify_hamiltonian_matches_reference_on_random_operators(data):
         omega[1][0] = omega[1][0] + ring.var("u1")
         op = ops.PolyOperator(ring, g, omega)
     assert ops.verify_hamiltonian(op).as_dict() == _reference_verify_hamiltonian(op).as_dict()
+
+
+def _report_dict(passed, rows):
+    """`VerificationReport.as_dict()` from (name, first violation, residual) rows, keys in order."""
+    return {"passed": passed, "conditions": [
+        {"name": name, "ok": violation is None, "first_violation": violation, "residual": residual}
+        for name, violation, residual in rows]}
+
+
+def test_verification_report_as_dict_keeps_keys_order_and_values():
+    not_lie = io_json.operator_from_dict(helpers.NOT_LIE_OPERATOR)
+    darboux = ["c-skew", "eta-symmetric", "f-skew", "jacobi", "cocycle", "metric-compatibility"]
+    general = ["omega-skew", "schouten", "phi-cyclic-symmetry", "phi-constant"]
+    cases = [
+        (ops.verify_darboux(helpers.kdv_A()),
+         _report_dict(True, [(name, None, None) for name in darboux])),
+        (ops.verify_darboux(ops.darboux_view(not_lie)), _report_dict(False, [
+            ("c-skew", None, None), ("eta-symmetric", None, None), ("f-skew", None, None),
+            ("jacobi", [0, 1, 2, 0], "2"), ("cocycle", None, None),
+            ("metric-compatibility", [0, 1, 1], None)])),
+        (ops.verify_hamiltonian(helpers.kdv_A().to_poly_operator()),
+         _report_dict(True, [(name, None, None) for name in general])),
+        (ops.verify_hamiltonian(not_lie), _report_dict(False, [
+            ("omega-skew", None, None), ("schouten", [0, 1, 2], None),
+            ("phi-cyclic-symmetry", [0, 1, 1], None), ("phi-constant", None, None)])),
+    ]
+    for report, want in cases:
+        got = report.as_dict()
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)  # the key order too

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -526,3 +527,40 @@ def test_lambda_route_matches_sympy_expansion(data):
         expected[name] = next((key for key in sorted(coeffs) if coeffs[key][1] != 0), None)
     assert {c.name: c.first_violation for c in rep.lambda_report.conditions} == expected
     assert rep.compatible == all(key is None for key in expected.values())
+
+
+def _pencil_dict(compatible, mixed, lam):
+    """`PencilReport.as_dict()` from the mixed (name, first violation) rows and the
+    lambda-route (name, first violation) rows or None, keys in order."""
+    return {
+        "compatible": compatible,
+        "conditions": [{"name": name, "ok": v is None, "first_violation": v} for name, v in mixed],
+        "lambda_check": None if lam is None else {
+            "passed": compatible,
+            "conditions": [{"name": name, "ok": v is None, "first_violation": v, "residual": None}
+                           for name, v in lam]},
+    }
+
+
+def test_pencil_report_as_dict_keeps_keys_order_and_values():
+    moduli = catalog.catalog_get("A_{6,11}").operator().to_poly_operator()
+    a, b = pencil.unify_operators(moduli, moduli)
+    lam = ["omega-skew", "schouten", "phi-cyclic-symmetry", "phi-constant"]
+    cases = [
+        (pencil.pencil_compatible_darboux(helpers.kdv_A(), helpers.kdv_B()),
+         _pencil_dict(True, [("mixed-jacobi", None), ("mixed-cocycle", None),
+                             ("mixed-metric", None)], None)),
+        (pencil.pencil_compatible_general(helpers.kdv_A().to_poly_operator(),
+                                          helpers.kdv_B().to_poly_operator()),
+         _pencil_dict(True, [], [(name, None) for name in lam])),
+        (pencil.pencil_compatible_darboux(pencil.darboux_view(a), pencil.darboux_view(b)),
+         _pencil_dict(False, [("mixed-jacobi", None), ("mixed-cocycle", None),
+                              ("mixed-metric", [2, 5, 4])], None)),
+        (pencil.pencil_compatible_general(a, b),
+         _pencil_dict(False, [], [("omega-skew", None), ("schouten", None),
+                                  ("phi-cyclic-symmetry", [2, 4, 5]), ("phi-constant", None)])),
+    ]
+    for report, want in cases:
+        got = report.as_dict()
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)  # the key order too

@@ -13,7 +13,7 @@ from darbouxops.errors import (
     ShapeMismatchError,
     UnknownIndeterminateError,
 )
-from darbouxops.poly import MAX_EXPONENT, Poly, PolyRing, dot, parse_poly
+from darbouxops.poly import MAX_EXPONENT, Poly, PolyRing, _latex_name, dot, parse_poly
 from darbouxops.scalars import ONE, Scalar, _int, _literal_power, _printable, parse_scalar
 
 
@@ -663,3 +663,124 @@ def test_subs_constant_and_polynomial_values():
     ):
         _assert_same_poly(p.subs(mapping), _reference_subs(p, mapping))
     assert p.subs({"a": 0}) == ring.parse("-3*u1*u2+sqrt(2)")
+
+
+# -- printing ----------------------------------------------------------------
+#
+# The two printers as they were written before `Poly._render` merged them,
+# kept as references.
+
+
+def ref_poly_str(p):
+    if not p.terms:
+        return "0"
+    pieces = []
+    for e, c in p.sorted_terms():
+        mono = "*".join(
+            n if k == 1 else f"{n}^{k}"
+            for n, k in zip(p.ring.names, e)
+            if k
+        )
+        cs = str(c)
+        negative = cs.startswith("-") and ("+" not in cs[1:] and "-" not in cs[1:])
+        if mono:
+            if c == ONE:
+                body = mono
+            elif c == Scalar(-1):
+                body = f"-{mono}"
+            elif negative or ("+" not in cs and "-" not in cs[1:]):
+                body = f"{cs}*{mono}"
+            else:
+                body = f"({cs})*{mono}"
+        else:
+            body = cs if (negative or ("+" not in cs and "-" not in cs[1:])) else f"({cs})"
+        if pieces and not body.startswith("-"):
+            pieces.append("+" + body)
+        else:
+            pieces.append(body)
+    return "".join(pieces)
+
+
+def ref_poly_latex(p):
+    if not p.terms:
+        return "0"
+
+    def mono_latex(e):
+        parts = []
+        for n, k in zip(p.ring.names, e):
+            if not k:
+                continue
+            name = _latex_name(n)
+            parts.append(name if k == 1 else f"{name}^{{{k}}}")
+        return " ".join(parts)
+
+    pieces = []
+    for e, c in p.sorted_terms():
+        mono = mono_latex(e)
+        if not mono:
+            body = c.latex()
+        elif c == ONE:
+            body = mono
+        elif c == Scalar(-1):
+            body = f"-{mono}"
+        else:
+            cl = c.latex()
+            if "+" in cl[1:] or "-" in cl[1:]:
+                cl = f"\\left({cl}\\right)"
+            body = f"{cl} {mono}"
+        if pieces and not body.startswith("-"):
+            pieces.append("+" + body)
+        else:
+            pieces.append(body)
+    return "".join(pieces)
+
+
+# the names `_latex_name` maps (u12, f23, alpha, lambda) and some it keeps
+_PRINT_FIELDS = ["u1", "u12"]
+_PRINT_PARAMS = ["f23", "alpha", "lambda", "beta2", "x/y"]
+_NONZERO_FRACS = _FRACS.filter(bool)
+
+
+@st.composite
+def _print_coefficients(draw, d):
+    """+-1, a fraction, a pure radical b*sqrt(d) or a + b*sqrt(d) with a, b != 0."""
+    kinds = ["unit", "fraction"] + (["radical", "mixed"] if d else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "unit":
+        return Scalar(draw(st.sampled_from([1, -1])))
+    if kind == "fraction":
+        return Scalar(draw(_NONZERO_FRACS))
+    a = 0 if kind == "radical" else draw(_NONZERO_FRACS)
+    return Scalar(a, draw(_NONZERO_FRACS), d)
+
+
+@st.composite
+def _print_polys(draw):
+    """A polynomial over Q or Q(sqrt(d)), often with a constant term, possibly zero."""
+    d = draw(st.sampled_from([0, 2, 3, 5]))
+    ring = PolyRing(_PRINT_FIELDS, _PRINT_PARAMS, d=d)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        e = tuple(draw(st.sampled_from([0, 0, 0, 1, 2, 3])) for _ in ring.names)
+        terms[e] = draw(_print_coefficients(d))
+    if draw(st.booleans()):
+        terms[ring._zero_exp] = draw(_print_coefficients(d))
+    return Poly(ring, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_print_polys())
+def test_printers_match_reference(p):
+    assert str(p) == ref_poly_str(p)
+    assert p.latex() == ref_poly_latex(p)
+
+
+def test_printers_pinned_examples():
+    ring = PolyRing(_PRINT_FIELDS, _PRINT_PARAMS, d=2)
+    p = ring.parse("-u12^2*alpha+(1-sqrt(2))*u1*f23+lambda-3/2*x/y^2+(-1+sqrt(2))")
+    assert str(p) == "-u12^2*alpha+(1-sqrt(2))*u1*f23-3/2*x/y^2+lambda+(-1+sqrt(2))"
+    assert p.latex() == ("-u^{12}^{2} \\alpha+\\left(1-\\sqrt{2}\\right) u^{1} f^{23}"
+                         "-\\frac{3}{2} x/y^{2}+\\lambda-1+\\sqrt{2}")
+    assert str(ring.zero) == ring.zero.latex() == "0"
+    assert str(ring.parse("-sqrt(2)*u1")) == "-sqrt(2)*u1"
+    assert ring.parse("-sqrt(2)*u1").latex() == "-\\sqrt{2} u^{1}"
