@@ -1,14 +1,18 @@
 """Catalog of verified operator families and its regression harness.
 
 `catalog_get` materializes an embedded record into parsed polynomial
-matrices, the extracted structure tensor and a concrete Lie algebra (the
-modulus, if any, instantiated at the documented rational value).
+matrices, the extracted structure tensor (`operators.linear_parts`) and a
+concrete Lie algebra (the modulus, if any, instantiated at the documented
+rational value).  `_at_moduli` evaluates each term at the moduli directly,
+for the structure tensor and for the eta directions of the witness alike.
 `verify_entry` re-derives everything the record claims: skewness and
 symmetry, the Jacobi identity, membership of the displayed eta and f
 families in the computed solution spaces, the Darboux verification itself
-(identically in all parameters), recomputed structure tags, parameter
-counts against computed dimensions, and the Casimir/metric inversion on a
-nondegenerate witness of the displayed metric family.
+(identically in all parameters), recomputed structure tags (a catalogued
+split holds when every nonzero bracket c^{ij}_k has i, j and k in one
+summand), parameter counts against computed dimensions, and the
+Casimir/metric inversion on a nondegenerate witness of the displayed
+metric family.
 
 Mismatches listed in a record's `expect_flags` are reported as flags, not
 failures; anything else failing is a regression.
@@ -21,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from . import catalog_data, linalg
-from .errors import UnknownEntryError
+from .errors import ShapeMismatchError, UnknownEntryError
 from .invariants import (
     casimir_residual,
     compatible_metric_space,
@@ -29,7 +33,7 @@ from .invariants import (
     quadratic_casimir_space,
     two_cocycle_space,
 )
-from .lie import LieAlgebra, structure_tags
+from .lie import LieAlgebra, _support, structure_tags
 from .operators import (
     DarbouxOperator,
     PolyMatrix,
@@ -39,7 +43,7 @@ from .operators import (
     verify_darboux,
 )
 from .poly import Poly, PolyRing
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 
 
 def _parse_matrix(ring: PolyRing, text: str) -> PolyMatrix:
@@ -48,13 +52,32 @@ def _parse_matrix(ring: PolyRing, text: str) -> PolyMatrix:
 
 
 def _at_moduli(entries: list, ring: PolyRing, moduli: Dict[str, Fraction]) -> list:
-    """Nested lists of u-free polynomials as Scalars, each modulus at its value."""
-    subs = {name: ring.const(Scalar(val)) for name, val in moduli.items()}
+    """Nested lists of u-free polynomials as Scalars, each modulus at its value.
+
+    Each term is evaluated at the moduli directly; ShapeMismatchError when
+    an entry keeps another indeterminate after the evaluation.
+    """
+    at = [(ring.index(name), Scalar(val)) for name, val in moduli.items()]
 
     def value(x):
         if isinstance(x, list):
             return [value(y) for y in x]
-        return (x.subs(subs) if subs else x).constant_value()
+        total, rest = ZERO, {}
+        for e, v in x.terms.items():
+            kept = list(e)
+            for i, m in at:
+                if e[i]:
+                    kept[i] = 0
+                    v = v * m ** e[i]
+            if any(kept):
+                key = tuple(kept)
+                rest[key] = rest[key] + v if key in rest else v
+            else:
+                total = total + v if total else v
+        if any(rest.values()):
+            rest[ring._zero_exp] = total
+            raise ShapeMismatchError(f"{Poly(ring, rest)} is not constant")
+        return total
 
     return value(entries)
 
@@ -159,9 +182,13 @@ def _tags_match(entry: CatalogEntry) -> tuple:
         if key in expected and getattr(tags, key) != expected[key]:
             problems.append(f"{key}={getattr(tags, key)} (expected {expected[key]})")
     if "split" in expected:
+        # every nonzero c^{ij}_k has i, j and k in one summand
         n1, n2 = expected["split"]
         c = entry.algebra.c
-        if any(any(c[i][j]) for i in range(n1) for j in range(n1, n1 + n2)):
+        if n1 + n2 != len(c) or any(
+                (i < n1) != (j < n1) or (i < n1) != (k < n1)
+                for i, plane in enumerate(c) for j, row in enumerate(plane)
+                for k, _ in _support(row)):
             problems.append("summands do not decouple at the catalogued split")
     return (not problems), problems
 

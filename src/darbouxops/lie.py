@@ -16,6 +16,12 @@ readers: `defect` evaluates it, and `solve` returns its kernel when the
 unknown entries are column markers.  Every checker, space solver, center
 and mixed pencil condition of the package is derived from them.
 
+Every reader of the tensor visits only its nonzero entries, through the
+`_support` rows of c: the identity generators, the bracket (`_bracket`,
+behind the dense `LieAlgebra.bracket`), the Killing form, and the lower
+central and derived series, which hand their sparse brackets straight to
+`linalg.sparse_rref`.
+
 `so_n` and `sl_n` build their bases as sparse integer matrices and read
 each commutator's coordinates straight off its entries.
 """
@@ -35,7 +41,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .poly import Poly, dot
-from .scalars import Scalar, field_tag, join_field_tags
+from .scalars import ONE, ZERO, Scalar, field_tag, join_field_tags
 
 Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
@@ -280,42 +286,48 @@ class LieAlgebra:
         return field_tag(x for plane in self.c for row in plane for x in row)
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
-        n = self.dim
-        out = [Scalar(0)] * n
-        for i in range(n):
-            if not x[i]:
-                continue
-            for j in range(n):
-                if not y[j]:
-                    continue
-                cij = self.c[i][j]
-                coef = x[i] * y[j]
-                for k in range(n):
-                    if cij[k]:
-                        out[k] = out[k] + coef * cij[k]
+        """[x, y] on dense coordinate lists (`_bracket` on their nonzero coordinates)."""
+        xs, ys = _support(x), _support(y)
+        rows = {i: {j: _support(self.c[i][j]) for j, _ in ys} for i, _ in xs}
+        out = [ZERO] * self.dim
+        for k, v in _bracket(rows, xs, ys).items():
+            out[k] = v
         return out
+
+
+def _bracket(rows, x, y) -> Dict[int, Scalar]:
+    """[x, y] = x_i y_j c^{ij}_k as {k: nonzero value}.
+
+    x and y are the (index, value) pairs of nonzero coordinates and
+    rows[i][j] the `_support` of c[i][j], so no zero entry is visited.
+    """
+    out: Dict[int, Scalar] = {}
+    for i, a in x:
+        plane = rows[i]
+        for j, b in y:
+            row = plane[j]
+            if row:
+                ab = a * b
+                for k, v in row:
+                    w = out.get(k)
+                    out[k] = ab * v if w is None else w + ab * v
+    return {k: v for k, v in out.items() if v}
 
 
 # -- structural invariants ------------------------------------------------
 
 
 def killing_form(g: LieAlgebra) -> linalg.Matrix:
-    """K^{ij} = c^{il}_m c^{jm}_l."""
+    """K^{ij} = c^{il}_m c^{jm}_l, summed over the nonzero c^{il}_m only."""
     n = g.dim
-    c = g.c
+    nonzero = [{(l, m): a for l, row in enumerate(plane) for m, a in _support(row)}
+               for plane in g.c]
     k = linalg.zeros(n, n)
     for i in range(n):
         for j in range(i, n):
-            total = Scalar(0)
-            for l in range(n):
-                for m in range(n):
-                    a = c[i][l][m]
-                    if a:
-                        b = c[j][m][l]
-                        if b:
-                            total = total + a * b
-            k[i][j] = total
-            k[j][i] = total
+            other = nonzero[j]
+            pairs = [(a, other[m, l]) for (l, m), a in nonzero[i].items() if (m, l) in other]
+            k[i][j] = k[j][i] = sum_of_products(pairs) if pairs else ZERO
     return k
 
 
@@ -335,19 +347,20 @@ def _span_basis(vectors: Sequence[linalg.Vector]) -> List[linalg.Vector]:
     return red[:rank]
 
 
-def _bracket_span(g: LieAlgebra, s1: Sequence[linalg.Vector],
-                  s2: Sequence[linalg.Vector]) -> List[linalg.Vector]:
-    vecs = [g.bracket(x, y) for x in s1 for y in s2]
-    vecs = [v for v in vecs if any(v)]
-    return _span_basis(vecs)
-
-
 def _series(g: LieAlgebra, lower: bool) -> List[int]:
-    """Dimensions of g_1 = g, g_{k+1} = [g, g_k] (lower) or [g_k, g_k], until stable."""
-    full = current = linalg.identity(g.dim)
+    """Dimensions of g_1 = g, g_{k+1} = [g, g_k] (lower) or [g_k, g_k], until stable.
+
+    Each g_k is held as the pivot rows of `linalg.sparse_rref`; g_{k+1} is
+    the reduction of the sparse brackets (`_bracket`) of the basis vectors
+    or pivot rows of g with those of g_k.
+    """
+    rows = [[_support(row) for row in plane] for plane in g.c]
+    full = current = [[(i, ONE)] for i in range(g.dim)]
     dims = [g.dim]
     while dims[-1]:
-        current = _bracket_span(g, full if lower else current, current)
+        brackets = [_bracket(rows, x, y) for x in (full if lower else current) for y in current]
+        current = [list(row.items())
+                   for row in linalg.sparse_rref([b for b in brackets if b]).values()]
         if len(current) == dims[-1]:
             break
         dims.append(len(current))

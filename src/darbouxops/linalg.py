@@ -32,6 +32,7 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatchError, SingularMatrixError
+from .poly import Poly
 from .scalars import ONE, ZERO, Scalar, _make, _rational, join_field_tags
 
 Matrix = List[List[Scalar]]
@@ -52,7 +53,8 @@ def first_asymmetry(m, skew: bool = False) -> Optional[tuple]:
 
     For a 3-tensor m[i][j][k] the law is checked in the first index pair
     and the key is (i, j, k).  Keys are visited in the order i, then j >= i,
-    then k; entries may be Scalars or polynomials.
+    then k; entries may be Scalars or polynomials.  A pair of zeros is
+    skipped, and two polynomials are compared term by term in place.
     """
     n = len(m)
     for i in range(n):
@@ -60,11 +62,22 @@ def first_asymmetry(m, skew: bool = False) -> Optional[tuple]:
             x, y = m[i][j], m[j][i]
             if isinstance(x, (list, tuple)):
                 for k, (a, b) in enumerate(zip(x, y)):
-                    if a != (-b if skew else b):
+                    if (a or b) and not _mirrored(a, b, skew):
                         return (i, j, k)
-            elif x != (-y if skew else y):
+            elif (x or y) and not _mirrored(x, y, skew):
                 return (i, j)
     return None
+
+
+def _mirrored(x, y, skew: bool) -> bool:
+    """x == -y if skew, else x == y."""
+    if not skew:
+        return x == y
+    if type(x) is Poly and type(y) is Poly:
+        xt, yt = x.terms, y.terms
+        return x.ring == y.ring and len(xt) == len(yt) and all(
+            e in yt and v == -yt[e] for e, v in xt.items())
+    return x == -y
 
 
 def _sparse_rows(m: Sequence[Sequence]) -> Tuple[List[SparseRow], int]:

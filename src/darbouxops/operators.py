@@ -18,9 +18,10 @@ Two views of the same object:
   (`phi_sum`).
 
 The views meet in one reader and one transport: `linear_parts` reads
-omega = c.u + f back as (c, f) and `darboux_view` turns an affine-omega
-PolyOperator into a triple; `transform_poly_operator` moves an operator by
-a basis change, and `transform_darboux` is that move read back as a triple.
+omega = c.u + f back as (c, f) in one pass over the terms of each entry,
+and `darboux_view` turns an affine-omega PolyOperator into a triple;
+`transform_poly_operator` moves an operator by a basis change, and
+`transform_darboux` is that move read back as a triple.
 `PolyOperator.embedded` is the one move of an operator into a larger ring.
 
 Verification never raises on a failing condition; failures land in the
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .invariants import cocycle_residual, metric_residual
 from .lie import LieAlgebra, defect, first_violation, jacobi_terms, solve
-from .poly import Poly, PolyRing, dot, ring_embedding
+from .poly import Poly, PolyRing, _poly, dot, ring_embedding
 from .scalars import Scalar, field_tag, join_field_tags
 
 PolyMatrix = List[List[Poly]]
@@ -460,13 +461,32 @@ def linear_parts(ring: PolyRing, omega: PolyMatrix):
     """Read omega = c.u + f: c[i][j][k] is the coefficient of u^k in
     omega[i][j] and f[i][j] its value at u = 0.
 
-    Never raises; the split is exact only when omega is affine in u
+    Each entry is read in one pass over its terms: a term without field
+    variables goes to f, and a term is sorted into c[i][j][k] once for each
+    u^k it holds to the first power, the other indeterminates kept.  Never
+    raises; the split is exact only when omega is affine in u
     (`nonaffine_entry`), and then every entry of c and f is u-free.
     """
     fidx = ring.field_indices()
-    n = len(omega)
-    c = [[[x.coefficient_of_var(fidx[k]) for k in range(n)] for x in row] for row in omega]
-    f = [[x.at_zero(fidx) for x in row] for row in omega]
+    c, f = [], []
+    for row in omega:
+        c_row, f_row = [], []
+        for x in row:
+            parts = [{} for _ in fidx]
+            const = {}
+            for e, v in x.terms.items():
+                linear = False
+                for k, i in enumerate(fidx):
+                    if e[i]:
+                        linear = True
+                        if e[i] == 1:
+                            parts[k][e[:i] + (0,) + e[i + 1:]] = v
+                if not linear:
+                    const[e] = v
+            c_row.append([_poly(ring, p) for p in parts])
+            f_row.append(_poly(ring, const))
+        c.append(c_row)
+        f.append(f_row)
     return c, f
 
 

@@ -323,13 +323,9 @@ class Poly:
 
     def coefficient_of_power(self, var, k: int) -> "Poly":
         i = var if isinstance(var, int) else self.ring.index(var)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                de = list(e)
-                de[i] = 0
-                out[tuple(de)] = c
-        return Poly(self.ring, out)
+        # e[i] == k is fixed, so setting it to 0 merges no two terms
+        return _poly(self.ring, {e[:i] + (0,) + e[i + 1:]: c
+                                 for e, c in self.terms.items() if e[i] == k})
 
     def at_zero(self, indices) -> "Poly":
         """Restriction setting the listed indeterminates to zero."""
@@ -347,14 +343,17 @@ class Poly:
     def _render(self, style) -> str:
         """The terms in decreasing grlex order, printed by `style` (`_TEXT`, `_LATEX`):
         a coefficient of +-1 left out before a monomial, a coefficient with
-        an inner sign bracketed, "+" before every later term not starting with "-"."""
+        an inner sign bracketed, "+" before every later term not starting with "-",
+        and the power of a name that already carries a superscript braced."""
         if not self.terms:
             return "0"
-        coef, name, power, times, grouped, grouped_constant = style
+        coef, name, power, superscripted_power, times, grouped, grouped_constant = style
         names = [name(n) for n in self.ring.names]
+        powers = [superscripted_power if "^" in n else power for n in names]
         pieces = []
         for e, c in self.sorted_terms():
-            mono = times.join(n if k == 1 else power.format(n, k) for n, k in zip(names, e) if k)
+            mono = times.join(n if k == 1 else p.format(n, k)
+                              for n, p, k in zip(names, powers, e) if k)
             if mono and c == ONE:
                 body = mono
             elif mono and c == MINUS_ONE:
@@ -538,11 +537,12 @@ def _latex_name(name: str) -> str:
     return name
 
 
-# `Poly._render` styles: how a coefficient, a name and a power k >= 2 print,
-# the product sign, and the brackets around a coefficient with an inner sign
-# before a monomial and as a constant term.
-_TEXT = (str, str, "{}^{}", "*", "({})", "({})")
-_LATEX = (Scalar.latex, _latex_name, "{}^{{{}}}", " ", "\\left({}\\right)", "{}")
+# `Poly._render` styles: how a coefficient, a name and a power k >= 2 print
+# (of a printed name without and with a "^" of its own), the product sign,
+# and the brackets around a coefficient with an inner sign before a
+# monomial and as a constant term.  A text name never holds a "^".
+_TEXT = (str, str, "{}^{}", "{}^{}", "*", "({})", "({})")
+_LATEX = (Scalar.latex, _latex_name, "{}^{{{}}}", "{{{}}}^{{{}}}", " ", "\\left({}\\right)", "{}")
 
 
 # -- parsing -------------------------------------------------------------

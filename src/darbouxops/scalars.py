@@ -347,8 +347,13 @@ def _printable(value: Scalar, context: str) -> Scalar:
     """`value`, or a ParseError when a numerator or denominator of it has
     more digits than Python's int-string limit lets `str` print."""
     limit = sys.get_int_max_str_digits()
-    if limit and any(_above_digit_limit(x, limit) for q in (value.a, value.b)
-                     for x in (q.numerator, q.denominator)):
+    a, b = value.a, value.b
+    # the bit length of the OR is the largest of the four; only a number of
+    # more than 3 * limit bits can pass the limit (`_above_digit_limit`)
+    if limit and (abs(a.numerator) | a.denominator | abs(b.numerator)
+                  | b.denominator).bit_length() > 3 * limit and any(
+            _above_digit_limit(x, limit)
+            for x in (a.numerator, a.denominator, b.numerator, b.denominator)):
         raise _unprintable(context, limit)
     return value
 

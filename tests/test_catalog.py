@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from darbouxops import catalog, invariants as inv, lie, linalg
@@ -31,6 +33,20 @@ def test_catalog_get_a56():
     assert entry.structure == "3-Step Nilpotent"
     tags = lie.structure_tags(entry.algebra)
     assert tags.nilpotency_class == 3
+
+
+def test_split_check_needs_closed_summands():
+    """[e1, e2] = e3 decouples nothing from e3 across the split, but e1 + e2 is not closed."""
+    heisenberg = lie.LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
+    ok, problems = catalog._tags_match(
+        SimpleNamespace(algebra=heisenberg, expected_tags={"split": [2, 1]}))
+    assert not ok
+    assert problems == ["summands do not decouple at the catalogued split"]
+    split = lie.direct_sum(lie.heisenberg3(), lie.abelian(1))
+    assert catalog._tags_match(SimpleNamespace(algebra=split, expected_tags={"split": [3, 1]}))[0]
+    for wrong in ([2, 2], [3, 2]):
+        assert not catalog._tags_match(
+            SimpleNamespace(algebra=split, expected_tags={"split": wrong}))[0]
 
 
 def test_verify_a33_entry():

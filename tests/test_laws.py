@@ -6,16 +6,22 @@
 `lie._series` the one series loop and `lie._span_basis` the one span
 reader; `operators._two_tensor` contracts one index at a time as
 `transport_tensor` does, and `so_n`/`sl_n` read commutator coordinates off
-matrix entries.  The references below are the earlier implementations:
-eight symmetry and skewness predicates, the staged loops of `change_basis`,
-the direct sums of `transform_darboux` and of the (2,0) law, the entry
-builder of `space_latex`, both series loops, the rref slice of
-`coboundary_basis`, the sparse reduction of the matrix algebras, and the
-n^3 Jacobian and Phi tensors with the n^4 Phi-constancy loop of the
-Hamiltonian verifier (now built on j <= k for a skew omega).  They are
-compared with hypothesis over Q and Q(sqrt(2)), on Scalar entries and on
-polynomial entries with a parameter, on matrices and on 3-tensors; sympy's
-matrix commutators are an independent oracle for so(n) and sl(n).
+matrix entries.  The bracket, the series, `killing_form`,
+`operators.linear_parts`, `catalog._at_moduli` and `first_asymmetry` read
+only nonzero entries.  The references below are the earlier
+implementations: eight symmetry and skewness predicates and the
+pair-by-pair `first_asymmetry`, the staged loops of `change_basis`, the
+direct sums of `transform_darboux` and of the (2,0) law, the entry builder
+of `space_latex`, the dense bracket and both series loops on it with the
+dense rref, the n^4 Killing form, the n-scan `linear_parts`, the
+`subs`-based `_at_moduli`, the rref slice of `coboundary_basis`, the
+sparse reduction of the matrix algebras, and the n^3 Jacobian and Phi
+tensors with the n^4 Phi-constancy loop of the Hamiltonian verifier (now
+built on j <= k for a skew omega).  They are compared with hypothesis over
+Q and Q(sqrt(2)), on Scalar entries and on polynomial entries with a
+parameter, on matrices and on 3-tensors; sympy's matrix commutators are an
+independent oracle for so(n) and sl(n), and sympy's tr(ad_x ad_y) and
+spans of ad images one for the Killing form and the series.
 """
 
 from fractions import Fraction
@@ -27,7 +33,7 @@ from hypothesis import strategies as st
 from darbouxops import catalog, latexout, lie, linalg, pencil
 from darbouxops import invariants as inv
 from darbouxops import operators as ops
-from darbouxops.poly import PolyRing, dot
+from darbouxops.poly import Poly, PolyRing, dot
 from darbouxops.scalars import Scalar
 
 # -- references: symmetry and skewness ---------------------------------------
@@ -194,12 +200,39 @@ def ref_space_latex(basis, symbol="t"):
     return latexout.matrix_latex(ref_general_element(basis, symbol)[1])
 
 
+def ref_bracket(g, x, y):
+    """LieAlgebra.bracket as a dense loop over every coordinate pair and output index."""
+    n = g.dim
+    out = [Scalar(0)] * n
+    for i in range(n):
+        if not x[i]:
+            continue
+        for j in range(n):
+            if not y[j]:
+                continue
+            cij = g.c[i][j]
+            coef = x[i] * y[j]
+            for k in range(n):
+                if cij[k]:
+                    out[k] = out[k] + coef * cij[k]
+    return out
+
+
+def ref_bracket_span(g, s1, s2):
+    """lie._bracket_span: dense brackets of all pairs, reduced by the dense rref."""
+    vecs = [v for v in (ref_bracket(g, x, y) for x in s1 for y in s2) if any(v)]
+    if not vecs:
+        return []
+    red, _, rank = linalg.rref(vecs)
+    return red[:rank]
+
+
 def ref_lower_central_series(g):
     full = [row[:] for row in linalg.identity(g.dim)]
     dims = [g.dim]
     current = full
     while True:
-        nxt = lie._bracket_span(g, full, current)
+        nxt = ref_bracket_span(g, full, current)
         d = len(nxt)
         if d == dims[-1]:
             break
@@ -214,7 +247,7 @@ def ref_derived_series(g):
     dims = [g.dim]
     current = [row[:] for row in linalg.identity(g.dim)]
     while True:
-        nxt = lie._bracket_span(g, current, current)
+        nxt = ref_bracket_span(g, current, current)
         d = len(nxt)
         if d == dims[-1]:
             break
@@ -223,6 +256,62 @@ def ref_derived_series(g):
         if d == 0:
             break
     return dims
+
+
+def ref_killing_form(g):
+    """lie.killing_form with its n^4 zero tests."""
+    n = g.dim
+    c = g.c
+    k = linalg.zeros(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            total = Scalar(0)
+            for l in range(n):
+                for m in range(n):
+                    a = c[i][l][m]
+                    if a:
+                        b = c[j][m][l]
+                        if b:
+                            total = total + a * b
+            k[i][j] = total
+            k[j][i] = total
+    return k
+
+
+def ref_linear_parts(ring, omega):
+    """operators.linear_parts as n `coefficient_of_var` scans and one `at_zero` per entry."""
+    fidx = ring.field_indices()
+    n = len(omega)
+    c = [[[x.coefficient_of_var(fidx[k]) for k in range(n)] for x in row] for row in omega]
+    f = [[x.at_zero(fidx) for x in row] for row in omega]
+    return c, f
+
+
+def ref_at_moduli(entries, ring, moduli):
+    """catalog._at_moduli through `Poly.subs` and `constant_value`."""
+    subs = {name: ring.const(Scalar(val)) for name, val in moduli.items()}
+
+    def value(x):
+        if isinstance(x, list):
+            return [value(y) for y in x]
+        return (x.subs(subs) if subs else x).constant_value()
+
+    return value(entries)
+
+
+def ref_first_asymmetry(m, skew=False):
+    """linalg.first_asymmetry comparing every pair, through a negated copy when skew."""
+    n = len(m)
+    for i in range(n):
+        for j in range(i, n):
+            x, y = m[i][j], m[j][i]
+            if isinstance(x, (list, tuple)):
+                for k, (a, b) in enumerate(zip(x, y)):
+                    if a != (-b if skew else b):
+                        return (i, j, k)
+            elif x != (-y if skew else y):
+                return (i, j)
+    return None
 
 
 # -- references: spans and matrix algebras -----------------------------------
@@ -707,3 +796,167 @@ def test_matrix_algebras_match_sympy_commutators(build, ref_basis, sizes):
                 coords = coords_of * bracket
                 assert columns * coords == bracket
                 assert [sp.Rational(str(v)) for v in c[i][j]] == list(coords)
+
+
+# -- the sparse readers ------------------------------------------------------
+
+
+def _vector(pool, n):
+    return st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sparse_bracket_series_and_killing_match_dense_references(data):
+    """On tensors skew or not, Jacobi or not: the readers of nonzero entries
+    agree with the dense loops."""
+    pool = data.draw(_SCALAR_POOLS)
+    n = data.draw(st.integers(1, 5))
+    g = lie.LieAlgebra(data.draw(_tensor(pool, n)), _validated=True)
+    x, y = data.draw(_vector(pool, n)), data.draw(_vector(pool, n))
+    assert [str(v) for v in g.bracket(x, y)] == [str(v) for v in ref_bracket(g, x, y)]
+    assert g.bracket(x, y) == ref_bracket(g, x, y)
+    assert _tensor_strings([lie.killing_form(g)]) == _tensor_strings([ref_killing_form(g)])
+    assert lie.lower_central_series(g) == ref_lower_central_series(g)
+    assert lie.derived_series(g) == ref_derived_series(g)
+
+
+def test_killing_form_matches_reference_on_catalog_and_matrix_algebras():
+    algebras = [catalog.catalog_get(name).algebra for name in catalog.catalog_list()]
+    algebras += [lie.so_n(n) for n in range(2, 6)] + [lie.sl_n(n) for n in range(2, 5)]
+    for g in algebras:
+        assert _tensor_strings([lie.killing_form(g)]) == _tensor_strings([ref_killing_form(g)])
+
+
+_LP_RING = ops.field_ring(3, ["alpha", "beta"], d=2)
+
+
+@st.composite
+def _any_polys(draw, ring, max_exponent=2):
+    """Polynomials in every indeterminate of `ring`, affine in u or not."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = tuple(draw(st.integers(0, max_exponent)) for _ in ring.names)
+        terms[e] = draw(st.sampled_from(_QSQRT2[5:]))
+    return Poly(ring, terms)
+
+
+def _terms_in_order(x):
+    if isinstance(x, list):
+        return [_terms_in_order(y) for y in x]
+    return list(x.terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_linear_parts_matches_n_scan(data):
+    """Term dicts equal in content and in order, on affine and non-affine omega."""
+    omega = [[data.draw(_any_polys(_LP_RING)) for _ in range(3)] for _ in range(3)]
+    assert _terms_in_order(list(ops.linear_parts(_LP_RING, omega))) == \
+        _terms_in_order(list(ref_linear_parts(_LP_RING, omega)))
+
+
+def test_linear_parts_matches_n_scan_on_catalog_operators():
+    for name in catalog.catalog_list():
+        entry = catalog.catalog_get(name)
+        assert _terms_in_order(list(ops.linear_parts(entry.ring, entry.omega))) == \
+            _terms_in_order(list(ref_linear_parts(entry.ring, entry.omega)))
+
+
+_MODULI_RING = PolyRing(["u1"], ["alpha", "m1", "m2"], d=2)
+
+
+def _value_or_error(read, *args):
+    try:
+        return [str(v) for v in read(*args)]
+    except Exception as exc:  # the reference and the reader must fail alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_at_moduli_matches_subs(data):
+    """Values, or the non-constant error with its message, as `subs` gives them;
+    entries in alpha or u1 often cancel at the moduli."""
+    moduli = data.draw(st.sampled_from([{}, {"m1": Fraction(1, 2)},
+                                        {"m1": Fraction(-2), "m2": Fraction(1, 3)}]))
+    ring = _MODULI_RING
+    pool = [ring.parse(t) for t in ("0", "3/2", "m1", "m1^2-1/4", "m1*m2+sqrt(2)",
+                                    "alpha*m1-1/2*alpha", "u1*m2-1/3*u1", "alpha", "u1")]
+    pool.append(data.draw(_any_polys(ring)))
+    entries = [data.draw(st.sampled_from(pool)) for _ in range(data.draw(st.integers(0, 4)))]
+    assert _value_or_error(catalog._at_moduli, entries, ring, moduli) == \
+        _value_or_error(ref_at_moduli, entries, ring, moduli)
+
+
+def test_at_moduli_matches_subs_on_catalog_entries():
+    for name in catalog.catalog_list():
+        entry = catalog.catalog_get(name)
+        new = catalog._at_moduli(entry.c, entry.ring, entry.moduli)
+        assert _tensor_strings(new) == _tensor_strings(ref_at_moduli(entry.c, entry.ring,
+                                                                     entry.moduli))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_first_asymmetry_matches_pairwise_reference(data):
+    pool = data.draw(st.sampled_from([_Q, _QSQRT2, _POLY]))
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(_matrix(pool, n))
+    c = data.draw(_tensor(pool, n))
+    for x in (m, c):
+        for skew in (False, True):
+            assert linalg.first_asymmetry(x, skew) == ref_first_asymmetry(x, skew)
+
+
+# -- sympy: the Killing form and the series ------------------------------------
+
+
+def _sympy_scalar(sp, x):
+    value = sp.Rational(x.a.numerator, x.a.denominator)
+    return value + sp.Rational(x.b.numerator, x.b.denominator) * sp.sqrt(x.d) if x.d else value
+
+
+def _sympy_ad(sp, g):
+    """ad(e_i) as sympy matrices, (ad e_i)_{kj} = c^{ij}_k."""
+    n = g.dim
+    return [sp.Matrix(n, n, lambda k, j: _sympy_scalar(sp, g.c[i][j][k])) for i in range(n)]
+
+
+def _sympy_series(sp, ad, lower):
+    """Dimensions of the lower central or derived series as ranks of spans of
+    ad images: [x, y] = sum_i x_i ad(e_i) y."""
+    n = len(ad)
+    full = current = [sp.eye(n)[:, i] for i in range(n)]
+    dims = [n]
+    while dims[-1]:
+        ad_x = [sum((x[i] * ad[i] for i in range(n) if x[i]), sp.zeros(n, n))
+                for x in (full if lower else current)]
+        images = [a * y for a in ad_x for y in current]
+        current = sp.Matrix.hstack(*images).columnspace()
+        if len(current) == dims[-1]:
+            break
+        dims.append(len(current))
+    return dims
+
+
+def _oracle_algebras():
+    algebras = [(name, catalog.catalog_get(name).algebra) for name in catalog.catalog_list()]
+    algebras += [(f"so_{n}", lie.so_n(n)) for n in range(2, 6)]
+    return algebras + [(f"sl_{n}", lie.sl_n(n)) for n in range(2, 6)]
+
+
+@pytest.mark.parametrize("name, g", _oracle_algebras(), ids=[n for n, _ in _oracle_algebras()])
+def test_killing_form_and_series_match_sympy(name, g):
+    """K(x, y) = tr(ad x ad y), read as vec(ad e_i) . vec(ad(e_j)^T)."""
+    sp = pytest.importorskip("sympy")
+    ad = _sympy_ad(sp, g)
+    n = g.dim
+    vec = sp.Matrix([list(a) for a in ad])
+    vec_transposed = sp.Matrix([list(a.T) for a in ad])
+    killing = sp.expand(vec * vec_transposed.T) if n else sp.zeros(0, 0)
+    k = lie.killing_form(g)
+    ours = sp.Matrix(n, n, lambda i, j: _sympy_scalar(sp, k[i][j]))
+    assert ours == killing
+    assert lie.lower_central_series(g) == _sympy_series(sp, ad, lower=True)
+    assert lie.derived_series(g) == _sympy_series(sp, ad, lower=False)

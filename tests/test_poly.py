@@ -711,7 +711,8 @@ def ref_poly_latex(p):
             if not k:
                 continue
             name = _latex_name(n)
-            parts.append(name if k == 1 else f"{name}^{{{k}}}")
+            base = f"{{{name}}}" if "^" in name else name
+            parts.append(name if k == 1 else f"{base}^{{{k}}}")
         return " ".join(parts)
 
     pieces = []
@@ -779,7 +780,7 @@ def test_printers_pinned_examples():
     ring = PolyRing(_PRINT_FIELDS, _PRINT_PARAMS, d=2)
     p = ring.parse("-u12^2*alpha+(1-sqrt(2))*u1*f23+lambda-3/2*x/y^2+(-1+sqrt(2))")
     assert str(p) == "-u12^2*alpha+(1-sqrt(2))*u1*f23-3/2*x/y^2+lambda+(-1+sqrt(2))"
-    assert p.latex() == ("-u^{12}^{2} \\alpha+\\left(1-\\sqrt{2}\\right) u^{1} f^{23}"
+    assert p.latex() == ("-{u^{12}}^{2} \\alpha+\\left(1-\\sqrt{2}\\right) u^{1} f^{23}"
                          "-\\frac{3}{2} x/y^{2}+\\lambda-1+\\sqrt{2}")
     assert str(ring.zero) == ring.zero.latex() == "0"
     assert str(ring.parse("-sqrt(2)*u1")) == "-sqrt(2)*u1"

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from darbouxops.errors import (
 from darbouxops.scalars import (
     Scalar,
     _above_digit_limit,
+    _printable,
+    _unprintable,
     join_field_tags,
     parse_scalar,
     validate_field_tag,
@@ -118,6 +121,23 @@ def test_parse_value_above_digit_limit_is_a_parse_error():
     with pytest.raises(ParseError, match="more than 4300 digits"):
         parse_scalar(text)
     assert str(parse_scalar("+".join(f"1/{10**2000 + k}" for k in (1, 3))))
+
+
+def test_printable_boundary_is_the_digit_limit():
+    """Each of the four numbers of a value may have exactly `limit` digits, not one more."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no int-string digit limit set")
+    top = 10**limit - 1
+    for x, error in ((top, False), (top + 1, True)):
+        for value in (Scalar(-x), Scalar(Fraction(1, x)), Scalar(1, x, 2),
+                      Scalar(0, Fraction(-1, x), 3)):
+            if error:
+                with pytest.raises(ParseError) as exc:
+                    _printable(value, "ctx")
+                assert str(exc.value) == str(_unprintable("ctx", limit))
+            else:
+                assert _printable(value, "ctx") is value
 
 
 @given(st.integers(min_value=0, max_value=10**60), st.integers(1, 60))
