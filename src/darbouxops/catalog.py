@@ -33,7 +33,7 @@ from .invariants import (
     quadratic_casimir_space,
     two_cocycle_space,
 )
-from .lie import LieAlgebra, _support, structure_tags
+from .lie import LieAlgebra, structure_tags
 from .operators import (
     DarbouxOperator,
     PolyMatrix,
@@ -184,11 +184,11 @@ def _tags_match(entry: CatalogEntry) -> tuple:
     if "split" in expected:
         # every nonzero c^{ij}_k has i, j and k in one summand
         n1, n2 = expected["split"]
-        c = entry.algebra.c
-        if n1 + n2 != len(c) or any(
+        rows = entry.algebra._table.rows
+        if n1 + n2 != len(rows) or any(
                 (i < n1) != (j < n1) or (i < n1) != (k < n1)
-                for i, plane in enumerate(c) for j, row in enumerate(plane)
-                for k, _ in _support(row)):
+                for i, plane in enumerate(rows) for j, row in enumerate(plane)
+                for k, _ in row):
             problems.append("summands do not decouple at the catalogued split")
     return (not problems), problems
 

@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .lie import (
     LieAlgebra,
-    _span_basis,
     casimir_terms,
     cocycle_terms,
     direct_sum,
@@ -27,6 +26,7 @@ from .lie import (
     jacobi_terms,
     metric_terms,
     solve,
+    support_rows,
 )
 from .poly import Poly, PolyRing, dot
 from .scalars import ZERO, Scalar, field_tag
@@ -39,22 +39,23 @@ Matrix = linalg.Matrix
 
 def jacobi_residual(c) -> Optional[tuple]:
     """First (i, j, k, m) violating the Jacobi identity, else None."""
-    return first_violation(jacobi_terms(c, c))
+    cz = support_rows(c)
+    return first_violation(jacobi_terms(cz, cz))
 
 
 def casimir_residual(c, a) -> Optional[tuple]:
     """First (i, j, k) where a fails the quadratic Casimir equations, else None."""
-    return first_violation(casimir_terms(c, a))
+    return first_violation(casimir_terms(support_rows(c), a))
 
 
 def metric_residual(c, eta) -> Optional[tuple]:
     """First (i, j, k) where eta fails the compatible-metric equations, else None."""
-    return first_violation(metric_terms(c, eta))
+    return first_violation(metric_terms(support_rows(c), eta))
 
 
 def cocycle_residual(c, f) -> Optional[tuple]:
     """First (i, j, k) where f fails the 2-cocycle equations, else None."""
-    return first_violation(cocycle_terms(c, f))
+    return first_violation(cocycle_terms(support_rows(c), f))
 
 
 def _unknowns(n: int, pairs: Sequence[Tuple[int, int]], skew: bool) -> list:
@@ -118,7 +119,8 @@ class CocycleSpace(SolutionSpace):
 def _symmetric_space(g: LieAlgebra, terms, kind: str) -> SolutionSpace:
     n = g.dim
     pairs = sym_pairs(n)
-    sols = solve(terms(g.c, _unknowns(n, pairs, skew=False)), len(pairs))
+    table = g._table
+    sols = solve(terms(table.rows, _unknowns(n, pairs, skew=False)), len(pairs), table.d)
     return SolutionSpace(g, [sym_from_vector(v, n) for v in sols], kind)
 
 
@@ -131,17 +133,24 @@ def compatible_metric_space(g: LieAlgebra) -> SolutionSpace:
 
 
 def coboundary_basis(g: LieAlgebra) -> List[Matrix]:
-    """Canonical basis of B^2 = {f^{ij} = c^{ij}_k t_k : t in R^n}."""
+    """Canonical basis of B^2 = {f^{ij} = c^{ij}_k t_k : t in R^n}: the RREF
+    of the rows (c^{ij}_k)_{i<j}, one per k, read off the support table."""
     n = g.dim
+    table = g._table
     pairs = skew_pairs(n)
-    return [skew_from_vector(v, n)
-            for v in _span_basis([[g.c[i][j][k] for i, j in pairs] for k in range(n)])]
+    rows: List[dict] = [{} for _ in range(n)]
+    for col, (i, j) in enumerate(pairs):
+        for k, v in table.rows[i][j]:
+            rows[k][col] = v
+    return [skew_from_vector([row.get(col, ZERO) for col in range(len(pairs))], n)
+            for _, row in sorted(linalg.integer_rref(rows, table.d).items())]
 
 
 def two_cocycle_space(g: LieAlgebra) -> CocycleSpace:
     n = g.dim
     pairs = skew_pairs(n)
-    sols = solve(cocycle_terms(g.c, _unknowns(n, pairs, skew=True)), len(pairs))
+    table = g._table
+    sols = solve(cocycle_terms(table.rows, _unknowns(n, pairs, skew=True)), len(pairs), table.d)
     return CocycleSpace(
         g,
         [skew_from_vector(v, n) for v in sols],
@@ -296,7 +305,9 @@ def mixed_cocycle_check(g1: LieAlgebra, g2: LieAlgebra) -> MixedCocycleReport:
     n1, n2 = g1.dim, g2.dim
     total = direct_sum(g1, g2)
     pairs = [(i, n1 + jp) for i in range(n1) for jp in range(n2)]
-    sols = solve(cocycle_terms(total.c, _unknowns(n1 + n2, pairs, skew=True)), len(pairs))
+    table = total._table
+    sols = solve(cocycle_terms(table.rows, _unknowns(n1 + n2, pairs, skew=True)), len(pairs),
+                 table.d)
     mixed_basis = [skew_from_vector(v, n1 + n2, pairs) for v in sols]
     z1 = two_cocycle_space(g1).dim
     z2 = two_cocycle_space(g2).dim

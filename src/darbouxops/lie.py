@@ -1,26 +1,32 @@
 """Finite-dimensional real Lie algebras via structure constants.
 
 The structure tensor is stored contravariantly: c[i][j][k] is the
-coefficient of e^k in [e^i, e^j], skew in the upper pair (i, j).  The
-constructor rejects tensors failing skew-symmetry (`linalg.first_asymmetry`)
-or the Jacobi identity; `jacobi_defect` is the raw diagnostic entry point
-for unvalidated data.  `transport_tensor` is the basis-change law of a
-structure tensor behind `change_basis`; operators are moved by
-`operators.transform_poly_operator`, whose substitution gives c the same law.
+coefficient of e^k in [e^i, e^j], skew in the upper pair (i, j).
+`transport_tensor` is the basis-change law of a structure tensor behind
+`change_basis`; operators are moved by `operators.transform_poly_operator`,
+whose substitution gives c the same law.
 
 The four identities of the Darboux triple (Jacobi, quadratic Casimir,
 compatible metric, 2-cocycle) and the center equations are defined here,
 once each, as equation generators (`jacobi_terms`, `casimir_terms`,
-`metric_terms`, `cocycle_terms`, `center_terms`).  An identity has two
+`metric_terms`, `cocycle_terms`, `center_terms`) over the support rows of
+c: cz[i][j] lists the nonzero (k, c^{ij}_k).  An identity has two
 readers: `defect` evaluates it, and `solve` returns its kernel when the
 unknown entries are column markers.  Every checker, space solver, center
 and mixed pencil condition of the package is derived from them.
 
-Every reader of the tensor visits only its nonzero entries, through the
-`_support` rows of c: the identity generators, the bracket (`_bracket`,
-behind the dense `LieAlgebra.bracket`), the Killing form, and the lower
-central and derived series, which hand their sparse brackets straight to
-`linalg.sparse_rref`.
+A `LieAlgebra` caches one integer support table of its tensor
+(`SupportTable`, built once in the constructor): the support rows with
+each c^{ij}_k written as a Z[sqrt(d)] pair (A, B) over one common
+denominator, which is left out.  The constructor checks skewness and
+Jacobi on it (a ragged tensor is a ShapeMismatchError), and every reader
+of the algebra's tensor reads it: the solvers hand `linalg.echelon`
+integer rows straight from it, the lower central and derived series keep
+each g_k as echelon integer rows of integer brackets (`_bracket`), and the
+Killing form, the center and the coboundaries read it too.  Scalars are
+built only for outputs.  Scalar and polynomial tensors (`jacobi_defect`,
+the residual checkers, operators and pencils) get their support rows from
+`support_rows`, once per call.
 
 `so_n` and `sl_n` build their bases as sparse integer matrices and read
 each commutator's coordinates straight off its entries.
@@ -31,8 +37,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import groupby
+from math import lcm
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
@@ -40,8 +47,8 @@ from .errors import (
     NotALieAlgebraError,
     ShapeMismatchError,
 )
-from .poly import Poly, dot
-from .scalars import ONE, ZERO, Scalar, field_tag, join_field_tags
+from .poly import Poly, _operand_form, dot
+from .scalars import ZERO, Scalar, join_field_tags
 
 Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
@@ -65,19 +72,28 @@ def _support(row) -> list:
     return [(t, v) for t, v in enumerate(row) if v]
 
 
+def support_rows(c) -> list:
+    """cz[i][j] = [(k, c^{ij}_k), ...] over the nonzero entries of the n x n x n tensor c.
+
+    ShapeMismatchError unless c is n x n x n.
+    """
+    n = len(c)
+    if any(len(plane) != n or any(len(row) != n for row in plane) for plane in c):
+        raise ShapeMismatchError("structure tensor must be n x n x n")
+    return [[_support(row) for row in plane] for plane in c]
+
+
 def _cyclic(i: int, j: int, k: int) -> tuple:
     return ((i, j), k), ((j, k), i), ((k, i), j)
 
 
-def jacobi_terms(c, x):
+def jacobi_terms(cz, xz):
     """J^{ijk}_m = c^{ij}_s x^{sk}_m + c^{jk}_s x^{si}_m + c^{ki}_s x^{sj}_m, i < j < k.
 
     With x = c this is the Jacobi identity; for a skew tensor J is fully
     antisymmetric in (i, j, k), so i < j < k lists every equation.
     """
-    n = len(c)
-    cz = [[_support(row) for row in plane] for plane in c]
-    xz = cz if x is c else [[_support(row) for row in plane] for plane in x]
+    n = len(cz)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -90,10 +106,9 @@ def jacobi_terms(c, x):
                     yield (i, j, k, m), eqs[m]
 
 
-def cocycle_terms(c, f):
+def cocycle_terms(cz, f):
     """c^{ij}_s f^{sk} + c^{jk}_s f^{si} + c^{ki}_s f^{sj}, i < j < k (2-cocycle f)."""
-    n = len(c)
-    cz = [[_support(row) for row in plane] for plane in c]
+    n = len(cz)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -106,8 +121,8 @@ def cocycle_terms(c, f):
 def _symmetric_terms(table, x):
     """T^{sj}_k x_{is} + T^{si}_k x_{js}, keyed (i, j, k) with i <= j.
 
-    `table[s][j]` lists the nonzero (k, T^{sj}_k): T^{sj}_k = c^{sk}_j for
-    the Casimir equations, c^{jk}_s for the metric ones.
+    `table[s][j]` lists the nonzero (k, T^{sj}_k) by increasing k:
+    T^{sj}_k = c^{sk}_j for the Casimir equations, c^{jk}_s for the metric ones.
     """
     n = len(x)
     xz = [_support(row) for row in x]
@@ -122,32 +137,47 @@ def _symmetric_terms(table, x):
                 yield (i, j, k), eqs[k]
 
 
-def casimir_terms(c, a):
+def casimir_terms(cz, a):
     """a_{is} c^{sk}_j + a_{js} c^{sk}_i, i <= j (quadratic Casimir a)."""
-    n = len(c)
-    table = [[[(k, c[s][k][j]) for k in range(n) if c[s][k][j]] for j in range(n)]
-             for s in range(n)]
+    n = len(cz)
+    table = [[[] for _ in range(n)] for _ in range(n)]
+    for s, plane in enumerate(cz):
+        for k, row in enumerate(plane):
+            for j, y in row:
+                table[s][j].append((k, y))
     return _symmetric_terms(table, a)
 
 
-def metric_terms(c, eta):
+def metric_terms(cz, eta):
     """eta^{is} c^{jk}_s + eta^{js} c^{ik}_s, i <= j (compatible metric eta)."""
-    n = len(c)
-    table = [[[(k, c[j][k][s]) for k in range(n) if c[j][k][s]] for j in range(n)]
-             for s in range(n)]
+    n = len(cz)
+    table = [[[] for _ in range(n)] for _ in range(n)]
+    for j, plane in enumerate(cz):
+        for k, row in enumerate(plane):
+            for s, y in row:
+                table[s][j].append((k, y))
     return _symmetric_terms(table, eta)
 
 
-def center_terms(c, a):
+def center_terms(cz, a):
     """c^{ij}_k a_j, keyed (i, k): a spans the center (`center`)."""
-    for i, plane in enumerate(c):
+    for i, plane in enumerate(cz):
         eqs: Dict[int, list] = {}
         for j, z in enumerate(a):
             if z:
-                for k, y in _support(plane[j]):
+                for k, y in plane[j]:
                     eqs.setdefault(k, []).append((y, z))
         for k in sorted(eqs):
             yield (i, k), eqs[k]
+
+
+def _int_dot(pairs, d: int) -> Tuple[int, int]:
+    """The sum of x*y over pairs of integer pairs (A, B), for A + B*sqrt(d)."""
+    a = b = 0
+    for (a1, b1), (a2, b2) in pairs:
+        a += a1 * a2 + d * b1 * b2
+        b += a1 * b2 + b1 * a2
+    return a, b
 
 
 def sum_of_products(pairs):
@@ -189,29 +219,41 @@ def first_violation(*systems) -> Optional[tuple]:
     return next(defect(*systems), (None,))[0]
 
 
-def solve(equations, ncols: int) -> List[linalg.Vector]:
+def solve(equations, ncols: int, d: int = 0) -> List[linalg.Vector]:
     """Canonical kernel of equations whose x entries are (column, sign) markers.
 
-    A polynomial coefficient gives one row per (key, monomial), so a
-    solution holds identically in every indeterminate; the coefficients of
-    one equation are all Scalars or all polynomials of one ring.  A row
-    entry is the coefficient itself; only a negative marker or a second
-    coefficient in the same (monomial, column) costs Scalar arithmetic.
+    A coefficient is an integer pair (A, B), for A + B*sqrt(d), such as an
+    entry of a `LieAlgebra`'s support table (its common denominator scales
+    every row alike and is left out), or a polynomial; the coefficients of
+    one equation are all pairs or all polynomials of one ring.  A
+    polynomial gives one row per (key, monomial), so a solution holds
+    identically in every indeterminate; its integer form (`Poly._ints`) is
+    read over the lcm denominator of the equation.  The integer rows go
+    straight to `linalg.integer_nullspace`: Scalars are built only for the
+    kernel basis.
     """
     rows = []
     for _, eq in equations:
-        by_monomial: Dict[tuple, dict] = {}
-        for coeff, (col, sign) in eq:
-            for e, v in coeff.terms.items() if type(coeff) is Poly else (((), coeff),):
-                row = by_monomial.setdefault(e, {})
-                v = v if sign > 0 else -v
-                w = row.pop(col, None)
-                if w is not None:
-                    v = w + v
-                if w is None or v:
-                    row[col] = v
+        if eq and type(eq[0][0]) is Poly:
+            forms = [(_operand_form(x.ring, x, True), marker) for x, marker in eq]
+            den = lcm(*[form[1] for form, _ in forms])
+            entries = []
+            for (dx, fden, terms), (col, sign) in forms:
+                d = join_field_tags(d, dx)
+                k = sign * (den // fden)
+                entries += [(e, col, k * a, k * b) for e, a, b in terms]
+        else:
+            entries = [(None, col, sign * a, sign * b) for (a, b), (col, sign) in eq]
+        by_monomial: Dict[object, dict] = {}
+        for e, col, a, b in entries:
+            row = by_monomial.setdefault(e, {})
+            w = row.pop(col, None)
+            if w is not None:
+                a, b = a + w[0], b + w[1]
+            if a or b:
+                row[col] = (a, b)
         rows += [row for row in by_monomial.values() if row]
-    return linalg.sparse_nullspace(rows, ncols)
+    return linalg.integer_nullspace(rows, ncols, d)
 
 
 def jacobi_defect(c: Sequence[Sequence[Sequence]]) -> Dict[tuple, Scalar]:
@@ -219,10 +261,37 @@ def jacobi_defect(c: Sequence[Sequence[Sequence]]) -> Dict[tuple, Scalar]:
 
     The algebra is a Lie algebra iff the map is empty.
     """
-    n = len(c)
-    if any(len(plane) != n or any(len(row) != n for row in plane) for plane in c):
-        raise ShapeMismatchError("structure tensor must be n x n x n")
-    return dict(defect(jacobi_terms(c, c)))
+    cz = support_rows(c)
+    return dict(defect(jacobi_terms(cz, cz)))
+
+
+class SupportTable(NamedTuple):
+    """The nonzero entries of a structure tensor as integers over Z[sqrt(d)].
+
+    rows[i][j] lists (k, (A, B)) by increasing k, with
+    c^{ij}_k = (A + B*sqrt(d)) / den and den the lcm of all denominators.
+    """
+
+    d: int
+    den: int
+    rows: list
+
+
+def _support_table(tensor) -> SupportTable:
+    """The support table of a Scalar tensor; ShapeMismatchError unless it is n x n x n."""
+    cz = support_rows(tensor)
+    d, den = 0, 1
+    for plane in cz:
+        for row in plane:
+            for _, x in row:
+                if x.d:
+                    d = join_field_tags(d, x.d)
+                    den = lcm(den, x.a.denominator, x.b.denominator)
+                elif x.a.denominator != 1:
+                    den = lcm(den, x.a.denominator)
+    return SupportTable(d, den, [
+        [[(k, (x.a.numerator * (den // x.a.denominator), x.b.numerator * (den // x.b.denominator)))
+          for k, x in row] for row in plane] for plane in cz])
 
 
 @dataclass(frozen=True)
@@ -236,23 +305,34 @@ class StructureTags:
 
 
 class LieAlgebra:
-    __slots__ = ("dim", "c", "labels")
+    """A structure tensor `c` of Scalars with its cached `SupportTable`, `_table`.
+
+    Unless `_validated`, the constructor checks on the table that c is skew
+    in the upper pair and satisfies Jacobi (`jacobi_terms`, summed over the
+    integers); the first violation is reported with its value as a Scalar.
+    """
+
+    __slots__ = ("dim", "c", "labels", "_table")
 
     def __init__(self, c, labels: Optional[Sequence[str]] = None, _validated: bool = False):
         tensor = _freeze_tensor(c)
-        n = len(tensor)
+        table = _support_table(tensor)
         if not _validated:
-            if linalg.first_asymmetry(tensor, skew=True) is not None:
+            rows, d = table.rows, table.d
+            n = len(rows)
+            if any(rows[j][i] != [(k, (-a, -b)) for k, (a, b) in rows[i][j]]
+                   for i in range(n) for j in range(i, n)):
                 raise NotALieAlgebraError("structure tensor is not skew in the upper pair")
-            defect = jacobi_defect(tensor)
-            if defect:
-                key = min(defect)
-                raise NotALieAlgebraError(
-                    f"Jacobi identity fails, first violation at (i,j,k,m)={key}: {defect[key]}"
-                )
-        object.__setattr__(self, "dim", n)
+            for key, pairs in jacobi_terms(rows, rows):
+                a, b = _int_dot(pairs, d)
+                if a or b:
+                    value = linalg._scalar(a, b, table.den ** 2, d)
+                    raise NotALieAlgebraError(
+                        f"Jacobi identity fails, first violation at (i,j,k,m)={key}: {value}")
+        object.__setattr__(self, "dim", len(tensor))
         object.__setattr__(self, "c", tensor)
         object.__setattr__(self, "labels", tuple(labels) if labels else None)
+        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, *_):
         raise AttributeError("LieAlgebra is immutable")
@@ -270,7 +350,7 @@ class LieAlgebra:
     def from_brackets(cls, dim: int, brackets: Dict[Tuple[int, int], Dict[int, object]],
                       labels: Optional[Sequence[str]] = None) -> "LieAlgebra":
         """Build from sparse brackets {(i, j): {k: coeff}} with 0-based i < j and k."""
-        c = [[[Scalar(0) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), out in brackets.items():
             if not (0 <= i < j < dim):
                 raise ShapeMismatchError(f"bracket pair {(i, j)} out of range for dim {dim}")
@@ -283,52 +363,63 @@ class LieAlgebra:
         return cls(c, labels=labels)
 
     def field_tag(self) -> int:
-        return field_tag(x for plane in self.c for row in plane for x in row)
+        return self._table.d
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
-        """[x, y] on dense coordinate lists (`_bracket` on their nonzero coordinates)."""
-        xs, ys = _support(x), _support(y)
-        rows = {i: {j: _support(self.c[i][j]) for j, _ in ys} for i, _ in xs}
+        """[x, y] on dense coordinate lists (`_bracket` on their integer forms)."""
+        d, ((xs, lx), (ys, ly)) = linalg._integer_rows([dict(_support(x)), dict(_support(y))])
+        table = self._table
+        d = join_field_tags(d, table.d)
         out = [ZERO] * self.dim
-        for k, v in _bracket(rows, xs, ys).items():
-            out[k] = v
+        for k, (a, b) in _bracket(table.rows, xs.items(), ys.items(), d).items():
+            out[k] = linalg._scalar(a, b, lx * ly * table.den, d)
         return out
 
 
-def _bracket(rows, x, y) -> Dict[int, Scalar]:
-    """[x, y] = x_i y_j c^{ij}_k as {k: nonzero value}.
+def _bracket(rows, x, y, d: int) -> Dict[int, Tuple[int, int]]:
+    """[x, y] = x_i y_j c^{ij}_k, times the table denominator, as {k: nonzero (A, B)}.
 
-    x and y are the (index, value) pairs of nonzero coordinates and
-    rows[i][j] the `_support` of c[i][j], so no zero entry is visited.
+    x and y are the (index, (A, B)) pairs of nonzero integer coordinates
+    and rows the support table rows, so no zero entry is visited.
     """
-    out: Dict[int, Scalar] = {}
-    for i, a in x:
+    out: Dict[int, Tuple[int, int]] = {}
+    for i, (a1, b1) in x:
         plane = rows[i]
-        for j, b in y:
+        for j, (a2, b2) in y:
             row = plane[j]
             if row:
-                ab = a * b
-                for k, v in row:
-                    w = out.get(k)
-                    out[k] = ab * v if w is None else w + ab * v
-    return {k: v for k, v in out.items() if v}
+                p, q = a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2
+                for k, (u, v) in row:
+                    s, t = out.get(k, (0, 0))
+                    out[k] = (s + p * u + d * q * v, t + p * v + q * u)
+    return {k: v for k, v in out.items() if v != (0, 0)}
 
 
 # -- structural invariants ------------------------------------------------
 
 
-def killing_form(g: LieAlgebra) -> linalg.Matrix:
-    """K^{ij} = c^{il}_m c^{jm}_l, summed over the nonzero c^{il}_m only."""
-    n = g.dim
-    nonzero = [{(l, m): a for l, row in enumerate(plane) for m, a in _support(row)}
-               for plane in g.c]
-    k = linalg.zeros(n, n)
-    for i in range(n):
-        for j in range(i, n):
+def _killing_rows(g: LieAlgebra) -> List[dict]:
+    """K^{ij} times den^2 as integer rows {j: (A, B)}: c^{il}_m c^{jm}_l summed
+    over the nonzero c^{il}_m of the support table only."""
+    table = g._table
+    nonzero = [{(l, m): a for l, row in enumerate(plane) for m, a in row} for plane in table.rows]
+    k: List[dict] = [{} for _ in range(g.dim)]
+    for i, own in enumerate(nonzero):
+        for j in range(i, g.dim):
             other = nonzero[j]
-            pairs = [(a, other[m, l]) for (l, m), a in nonzero[i].items() if (m, l) in other]
-            k[i][j] = k[j][i] = sum_of_products(pairs) if pairs else ZERO
+            value = _int_dot([(a, other[m, l]) for (l, m), a in own.items() if (m, l) in other],
+                             table.d)
+            if value != (0, 0):
+                k[i][j] = k[j][i] = value
     return k
+
+
+def killing_form(g: LieAlgebra) -> linalg.Matrix:
+    """K^{ij} = c^{il}_m c^{jm}_l (`_killing_rows`)."""
+    table = g._table
+    scale = table.den ** 2
+    return [[linalg._scalar(*row[j], scale, table.d) if j in row else ZERO for j in range(g.dim)]
+            for row in _killing_rows(g)]
 
 
 def center(g: LieAlgebra) -> List[linalg.Vector]:
@@ -337,30 +428,25 @@ def center(g: LieAlgebra) -> List[linalg.Vector]:
     The vectors are also the linear Casimirs a_i u^i of the Lie-Poisson
     bracket of g.
     """
-    return solve(center_terms(g.c, [(j, 1) for j in range(g.dim)]), g.dim)
-
-
-def _span_basis(vectors: Sequence[linalg.Vector]) -> List[linalg.Vector]:
-    if not vectors:
-        return []
-    red, pivots, rank = linalg.rref(vectors)
-    return red[:rank]
+    table = g._table
+    return solve(center_terms(table.rows, [(j, 1) for j in range(g.dim)]), g.dim, table.d)
 
 
 def _series(g: LieAlgebra, lower: bool) -> List[int]:
     """Dimensions of g_1 = g, g_{k+1} = [g, g_k] (lower) or [g_k, g_k], until stable.
 
-    Each g_k is held as the pivot rows of `linalg.sparse_rref`; g_{k+1} is
-    the reduction of the sparse brackets (`_bracket`) of the basis vectors
-    or pivot rows of g with those of g_k.
+    Each g_k is held as the echelon integer rows of `linalg.echelon`;
+    g_{k+1} is the echelon form of the integer brackets (`_bracket`) of the
+    basis vectors or rows of g with those of g_k.  Only dimensions are
+    read, so no RREF and no Scalar is built.
     """
-    rows = [[_support(row) for row in plane] for plane in g.c]
-    full = current = [[(i, ONE)] for i in range(g.dim)]
+    table = g._table
+    full = current = [[(i, (1, 0))] for i in range(g.dim)]
     dims = [g.dim]
     while dims[-1]:
-        brackets = [_bracket(rows, x, y) for x in (full if lower else current) for y in current]
-        current = [list(row.items())
-                   for row in linalg.sparse_rref([b for b in brackets if b]).values()]
+        pivots = linalg.echelon([_bracket(table.rows, x, y, table.d)
+                                 for x in (full if lower else current) for y in current], table.d)
+        current = [list(row.items()) for row in pivots.values()]
         if len(current) == dims[-1]:
             break
         dims.append(len(current))
@@ -383,7 +469,7 @@ def structure_tags(g: LieAlgebra) -> StructureTags:
     nilpotent = lcs[-1] == 0
     solvable = ds[-1] == 0
     abelian = g.dim == 0 or (len(lcs) >= 2 and lcs[1] == 0)
-    semisimple = g.dim > 0 and bool(linalg.det(killing_form(g)))
+    semisimple = g.dim > 0 and len(linalg.echelon(_killing_rows(g), g._table.d)) == g.dim
     return StructureTags(
         abelian=abelian,
         nilpotent=nilpotent,
@@ -400,7 +486,7 @@ def structure_tags(g: LieAlgebra) -> StructureTags:
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
     join_field_tags(g1.field_tag(), g2.field_tag(), "direct sum over sqrt({}) and sqrt({})")
     n1, n = g1.dim, g1.dim + g2.dim
-    c = [[[Scalar(0) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for shift, h in ((0, g1), (n1, g2)):
         for i, plane in enumerate(h.c):
             for j, row in enumerate(plane):
@@ -455,11 +541,11 @@ def build_two_step_nilpotent(g: LieAlgebra, a: Sequence[Sequence],
         raise ShapeMismatchError("blocks must match the input dimension")
     if linalg.first_asymmetry(amat) is not None or linalg.first_asymmetry(bmat) is not None:
         raise ShapeMismatchError("blocks must be symmetric")
-    viol = first_violation(casimir_terms(g.c, amat))
+    viol = first_violation(casimir_terms(support_rows(g.c), amat))
     if viol is not None:
         raise NotACasimirError(f"input block fails the Casimir equations at {viol}")
     n2 = 2 * n
-    c = [[[Scalar(0)] * n2 for _ in range(n2)] for _ in range(n2)]
+    c = [[[ZERO] * n2 for _ in range(n2)] for _ in range(n2)]
     for i in range(n):
         for j in range(n):
             c[i][j][n:] = g.c[i][j]
@@ -470,7 +556,7 @@ def build_two_step_nilpotent(g: LieAlgebra, a: Sequence[Sequence],
             cas[i][n + j] = amat[i][j]
             cas[n + i][j] = amat[j][i]
             cas[n + i][n + j] = bmat[i][j]
-    viol = first_violation(casimir_terms(out.c, cas))
+    viol = first_violation(casimir_terms(support_rows(out.c), cas))
     if viol is not None:
         raise NotACasimirError(f"constructed matrix fails the Casimir equations at {viol}")
     return out, cas
@@ -536,7 +622,7 @@ def _matrix_algebra(basis: List[Dict[Tuple[int, int], int]],
     """
     dim = len(basis)
     index = {pos: k for k, pos in enumerate(entries)}
-    c = [[[Scalar(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
             bracket: Dict[Tuple[int, int], int] = {}

@@ -1,18 +1,23 @@
 """Exact linear algebra over Q(sqrt(d)).
 
-Matrices are plain lists of lists of Scalar; the large solver systems are
-lists of sparse rows {column: Scalar}.  Every elimination goes through one
-fraction-free sparse reducer over Z[sqrt(d)] (after Bareiss 1968).  Each
-row is written once as integer pairs (A, B), for A + B*sqrt(d), over its
-lcm denominator.  Taken in order, each row is reduced against the pivot
-rows kept so far, leading column first, by row <- p*row - f*pivot (p the
-pivot's integer lead, f the row's entry there), with the integer content
-divided out after each step; the remainder becomes the pivot row of its
-leading column, times the conjugate of its lead if that lead carries
-sqrt(d).  `sparse_rref` back-substitutes the same way and divides each
-pivot row by its lead once: Scalars are built only for the result.  The
-RREF is unique, so pivots, nullspace bases (one vector per free column,
-free entry 1) and everything derived from them are canonical.
+Matrices are plain lists of lists of Scalar; sparse rows are
+{column: Scalar}, and the solver systems of `lie` are integer rows
+{column: (A, B)}.  Every elimination goes through one fraction-free sparse
+reducer over Z[sqrt(d)] (after Bareiss 1968).  Each Scalar row is written
+once as integer pairs (A, B), for A + B*sqrt(d), over its lcm denominator.
+Taken in order, each row is reduced against the pivot rows kept so far,
+leading column first, by row <- p*row - f*pivot (p the pivot's integer
+lead, f the row's entry there), with the integer content divided out after
+each step; the remainder becomes the pivot row of its leading column,
+times the conjugate of its lead if that lead carries sqrt(d).  `echelon` is the
+entry point of integer rows into the reducer (only `det`, which tracks
+each row's scale, inserts its rows itself): `lie` hands it the rows of its
+solvers and series directly, and `sparse_rref`/`sparse_nullspace` hand it
+their Scalar rows once written as integers.  `integer_rref` and
+`integer_nullspace` back-substitute the same way and divide by each pivot
+row's lead once: Scalars are built only for the result.  The RREF is
+unique, so pivots, nullspace bases (one vector per free column, free entry
+1) and everything derived from them are canonical.
 
 `rref`, `nullspace` and `inverse` (which reduces [A | I]) are dense views of
 that result.  `det` is the product of the leads met during insertion, each
@@ -114,7 +119,8 @@ def det(m: Sequence[Sequence]) -> Scalar:
     d, int_rows = _integer_rows(rows)
     pivots: Dict[int, dict] = {}
     (a, b), num, den = (1, 0), 1, 1  # det = (a + b*sqrt(d)) * den / num
-    for row, scale, content in int_rows:
+    for row, scale in int_rows:
+        row, content = _primitive(row)
         inserted = _insert(row, pivots, d)
         if inserted is None:
             return ZERO
@@ -167,8 +173,8 @@ def _primitive(row: dict) -> Tuple[dict, int]:
 
 
 def _integer_rows(rows: Sequence[SparseRow]) -> Tuple[int, list]:
-    """(d, [(R, L, g), ...]): the field tag of all entries, and each row as
-    R = (L / g) * row, L its lcm denominator and g the content of L * row."""
+    """(d, [(R, L), ...]): the field tag of all entries, and each row as
+    R = L * row, L its lcm denominator."""
     d = 0
     for tag in sorted({x.d for row in rows for x in row.values()}):
         d = join_field_tags(d, tag)
@@ -176,9 +182,8 @@ def _integer_rows(rows: Sequence[SparseRow]) -> Tuple[int, list]:
     for row in rows:
         parts = [(c, x.a, x.b) for c, x in row.items() if x]
         den = lcm(*[q.denominator for _, a, b in parts for q in (a, b)])
-        ints, g = _primitive({c: (a.numerator * (den // a.denominator),
-                                  b.numerator * (den // b.denominator)) for c, a, b in parts})
-        out.append((ints, den, g or 1))
+        out.append(({c: (a.numerator * (den // a.denominator),
+                         b.numerator * (den // b.denominator)) for c, a, b in parts}, den))
     return d, out
 
 
@@ -227,24 +232,40 @@ def _insert(row: dict, pivots: Dict[int, dict], d: int) -> Optional[tuple]:
     return None
 
 
-def sparse_rref(rows: Sequence[SparseRow]) -> Dict[int, SparseRow]:
-    """Canonical reduced pivot rows (pivot -> normalized row)."""
-    d, int_rows = _integer_rows(rows)
+def echelon(rows, d: int) -> Dict[int, dict]:
+    """Echelon pivot rows (pivot -> integer row) of integer rows {col: (A, B)} over Z[sqrt(d)].
+
+    The entry point of integer rows into the reducer: each row is made
+    primitive and inserted; empty rows are skipped.
+    """
     pivots: Dict[int, dict] = {}
-    for row, _, _ in int_rows:
-        _insert(row, pivots, d)
-    # full back-substitution so the pivot rows form the unique RREF
+    for row in rows:
+        if row:
+            _insert(_primitive(row)[0], pivots, d)
+    return pivots
+
+
+def _reduced(rows, d: int) -> Dict[int, dict]:
+    """`echelon`, back-substituted so that the pivot rows form the unique RREF
+    up to the integer lead of each row."""
+    pivots = echelon(rows, d)
     for p in sorted(pivots, reverse=True):
         prow = pivots[p]
         for q, qrow in pivots.items():
             if q < p and p in qrow:
                 pivots[q] = _eliminate(qrow, p, prow, d)[0]
+    return pivots
+
+
+def integer_rref(rows, d: int) -> Dict[int, SparseRow]:
+    """Canonical reduced pivot rows (pivot -> normalized Scalar row) of integer rows."""
     return {p: {c: _scalar(a, b, row[p][0], d) for c, (a, b) in row.items()}
-            for p, row in pivots.items()}
+            for p, row in _reduced(rows, d).items()}
 
 
-def sparse_nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
-    pivots = sparse_rref(rows)
+def integer_nullspace(rows, ncols: int, d: int) -> List[Vector]:
+    """Canonical kernel basis of integer rows: one vector per free column, free entry 1."""
+    pivots = _reduced(rows, d)
     basis: List[Vector] = []
     for free in range(ncols):
         if free in pivots:
@@ -252,8 +273,19 @@ def sparse_nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
         v = [ZERO] * ncols
         v[free] = ONE
         for p, prow in pivots.items():
-            coeff = prow.get(free)
-            if coeff:
-                v[p] = -coeff
+            x = prow.get(free)
+            if x:
+                v[p] = _scalar(-x[0], -x[1], prow[p][0], d)
         basis.append(v)
     return basis
+
+
+def sparse_rref(rows: Sequence[SparseRow]) -> Dict[int, SparseRow]:
+    """Canonical reduced pivot rows (pivot -> normalized row)."""
+    d, int_rows = _integer_rows(rows)
+    return integer_rref([row for row, _ in int_rows], d)
+
+
+def sparse_nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
+    d, int_rows = _integer_rows(rows)
+    return integer_nullspace([row for row, _ in int_rows], ncols, d)

@@ -40,8 +40,16 @@ from .errors import (
     NotACocycleError,
     ShapeMismatchError,
 )
-from .invariants import cocycle_residual, metric_residual
-from .lie import LieAlgebra, defect, first_violation, jacobi_terms, solve
+from .lie import (
+    LieAlgebra,
+    cocycle_terms,
+    defect,
+    first_violation,
+    jacobi_terms,
+    metric_terms,
+    solve,
+    support_rows,
+)
 from .poly import Poly, PolyRing, _poly, dot, ring_embedding
 from .scalars import Scalar, field_tag, join_field_tags
 
@@ -189,15 +197,14 @@ def verify_darboux(op) -> VerificationReport:
     report.add("c-skew", skew_c)
     report.add("eta-symmetric", linalg.first_asymmetry(eta))
     report.add("f-skew", linalg.first_asymmetry(f, skew=True))
+    cz = support_rows(c)
     if skew_c is None:
-        key, value = next(defect(jacobi_terms(c, c)), (None, None))
+        key, value = next(defect(jacobi_terms(cz, cz)), (None, None))
         report.add("jacobi", key, value)
     else:
         report.add("jacobi", skew_c)
-    viol = cocycle_residual(c, f)
-    report.add("cocycle", viol)
-    viol = metric_residual(c, eta)
-    report.add("metric-compatibility", viol)
+    report.add("cocycle", first_violation(cocycle_terms(cz, f)))
+    report.add("metric-compatibility", first_violation(metric_terms(cz, eta)))
     return report
 
 

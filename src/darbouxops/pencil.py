@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import InvalidOperandError, ShapeMismatchError
-from .lie import cocycle_terms, first_violation, jacobi_terms, metric_terms
+from .lie import cocycle_terms, first_violation, jacobi_terms, metric_terms, support_rows
 from .operators import (
     ConditionResult,
     DarbouxOperator,
@@ -86,10 +86,11 @@ def pencil_compatible_darboux(a: DarbouxOperator, b: DarbouxOperator) -> PencilR
     _require_hamiltonian(ra, rb)
     report = VerificationReport()
     # each condition is the bilinear part of its identity: terms(c_B, x_A) + terms(c_A, x_B)
-    for name, terms, x_a, x_b in (("mixed-jacobi", jacobi_terms, a.c, b.c),
+    cza, czb = support_rows(a.c), support_rows(b.c)
+    for name, terms, x_a, x_b in (("mixed-jacobi", jacobi_terms, cza, czb),
                                   ("mixed-cocycle", cocycle_terms, a.f, b.f),
                                   ("mixed-metric", metric_terms, a.eta, b.eta)):
-        report.add(name, first_violation(terms(b.c, x_a), terms(a.c, x_b)))
+        report.add(name, first_violation(terms(czb, x_a), terms(cza, x_b)))
     return PencilReport(ra, rb, report.conditions)
 
 

@@ -236,6 +236,18 @@ def test_algebra_file_rejected(tmp_path, data):
     assert "Traceback" not in proc.stderr
 
 
+def test_algebra_file_repeated_bracket_pair_rejected(tmp_path):
+    """A second entry for one pair is an error, not a silent overwrite."""
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": 1}},
+                                                       {"i": 1, "j": 2, "out": {"3": 5}}]}))
+    proc = run_cli(["check", str(path)], timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "bracket pair (1,2) given twice" in proc.stderr
+    assert "valid Lie algebra" not in proc.stdout
+
+
 def test_matrix_file_json_error_names_the_line(tmp_path, kdv_files):
     path = tmp_path / "m.json"
     path.write_text('[["1", "0", "0"],\n ["0", "1", "0"],\n ["0", "0" "1"]]')

@@ -355,7 +355,8 @@ def _assert_checkers_match(c, a, f):
 def test_residuals_match_reference_loops(case):
     _, _, (c, a, f) = case
     _assert_checkers_match(c, a, f)
-    assert lie.first_violation(lie.casimir_terms(c, a)) == ref_casimir_violation(c, a)
+    assert lie.first_violation(lie.casimir_terms(lie.support_rows(c), a)) == \
+        ref_casimir_violation(c, a)
 
 
 @settings(max_examples=30, deadline=None)
@@ -413,14 +414,16 @@ def test_space_bases_match_reference_rows_on_catalog():
 
 
 def _mixed(terms, c_a, x_a, c_b, x_b):
-    return lie.first_violation(terms(c_b, x_a), terms(c_a, x_b))
+    return lie.first_violation(terms(lie.support_rows(c_b), x_a),
+                               terms(lie.support_rows(c_a), x_b))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_poly_case())
 def test_mixed_conditions_match_reference_loops(case):
     _, (c1, g1, f1), (c2, g2, f2) = case
-    assert _mixed(lie.jacobi_terms, c1, c1, c2, c2) == ref_mixed_jacobi_residual(c1, c2)
+    z1, z2 = lie.support_rows(c1), lie.support_rows(c2)
+    assert _mixed(lie.jacobi_terms, c1, z1, c2, z2) == ref_mixed_jacobi_residual(c1, c2)
     assert _mixed(lie.cocycle_terms, c1, f1, c2, f2) == ref_mixed_cocycle_residual(c1, f1, c2, f2)
     assert _mixed(lie.metric_terms, c1, g1, c2, g2) == ref_mixed_metric_residual(g1, c1, g2, c2)
 
@@ -453,7 +456,8 @@ def test_mixed_jacobi_is_the_polarization_of_jacobi(case):
         value = j_sum.get(key, zero) - j_1.get(key, zero) - j_2.get(key, zero)
         if value:
             polar[key] = value
-    mixed = dict(lie.defect(lie.jacobi_terms(c2, c1), lie.jacobi_terms(c1, c2)))
+    z1, z2 = lie.support_rows(c1), lie.support_rows(c2)
+    mixed = dict(lie.defect(lie.jacobi_terms(z2, z1), lie.jacobi_terms(z1, z2)))
     assert mixed == polar
     assert list(mixed) == sorted(mixed)
 
@@ -552,8 +556,8 @@ def test_solve_splits_polynomial_coefficients_by_monomial():
     alpha = ring.var("alpha")
     # (alpha + 1) a_0 - a_1 = 0 identically in alpha forces a_0 = a_1 = 0 ...
     assert lie.solve([((0,), [(alpha + 1, (0, 1)), (ring.one, (1, -1))])], 2) == []
-    # ... while the Scalar equation a_0 - a_1 = 0 keeps a_0 = a_1
-    assert lie.solve([((0,), [(Scalar(1), (0, 1)), (Scalar(1), (1, -1))])], 2) == [
+    # ... while the constant equation a_0 - a_1 = 0 (integer-pair coefficients) keeps a_0 = a_1
+    assert lie.solve([((0,), [((1, 0), (0, 1)), ((1, 0), (1, -1))])], 2) == [
         [Scalar(1), Scalar(1)]]
 
 

@@ -22,6 +22,15 @@ Q and Q(sqrt(2)), on Scalar entries and on polynomial entries with a
 parameter, on matrices and on 3-tensors; sympy's matrix commutators are an
 independent oracle for so(n) and sl(n), and sympy's tr(ad_x ad_y) and
 spans of ad images one for the Killing form and the series.
+
+Every reader of a `LieAlgebra`'s tensor reads its integer support table
+(`LieAlgebra._table`).  The Scalar readers it replaced are references
+too: the identity generators building their own `_support` rows, `solve`
+over Scalar rows, the series through `linalg.sparse_rref`, det(Killing
+form) as the semisimple test and the dense `coboundary_basis`, with the
+constructor's `first_asymmetry` and Scalar Jacobi check.  Independently
+of all of them, the three space dimensions are unknowns minus the rank of
+systems written out entry by entry and ranked by sympy's `DomainMatrix`.
 """
 
 from fractions import Fraction
@@ -33,6 +42,7 @@ from hypothesis import strategies as st
 from darbouxops import catalog, latexout, lie, linalg, pencil
 from darbouxops import invariants as inv
 from darbouxops import operators as ops
+from darbouxops.errors import NotALieAlgebraError
 from darbouxops.poly import Poly, PolyRing, dot
 from darbouxops.scalars import Scalar
 
@@ -437,6 +447,154 @@ def ref_lambda_report(a, b):
         a.ring, b.omega,
         lie.first_violation(ops.schouten_terms(a.omega, db), ops.schouten_terms(b.omega, da)),
         ref_phi_sum(a.ring, (a.g, db), (b.g, da)),
+    )
+
+
+# -- references: the Scalar readers of the support table ----------------------
+
+
+def ref_support(row):
+    return [(t, v) for t, v in enumerate(row) if v]
+
+
+def ref_jacobi_terms(c, x):
+    """lie.jacobi_terms when it built the `_support` rows of c and x itself."""
+    n = len(c)
+    cz = [[ref_support(row) for row in plane] for plane in c]
+    xz = cz if x is c else [[ref_support(row) for row in plane] for plane in x]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                eqs = {}
+                for (a, b), last in (((i, j), k), ((j, k), i), ((k, i), j)):
+                    for s, y in cz[a][b]:
+                        for m, z in xz[s][last]:
+                            eqs.setdefault(m, []).append((y, z))
+                for m in sorted(eqs):
+                    yield (i, j, k, m), eqs[m]
+
+
+def ref_cocycle_terms(c, f):
+    n = len(c)
+    cz = [[ref_support(row) for row in plane] for plane in c]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                eq = [(y, f[s][last]) for (a, b), last in (((i, j), k), ((j, k), i), ((k, i), j))
+                      for s, y in cz[a][b] if f[s][last]]
+                if eq:
+                    yield (i, j, k), eq
+
+
+def ref_symmetric_terms(table, x):
+    n = len(x)
+    xz = [ref_support(row) for row in x]
+    for i in range(n):
+        for j in range(i, n):
+            eqs = {}
+            for p, q in ((i, j), (j, i)):
+                for s, z in xz[p]:
+                    for k, y in table[s][q]:
+                        eqs.setdefault(k, []).append((y, z))
+            for k in sorted(eqs):
+                yield (i, j, k), eqs[k]
+
+
+def ref_casimir_terms(c, a):
+    """lie.casimir_terms with its dense n^3 table scan."""
+    n = len(c)
+    table = [[[(k, c[s][k][j]) for k in range(n) if c[s][k][j]] for j in range(n)]
+             for s in range(n)]
+    return ref_symmetric_terms(table, a)
+
+
+def ref_metric_terms(c, eta):
+    n = len(c)
+    table = [[[(k, c[j][k][s]) for k in range(n) if c[j][k][s]] for j in range(n)]
+             for s in range(n)]
+    return ref_symmetric_terms(table, eta)
+
+
+def ref_center_terms(c, a):
+    for i, plane in enumerate(c):
+        eqs = {}
+        for j, z in enumerate(a):
+            if z:
+                for k, y in ref_support(plane[j]):
+                    eqs.setdefault(k, []).append((y, z))
+        for k in sorted(eqs):
+            yield (i, k), eqs[k]
+
+
+def ref_solve(equations, ncols):
+    """lie.solve over Scalar rows, handed to `linalg.sparse_nullspace`."""
+    rows = []
+    for _, eq in equations:
+        row = {}
+        for coeff, (col, sign) in eq:
+            v = coeff if sign > 0 else -coeff
+            w = row.pop(col, None)
+            if w is not None:
+                v = w + v
+            if w is None or v:
+                row[col] = v
+        if row:
+            rows.append(row)
+    return linalg.sparse_nullspace(rows, ncols)
+
+
+def ref_sparse_bracket(rows, x, y):
+    """lie._bracket on Scalar coordinates and `_support` rows."""
+    out = {}
+    for i, a in x:
+        for j, b in y:
+            for k, v in rows[i][j]:
+                out[k] = out[k] + a * b * v if k in out else a * b * v
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_sparse_series(g, lower):
+    """lie._series through `linalg.sparse_rref`, each g_k as its RREF Scalar rows."""
+    rows = [[ref_support(row) for row in plane] for plane in g.c]
+    full = current = [[(i, Scalar(1))] for i in range(g.dim)]
+    dims = [g.dim]
+    while dims[-1]:
+        brackets = [ref_sparse_bracket(rows, x, y) for x in (full if lower else current)
+                    for y in current]
+        current = [list(row.items())
+                   for row in linalg.sparse_rref([b for b in brackets if b]).values()]
+        if len(current) == dims[-1]:
+            break
+        dims.append(len(current))
+    return dims
+
+
+def ref_spaces(g):
+    """The Casimir, metric and cocycle bases through `ref_solve` on the `_support` generators."""
+    n = g.dim
+    sym, skew = inv.sym_pairs(n), inv.skew_pairs(n)
+    cas = ref_solve(ref_casimir_terms(g.c, inv._unknowns(n, sym, False)), len(sym))
+    met = ref_solve(ref_metric_terms(g.c, inv._unknowns(n, sym, False)), len(sym))
+    coc = ref_solve(ref_cocycle_terms(g.c, inv._unknowns(n, skew, True)), len(skew))
+    return ([inv.sym_from_vector(v, n) for v in cas], [inv.sym_from_vector(v, n) for v in met],
+            [inv.skew_from_vector(v, n) for v in coc])
+
+
+def ref_center(g):
+    return ref_solve(ref_center_terms(g.c, [(j, 1) for j in range(g.dim)]), g.dim)
+
+
+def ref_structure_tags(g):
+    """structure_tags from the Scalar series, det(Killing form) and the Scalar center."""
+    lcs, ds = ref_sparse_series(g, True), ref_sparse_series(g, False)
+    nilpotent = lcs[-1] == 0
+    return lie.StructureTags(
+        abelian=g.dim == 0 or (len(lcs) >= 2 and lcs[1] == 0),
+        nilpotent=nilpotent,
+        nilpotency_class=(len(lcs) - 1) if nilpotent else None,
+        solvable=ds[-1] == 0,
+        semisimple=g.dim > 0 and bool(linalg.det(ref_killing_form(g))),
+        center_dim=len(ref_center(g)),
     )
 
 
@@ -960,3 +1118,177 @@ def test_killing_form_and_series_match_sympy(name, g):
     assert ours == killing
     assert lie.lower_central_series(g) == _sympy_series(sp, ad, lower=True)
     assert lie.derived_series(g) == _sympy_series(sp, ad, lower=False)
+
+
+# -- the support table against the Scalar readers --------------------------------
+
+
+def _table_as_scalars(g):
+    table = g._table
+    return [[[(k, Scalar(Fraction(a, table.den), Fraction(b, table.den), table.d))
+              for k, (a, b) in row] for row in plane] for plane in table.rows]
+
+
+def _assert_table_readers_match(g):
+    """The table, the generators, the three bases, the coboundaries, the center,
+    the tags and `jacobi_defect` (keys, order and values) against the references."""
+    n, c = g.dim, g.c
+    cz = lie.support_rows(c)
+    assert _table_as_scalars(g) == cz == [[ref_support(row) for row in plane] for plane in c]
+    sym = inv._unknowns(n, inv.sym_pairs(n), False)
+    skew = inv._unknowns(n, inv.skew_pairs(n), True)
+    markers = [(j, 1) for j in range(n)]
+    assert list(lie.jacobi_terms(cz, cz)) == list(ref_jacobi_terms(c, c))
+    assert list(lie.casimir_terms(cz, sym)) == list(ref_casimir_terms(c, sym))
+    assert list(lie.metric_terms(cz, sym)) == list(ref_metric_terms(c, sym))
+    assert list(lie.cocycle_terms(cz, skew)) == list(ref_cocycle_terms(c, skew))
+    assert list(lie.center_terms(cz, markers)) == list(ref_center_terms(c, markers))
+    cas, met, coc = ref_spaces(g)
+    cocycles = inv.two_cocycle_space(g)
+    for new, ref in ((inv.quadratic_casimir_space(g).basis, cas),
+                     (inv.compatible_metric_space(g).basis, met),
+                     (cocycles.basis, coc), (cocycles.coboundary_basis, ref_coboundary_basis(g)),
+                     ([lie.center(g)], [ref_center(g)])):
+        assert _tensor_strings(new) == _tensor_strings(ref)
+    assert lie.structure_tags(g) == ref_structure_tags(g)
+    defect = lie.jacobi_defect(c)
+    ref_defect = dict(lie.defect(ref_jacobi_terms(c, c)))
+    assert list(defect) == list(ref_defect)
+    assert [str(v) for v in defect.values()] == [str(v) for v in ref_defect.values()]
+
+
+def _constructor_verdict(c):
+    try:
+        lie.LieAlgebra(c)
+    except NotALieAlgebraError as exc:
+        return str(exc)
+    return None
+
+
+def ref_constructor_verdict(c):
+    """The parent constructor's checks: `first_asymmetry`, then the Scalar Jacobi defect."""
+    if linalg.first_asymmetry(c, skew=True) is not None:
+        return "structure tensor is not skew in the upper pair"
+    defect = dict(lie.defect(ref_jacobi_terms(c, c)))
+    if defect:
+        key = min(defect)
+        return f"Jacobi identity fails, first violation at (i,j,k,m)={key}: {defect[key]}"
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_support_table_readers_match_scalar_references_on_random_tensors(data):
+    """Over Q and Q(sqrt(2)), skew or not, Jacobi or not."""
+    pool = data.draw(_SCALAR_POOLS)
+    c = data.draw(_tensor(pool, data.draw(st.integers(1, 4))))
+    assert _constructor_verdict(c) == ref_constructor_verdict(c)
+    _assert_table_readers_match(lie.LieAlgebra(c, _validated=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_support_table_readers_match_scalar_references_over_sqrt2(data):
+    """Lie algebras over Q(sqrt(2)): a catalogued algebra moved by a sqrt(2) matrix."""
+    g = data.draw(st.sampled_from(_ALGEBRAS + [lie.n52(), lie.abelian(2)]))
+    a = data.draw(_invertible(_QSQRT2, g.dim))
+    assume(any(x.d for row in a for x in row))
+    moved = lie.change_basis(g, a)
+    assert moved.field_tag() == next((x.d for plane in moved.c for row in plane for x in row
+                                      if x.d), 0)
+    _assert_table_readers_match(moved)
+
+
+def test_support_table_readers_match_scalar_references_on_catalog_and_matrix_algebras():
+    algebras = [catalog.catalog_get(name).algebra for name in catalog.catalog_list()]
+    algebras += [lie.so_n(n) for n in range(2, 6)] + [lie.sl_n(n) for n in range(2, 5)]
+    for g in algebras:
+        _assert_table_readers_match(g)
+
+
+def test_bracket_reads_the_table_with_coordinates_over_sqrt2():
+    g = lie.LieAlgebra.from_brackets(3, {(0, 1): {2: Fraction(1, 2)}, (1, 2): {0: 3}})
+    x = [Scalar(0, 1, 2), Scalar(Fraction(2, 3)), Scalar(0)]
+    y = [Scalar(1), Scalar(Fraction(1, 5), 1, 2), Scalar(-1)]
+    assert g.bracket(x, y) == ref_bracket(g, x, y)
+    assert g.bracket(x, x) == [Scalar(0)] * 3
+
+
+# -- sympy: the dimensions of the three spaces ------------------------------------
+
+
+def _sympy_rank(sp, rows, ncols):
+    """Rank over QQ of sparse rows {column: rational}, as a sympy DomainMatrix."""
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [row for row in rows if any(row.values())]
+    if not rows or not ncols:
+        return 0
+    entries = {r: {k: sp.QQ(v) for k, v in row.items() if v} for r, row in enumerate(rows)}
+    return DomainMatrix(entries, (len(rows), ncols), sp.QQ).rank()
+
+
+def _sympy_space_dims(sp, g):
+    """(dim Casimirs, dim metrics, dim Z^2, dim B^2, Killing nondegenerate), each an
+    unknown count minus the rank of a system written here entry by entry."""
+    n = g.dim
+    c = [[[Fraction(x.a) for x in row] for row in plane] for plane in g.c]
+    sym_index = {p: k for k, p in enumerate((i, j) for i in range(n) for j in range(i, n))}
+    skew_index = {p: k for k, p in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
+
+    def sym_var(i, j):
+        return sym_index[min(i, j), max(i, j)]
+
+    def skew_var(i, j):
+        return (skew_index[i, j], 1) if i < j else (skew_index[j, i], -1)
+
+    def add(row, col, value):
+        row[col] = row.get(col, 0) + value
+
+    casimir, metric = [], []
+    for i, j in sym_index:
+        for k in range(n):
+            cas_row, met_row = {}, {}
+            for s in range(n):  # a_is c^{sk}_j + a_js c^{sk}_i ; eta^is c^{jk}_s + eta^js c^{ik}_s
+                add(cas_row, sym_var(i, s), c[s][k][j])
+                add(cas_row, sym_var(j, s), c[s][k][i])
+                add(met_row, sym_var(i, s), c[j][k][s])
+                add(met_row, sym_var(j, s), c[i][k][s])
+            casimir.append(cas_row)
+            metric.append(met_row)
+    cocycle = []
+    for i, j, k in ((i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)):
+        row = {}
+        for (a, b), last in (((i, j), k), ((j, k), i), ((k, i), j)):
+            for s in range(n):
+                if s != last and c[a][b][s]:
+                    col, sign = skew_var(s, last)
+                    add(row, col, sign * c[a][b][s])
+        cocycle.append(row)
+    coboundary = [{skew_index[p]: c[p[0]][p[1]][k] for p in skew_index} for k in range(n)]
+    killing = [{j: sum(c[i][l][m] * c[j][m][l] for l in range(n) for m in range(n))
+                for j in range(n)} for i in range(n)]
+    nsym, nskew = len(sym_index), len(skew_index)
+    return (nsym - _sympy_rank(sp, casimir, nsym), nsym - _sympy_rank(sp, metric, nsym),
+            nskew - _sympy_rank(sp, cocycle, nskew), _sympy_rank(sp, coboundary, nskew),
+            n > 0 and _sympy_rank(sp, killing, n) == n)
+
+
+def _space_oracle_algebras():
+    algebras = [(name, catalog.catalog_get(name).algebra) for name in catalog.catalog_list()]
+    algebras += [(f"so_{n}", lie.so_n(n)) for n in range(3, 7)]
+    return algebras + [(f"sl_{n}", lie.sl_n(n)) for n in range(2, 5)]
+
+
+@pytest.mark.parametrize("name, g", _space_oracle_algebras(),
+                         ids=[n for n, _ in _space_oracle_algebras()])
+def test_space_dimensions_match_sympy_ranks(name, g):
+    sp = pytest.importorskip("sympy")
+    assert g.field_tag() == 0
+    cas, met, z2, b2, semisimple = _sympy_space_dims(sp, g)
+    cocycles = inv.two_cocycle_space(g)
+    assert (inv.quadratic_casimir_space(g).dim, inv.compatible_metric_space(g).dim,
+            cocycles.dim, len(cocycles.coboundary_basis)) == (cas, met, z2, b2)
+    assert lie.structure_tags(g).semisimple == semisimple
+    if semisimple:  # Whitehead's second lemma: H^2 = 0
+        assert z2 - b2 == 0 == cocycles.h2_dim

@@ -117,6 +117,33 @@ def test_hyperbolic_rotation_tensor_is_a_lie_algebra():
     lie.LieAlgebra(c)
 
 
+def test_constructor_rejects_a_ragged_tensor():
+    ragged = [[[0, 0], [0, 0]], [[0, 0]]]
+    with pytest.raises(ShapeMismatchError, match="n x n x n"):
+        lie.LieAlgebra(ragged)
+    with pytest.raises(ShapeMismatchError, match="n x n x n"):
+        lie.LieAlgebra([[[0, 0], [0]], [[0, 0], [0, 0]]], _validated=True)
+    with pytest.raises(ShapeMismatchError, match="n x n x n"):
+        lie.jacobi_defect(ragged)
+
+
+@pytest.mark.parametrize("brackets, message", [
+    # J^{012}_0 = 1/2 * 1 + 1/3 * 1: integers 30 over the denominator 6^2
+    ({(0, 1): {1: Fraction(1, 2)}, (0, 2): {2: Fraction(1, 3)}, (1, 2): {0: 1}},
+     "(i,j,k,m)=(0, 1, 2, 0): 5/6"),
+    ({(0, 1): {1: Scalar(Fraction(1, 2), 1, 2)}, (0, 2): {2: Fraction(1, 3)},
+      (1, 2): {0: Scalar(0, Fraction(1, 3), 2)}},
+     "(i,j,k,m)=(0, 1, 2, 0): 2/3+5/18*sqrt(2)"),
+], ids=["rational", "sqrt2"])
+def test_jacobi_failure_names_the_first_violation_and_its_value(brackets, message):
+    c = tensor_from_brackets(3, brackets)
+    with pytest.raises(NotALieAlgebraError) as err:
+        lie.LieAlgebra(c)
+    assert str(err.value) == f"Jacobi identity fails, first violation at {message}"
+    key = min(lie.jacobi_defect(c))
+    assert message == f"(i,j,k,m)={key}: {lie.jacobi_defect(c)[key]}"
+
+
 def test_constructor_rejects_non_skew():
     c = [[[Scalar(0)] * 2 for _ in range(2)] for _ in range(2)]
     c[0][1][0] = Scalar(1)
