@@ -211,9 +211,9 @@ def cmd_operator(args) -> int:
             print("error: omega is not affine in u, no Darboux form", file=sys.stderr)
             return EXIT_FAIL
         reports = {}
-        if mode in ("auto", "both", "darboux") and affine:
+        if mode in ("auto", "darboux") and affine:
             reports["darboux"] = ops.verify_darboux(pencil.darboux_view(op))
-        if mode in ("auto", "both", "general") or not affine:
+        if mode in ("auto", "general") or not affine:
             reports["general"] = ops.verify_hamiltonian(op)
         passed = all(r.passed for r in reports.values())
         payload = {name: r.as_dict() for name, r in reports.items()}
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out")
     v = opsub.add_parser("verify", allow_abbrev=False)
     v.add_argument("operator")
-    v.add_argument("--mode", choices=["auto", "darboux", "general", "both"], default="auto")
+    v.add_argument("--mode", choices=["auto", "darboux", "general"], default="auto")
     a = opsub.add_parser("apply", allow_abbrev=False)
     a.add_argument("operator")
     a.add_argument("--density", required=True)

@@ -89,8 +89,10 @@ def sym_from_vector(v: Sequence[Scalar], n: int) -> Matrix:
 def skew_from_vector(v: Sequence[Scalar], n: int, pairs=None) -> Matrix:
     m = linalg.zeros(n, n)
     for idx, (i, j) in enumerate(skew_pairs(n) if pairs is None else pairs):
-        m[i][j] = v[idx]
-        m[j][i] = -v[idx]
+        x = v[idx]
+        if x:  # m starts as ZERO: only nonzero entries are written and negated
+            m[i][j] = x
+            m[j][i] = -x
     return m
 
 

@@ -17,16 +17,16 @@ and mixed pencil condition of the package is derived from them.
 
 A `LieAlgebra` caches one integer support table of its tensor
 (`SupportTable`, built once in the constructor): the support rows with
-each c^{ij}_k written as a Z[sqrt(d)] pair (A, B) over one common
-denominator, which is left out.  The constructor checks skewness and
-Jacobi on it (a ragged tensor is a ShapeMismatchError), and every reader
-of the algebra's tensor reads it: the solvers hand `linalg.echelon`
-integer rows straight from it, the lower central and derived series keep
-each g_k as echelon integer rows of integer brackets (`_bracket`), and the
-Killing form, the center and the coboundaries read it too.  Scalars are
-built only for outputs.  Scalar and polynomial tensors (`jacobi_defect`,
-the residual checkers, operators and pencils) get their support rows from
-`support_rows`, once per call.
+each c^{ij}_k in the integer form of `scalars.to_integers`, whose common
+denominator is left out.  The constructor checks skewness and Jacobi on
+it (a ragged tensor is a ShapeMismatchError), and every reader of the
+algebra's tensor reads it: the solvers hand `linalg.echelon` integer rows
+straight from it, the lower central and derived series keep each g_k as
+echelon integer rows of integer brackets (`_bracket`), and the Killing
+form, the center and the coboundaries read it too.  Scalars are built
+(`scalars.from_integers`) only for outputs.  Scalar and polynomial tensors
+(`jacobi_defect`, the residual checkers, operators and pencils) get their
+support rows from `support_rows`, once per call.
 
 `so_n` and `sl_n` build their bases as sparse integer matrices and read
 each commutator's coordinates straight off its entries.
@@ -48,7 +48,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .poly import Poly, _operand_form, dot
-from .scalars import ZERO, Scalar, join_field_tags
+from .scalars import ZERO, Scalar, from_integers, join_field_tags, to_integers
 
 Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
@@ -266,11 +266,9 @@ def jacobi_defect(c: Sequence[Sequence[Sequence]]) -> Dict[tuple, Scalar]:
 
 
 class SupportTable(NamedTuple):
-    """The nonzero entries of a structure tensor as integers over Z[sqrt(d)].
-
-    rows[i][j] lists (k, (A, B)) by increasing k, with
-    c^{ij}_k = (A + B*sqrt(d)) / den and den the lcm of all denominators.
-    """
+    """The nonzero entries of a structure tensor in the integer form of
+    `scalars.to_integers`: rows[i][j] lists (k, (A, B)) by increasing k,
+    with c^{ij}_k = (A + B*sqrt(d)) / den."""
 
     d: int
     den: int
@@ -280,18 +278,10 @@ class SupportTable(NamedTuple):
 def _support_table(tensor) -> SupportTable:
     """The support table of a Scalar tensor; ShapeMismatchError unless it is n x n x n."""
     cz = support_rows(tensor)
-    d, den = 0, 1
-    for plane in cz:
-        for row in plane:
-            for _, x in row:
-                if x.d:
-                    d = join_field_tags(d, x.d)
-                    den = lcm(den, x.a.denominator, x.b.denominator)
-                elif x.a.denominator != 1:
-                    den = lcm(den, x.a.denominator)
-    return SupportTable(d, den, [
-        [[(k, (x.a.numerator * (den // x.a.denominator), x.b.numerator * (den // x.b.denominator)))
-          for k, x in row] for row in plane] for plane in cz])
+    d, den, ints = to_integers([x for plane in cz for row in plane for _, x in row])
+    ints = iter(ints)
+    return SupportTable(d, den, [[[(k, next(ints)) for k, _ in row] for row in plane]
+                                 for plane in cz])
 
 
 @dataclass(frozen=True)
@@ -312,9 +302,9 @@ class LieAlgebra:
     integers); the first violation is reported with its value as a Scalar.
     """
 
-    __slots__ = ("dim", "c", "labels", "_table")
+    __slots__ = ("dim", "c", "_table")
 
-    def __init__(self, c, labels: Optional[Sequence[str]] = None, _validated: bool = False):
+    def __init__(self, c, _validated: bool = False):
         tensor = _freeze_tensor(c)
         table = _support_table(tensor)
         if not _validated:
@@ -326,12 +316,11 @@ class LieAlgebra:
             for key, pairs in jacobi_terms(rows, rows):
                 a, b = _int_dot(pairs, d)
                 if a or b:
-                    value = linalg._scalar(a, b, table.den ** 2, d)
+                    value = from_integers(a, b, table.den ** 2, d)
                     raise NotALieAlgebraError(
                         f"Jacobi identity fails, first violation at (i,j,k,m)={key}: {value}")
         object.__setattr__(self, "dim", len(tensor))
         object.__setattr__(self, "c", tensor)
-        object.__setattr__(self, "labels", tuple(labels) if labels else None)
         object.__setattr__(self, "_table", table)
 
     def __setattr__(self, *_):
@@ -347,8 +336,8 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim})"
 
     @classmethod
-    def from_brackets(cls, dim: int, brackets: Dict[Tuple[int, int], Dict[int, object]],
-                      labels: Optional[Sequence[str]] = None) -> "LieAlgebra":
+    def from_brackets(cls, dim: int,
+                      brackets: Dict[Tuple[int, int], Dict[int, object]]) -> "LieAlgebra":
         """Build from sparse brackets {(i, j): {k: coeff}} with 0-based i < j and k."""
         c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), out in brackets.items():
@@ -360,19 +349,22 @@ class LieAlgebra:
                 s = Scalar.of(val)
                 c[i][j][k] = s
                 c[j][i][k] = -s
-        return cls(c, labels=labels)
+        return cls(c)
 
     def field_tag(self) -> int:
         return self._table.d
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
         """[x, y] on dense coordinate lists (`_bracket` on their integer forms)."""
-        d, ((xs, lx), (ys, ly)) = linalg._integer_rows([dict(_support(x)), dict(_support(y))])
+        parts = _support(x), _support(y)
+        d, den, ints = to_integers([v for part in parts for _, v in part])
+        ints = iter(ints)
+        xs, ys = [[(i, next(ints)) for i, _ in part] for part in parts]
         table = self._table
         d = join_field_tags(d, table.d)
         out = [ZERO] * self.dim
-        for k, (a, b) in _bracket(table.rows, xs.items(), ys.items(), d).items():
-            out[k] = linalg._scalar(a, b, lx * ly * table.den, d)
+        for k, (a, b) in _bracket(table.rows, xs, ys, d).items():
+            out[k] = from_integers(a, b, den * den * table.den, d)
         return out
 
 
@@ -418,7 +410,7 @@ def killing_form(g: LieAlgebra) -> linalg.Matrix:
     """K^{ij} = c^{il}_m c^{jm}_l (`_killing_rows`)."""
     table = g._table
     scale = table.den ** 2
-    return [[linalg._scalar(*row[j], scale, table.d) if j in row else ZERO for j in range(g.dim)]
+    return [[from_integers(*row[j], scale, table.d) if j in row else ZERO for j in range(g.dim)]
             for row in _killing_rows(g)]
 
 

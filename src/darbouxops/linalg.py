@@ -3,21 +3,21 @@
 Matrices are plain lists of lists of Scalar; sparse rows are
 {column: Scalar}, and the solver systems of `lie` are integer rows
 {column: (A, B)}.  Every elimination goes through one fraction-free sparse
-reducer over Z[sqrt(d)] (after Bareiss 1968).  Each Scalar row is written
-once as integer pairs (A, B), for A + B*sqrt(d), over its lcm denominator.
-Taken in order, each row is reduced against the pivot rows kept so far,
-leading column first, by row <- p*row - f*pivot (p the pivot's integer
-lead, f the row's entry there), with the integer content divided out after
-each step; the remainder becomes the pivot row of its leading column,
-times the conjugate of its lead if that lead carries sqrt(d).  `echelon` is the
-entry point of integer rows into the reducer (only `det`, which tracks
-each row's scale, inserts its rows itself): `lie` hands it the rows of its
-solvers and series directly, and `sparse_rref`/`sparse_nullspace` hand it
-their Scalar rows once written as integers.  `integer_rref` and
+reducer over Z[sqrt(d)] (after Bareiss 1968).  Scalar rows are written
+once in the integer form of `scalars.to_integers`.  Taken in order, each
+row is reduced against the pivot rows kept so far, leading column first,
+by row <- p*row - f*pivot (p the pivot's integer lead, f the row's entry
+there), with the integer content divided out after each step; the
+remainder becomes the pivot row of its leading column, times the conjugate
+of its lead if that lead carries sqrt(d).  `echelon` is the entry point
+of integer rows into the reducer (only `det`, which tracks each row's
+scale, inserts its rows itself): `lie` hands it the rows of its solvers
+and series directly, and `sparse_rref`/`sparse_nullspace` hand it their
+Scalar rows once written as integers.  `integer_rref` and
 `integer_nullspace` back-substitute the same way and divide by each pivot
-row's lead once: Scalars are built only for the result.  The RREF is
-unique, so pivots, nullspace bases (one vector per free column, free entry
-1) and everything derived from them are canonical.
+row's lead once: Scalars are built (`scalars.from_integers`) only for the
+result.  The RREF is unique, so pivots, nullspace bases (one vector per
+free column, free entry 1) and everything derived from them are canonical.
 
 `rref`, `nullspace` and `inverse` (which reduces [A | I]) are dense views of
 that result.  `det` is the product of the leads met during insertion, each
@@ -31,14 +31,13 @@ upper pair), with Scalar or polynomial entries, are all checked by it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatchError, SingularMatrixError
 from .poly import Poly
-from .scalars import ONE, ZERO, Scalar, _make, _rational, join_field_tags
+from .scalars import ONE, ZERO, Scalar, from_integers, to_integers
 
 Matrix = List[List[Scalar]]
 Vector = List[Scalar]
@@ -116,22 +115,22 @@ def det(m: Sequence[Sequence]) -> Scalar:
     rows, n = _sparse_rows(m)
     if len(rows) != n:
         raise ShapeMismatchError("determinant of non-square matrix")
-    d, int_rows = _integer_rows(rows)
+    d, scale, int_rows = _integer_rows(rows)
     pivots: Dict[int, dict] = {}
-    (a, b), num, den = (1, 0), 1, 1  # det = (a + b*sqrt(d)) * den / num
-    for row, scale in int_rows:
+    (a, b), num, den = (1, 0), scale**n, 1  # det = (a + b*sqrt(d)) * den / num
+    for row in int_rows:
         row, content = _primitive(row)
         inserted = _insert(row, pivots, d)
         if inserted is None:
             return ZERO
         (x, y), mul, div = inserted
         a, b = a * x + d * b * y, a * y + b * x
-        num, den = num * scale * mul, den * content * div
+        num, den = num * mul, den * content * div
     # sorted by pivot column the normalized rows form a unit upper triangle
     order = list(pivots)
     if sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n)) % 2:
         num = -num
-    return _scalar(a * den, b * den, num, d)
+    return from_integers(a * den, b * den, num, d)
 
 
 def inverse(m: Sequence[Sequence]) -> Matrix:
@@ -159,11 +158,6 @@ def basis_change_pair(a: Sequence[Sequence], n: int) -> Tuple[Matrix, Matrix]:
 # An integer row {col: (A, B)} never stores (0, 0); a pivot row's lead is (P, 0), P != 0.
 
 
-def _scalar(a: int, b: int, den: int, d: int) -> Scalar:
-    """(a + b*sqrt(d)) / den."""
-    return _make(Fraction(a, den), Fraction(b, den), d) if b else _rational(Fraction(a, den))
-
-
 def _primitive(row: dict) -> Tuple[dict, int]:
     """(row / g, g) with g the gcd of all integers of the row (0 if it is empty)."""
     g = gcd(*chain.from_iterable(row.values()))
@@ -172,19 +166,14 @@ def _primitive(row: dict) -> Tuple[dict, int]:
     return {c: (a // g, b // g) for c, (a, b) in row.items()}, g
 
 
-def _integer_rows(rows: Sequence[SparseRow]) -> Tuple[int, list]:
-    """(d, [(R, L), ...]): the field tag of all entries, and each row as
-    R = L * row, L its lcm denominator."""
-    d = 0
-    for tag in sorted({x.d for row in rows for x in row.values()}):
-        d = join_field_tags(d, tag)
-    out = []
-    for row in rows:
-        parts = [(c, x.a, x.b) for c, x in row.items() if x]
-        den = lcm(*[q.denominator for _, a, b in parts for q in (a, b)])
-        out.append(({c: (a.numerator * (den // a.denominator),
-                         b.numerator * (den // b.denominator)) for c, a, b in parts}, den))
-    return d, out
+def _integer_rows(rows: Sequence[SparseRow]) -> Tuple[int, int, List[dict]]:
+    """(d, L, [R, ...]): the rows as integer rows R = L * row (`scalars.to_integers`).
+
+    An explicit zero entry of a row is dropped.
+    """
+    d, den, ints = to_integers([x for row in rows for x in row.values()])
+    ints = iter(ints)  # zip reads a row's columns first, so it takes only that row's pairs
+    return d, den, [{c: p for c, p in zip(row, ints) if p != (0, 0)} for row in rows]
 
 
 def _eliminate(row: dict, c0: int, piv: dict, d: int) -> Tuple[dict, int, int]:
@@ -259,7 +248,7 @@ def _reduced(rows, d: int) -> Dict[int, dict]:
 
 def integer_rref(rows, d: int) -> Dict[int, SparseRow]:
     """Canonical reduced pivot rows (pivot -> normalized Scalar row) of integer rows."""
-    return {p: {c: _scalar(a, b, row[p][0], d) for c, (a, b) in row.items()}
+    return {p: {c: from_integers(a, b, row[p][0], d) for c, (a, b) in row.items()}
             for p, row in _reduced(rows, d).items()}
 
 
@@ -275,17 +264,17 @@ def integer_nullspace(rows, ncols: int, d: int) -> List[Vector]:
         for p, prow in pivots.items():
             x = prow.get(free)
             if x:
-                v[p] = _scalar(-x[0], -x[1], prow[p][0], d)
+                v[p] = from_integers(-x[0], -x[1], prow[p][0], d)
         basis.append(v)
     return basis
 
 
 def sparse_rref(rows: Sequence[SparseRow]) -> Dict[int, SparseRow]:
     """Canonical reduced pivot rows (pivot -> normalized row)."""
-    d, int_rows = _integer_rows(rows)
-    return integer_rref([row for row, _ in int_rows], d)
+    d, _, int_rows = _integer_rows(rows)
+    return integer_rref(int_rows, d)
 
 
 def sparse_nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
-    d, int_rows = _integer_rows(rows)
-    return integer_nullspace([row for row, _ in int_rows], ncols, d)
+    d, _, int_rows = _integer_rows(rows)
+    return integer_nullspace(int_rows, ncols, d)

@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
+    DarbouxOpsError,
     MetricIncompatibleError,
     NonHydrodynamicDensityError,
     NotACocycleError,
@@ -377,10 +378,14 @@ def apply_to_density(op: PolyOperator, h: Poly) -> Tuple[PolyMatrix, List[Poly]]
 
 
 def parse_density(op: PolyOperator, text: str) -> Poly:
-    """Parse a hydrodynamic density; reject any non-field indeterminate."""
+    """Parse a hydrodynamic density; reject any non-field indeterminate.
+
+    Only the package's typed errors become NonHydrodynamicDensityError;
+    any other exception is a bug and propagates.
+    """
     try:
         h = op.ring.parse(text)
-    except Exception as exc:
+    except DarbouxOpsError as exc:
         raise NonHydrodynamicDensityError(
             f"density must be polynomial in the field variables: {exc}"
         ) from exc

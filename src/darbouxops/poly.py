@@ -7,21 +7,20 @@ is graded lexicographic with field variables first, parameters after, in
 declaration order.  Zero coefficients are never stored.
 
 Products and sums of products go through one integer kernel, `dot`.  Each
-operand is written once as integer numerator pairs (A, B) over a common
-denominator D, one pair per term, so that a coefficient is
-(A + B*sqrt(d))/D, and each monomial is packed into one int with a 16-bit
-field per indeterminate.  `dot` caches this form on the polynomial, because
-the entries of a structure tensor or an operator are multiplied many times;
-a single product `*` does not keep it.  A sum of products then
-multiplies monomials by adding their packed ints, accumulates integers
-keyed by the packed monomial, each product scaled to the lcm L of the
-operand denominators -- over Q one int per monomial, over Q(sqrt(d)) one
-two-slot [a, b] list updated in place -- and unpacks and builds one
-`Scalar` per nonzero output term.
-The contract is the one of Scalar arithmetic summed term by term: the same
-terms and no stored zeros, with ShapeMismatchError for operands from
-different rings and FieldMismatchError for sqrt(d) against sqrt(d') with
-d != d'.
+operand is written once in the integer form of `scalars.to_integers`, one
+pair (A, B) per term over a common denominator D, and each monomial is
+packed into one int with a 16-bit field per indeterminate.  `dot` caches
+this form on the polynomial, because the entries of a structure tensor or
+an operator are multiplied many times; a single product `*` does not keep
+it.  A sum of products then multiplies monomials by adding their packed
+ints, accumulates integers keyed by the packed monomial, each product
+scaled to the lcm L of the operand denominators -- over Q one int per
+monomial, over Q(sqrt(d)) one two-slot [a, b] list updated in place --
+and unpacks and builds one `Scalar` per nonzero output term
+(`scalars.from_integers`).  The contract is the one of Scalar arithmetic
+summed term by term: the same terms and no stored zeros, with
+ShapeMismatchError for operands from different rings and
+FieldMismatchError for sqrt(d) against sqrt(d') with d != d'.
 
 Packed fields never carry into each other: an operand exponent is at most
 MAX_EXPONENT = 2**15 - 1, so a product exponent stays below 2**16.  A
@@ -48,7 +47,6 @@ from typing import Iterable, Mapping
 
 from .errors import (
     ExponentOverflowError,
-    FieldMismatchError,
     ParseError,
     ShapeMismatchError,
     UnknownIndeterminateError,
@@ -59,11 +57,11 @@ from .scalars import (
     Scalar,
     _int,
     _literal_power,
-    _make,
     _printable,
-    _rational,
+    from_integers,
     join_field_tags,
     parse_scalar,
+    to_integers,
     validate_field_tag,
 )
 
@@ -415,21 +413,12 @@ def ring_embedding(src: PolyRing, dst: PolyRing, renames=None):
 
 
 def _int_form(p: Poly) -> tuple:
-    """(d, D, ((key, A, B), ...)) with each coefficient (A + B*sqrt(d))/D.
+    """(d, D, ((key, A, B), ...)): the coefficients as `scalars.to_integers`
+    writes them, each with its packed monomial `key`.
 
-    `key` is the packed monomial; an exponent outside 0..MAX_EXPONENT
-    raises ExponentOverflowError.
+    An exponent outside 0..MAX_EXPONENT raises ExponentOverflowError.
     """
-    d = 0
-    den = 1
-    for c in p.terms.values():
-        if c.d:
-            if d and c.d != d:
-                raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({c.d})")
-            d = c.d
-            den = lcm(den, c.a.denominator, c.b.denominator)
-        else:
-            den = lcm(den, c.a.denominator)
+    d, den, ints = to_integers(p.terms.values())
     ring = p.ring
     pack = ring._exp_struct.pack
     from_bytes = int.from_bytes
@@ -441,11 +430,7 @@ def _int_form(p: Poly) -> tuple:
         raise ExponentOverflowError(
             f"a product operand has an exponent outside 0..MAX_EXPONENT = {MAX_EXPONENT}"
         )
-    form = (d, den, tuple(
-        (key, c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
-        for key, c in zip(keys, p.terms.values())
-    ))
-    return form
+    return d, den, tuple((key, a, b) for key, (a, b) in zip(keys, ints))
 
 
 def _operand_form(ring: PolyRing, x, keep: bool) -> tuple:
@@ -486,6 +471,7 @@ def dot(ring: PolyRing, pairs, keep: bool = True) -> Poly:
         operands.append((xs, ys, scale))
     acc: dict = {}
     terms = {}
+    scalar = from_integers
     unpack = ring._exp_struct.unpack
     nbytes = ring._exp_struct.size
     if not d:
@@ -498,7 +484,7 @@ def dot(ring: PolyRing, pairs, keep: bool = True) -> Poly:
                     acc[e] = acc.get(e, 0) + ka1 * a2
         for e, a in acc.items():
             if a:
-                terms[unpack(e.to_bytes(nbytes, "little"))] = _rational(Fraction(a, den))
+                terms[unpack(e.to_bytes(nbytes, "little"))] = scalar(a, 0, den, 0)
         return _poly(ring, terms)
     # (a1 + b1 r)(a2 + b2 r) = a1 a2 + d b1 b2 + (a1 b2 + b1 a2) r, r = sqrt(d),
     # accumulated in one [a, b] slot per monomial
@@ -517,13 +503,8 @@ def dot(ring: PolyRing, pairs, keep: bool = True) -> Poly:
                     slot[0] += ka1 * a2 + dkb1 * b2
                     slot[1] += ka1 * b2 + kb1 * a2
     for e, (a, b) in acc.items():
-        if b:
-            c = _make(Fraction(a, den), Fraction(b, den), d)
-        elif a:
-            c = _rational(Fraction(a, den))
-        else:
-            continue
-        terms[unpack(e.to_bytes(nbytes, "little"))] = c
+        if a or b:
+            terms[unpack(e.to_bytes(nbytes, "little"))] = scalar(a, b, den, d)
     return _poly(ring, terms)
 
 

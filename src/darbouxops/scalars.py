@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .errors import FieldMismatchError, InvalidFieldError, ParseError, UnprintableValueError
 
@@ -305,6 +306,34 @@ def _make(a: Fraction, b: Fraction, d: int) -> Scalar:
     _set_b(s, b)
     _set_d(s, d if b else 0)
     return s
+
+
+def to_integers(values) -> tuple:
+    """(d, den, [(A, B), ...]): each of `values` as (A + B*sqrt(d))/den.
+
+    The one Z[sqrt(d)] integer form of the package: d is the tag of all
+    values joined (`join_field_tags`) and den the lcm of all their
+    denominators.  `values` is a collection of Scalars, read twice.
+    """
+    d, den = 0, 1
+    for x in values:
+        if x.d:
+            if x.d != d:
+                d = join_field_tags(d, x.d)
+            den = lcm(den, x.a.denominator, x.b.denominator)
+        elif x.a.denominator != 1:
+            den = lcm(den, x.a.denominator)
+    if not d:
+        return 0, den, [(x.a.numerator * (den // x.a.denominator), 0) for x in values]
+    return d, den, [(x.a.numerator * (den // x.a.denominator),
+                     x.b.numerator * (den // x.b.denominator)) for x in values]
+
+
+def from_integers(a: int, b: int, den: int, d: int) -> Scalar:
+    """(a + b*sqrt(d)) / den, the inverse of `to_integers`; d must be a valid tag or 0."""
+    if b:
+        return _make(Fraction(a, den), Fraction(b, den), d)
+    return _rational(Fraction(a, den))
 
 
 ZERO = Scalar(0)

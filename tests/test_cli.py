@@ -129,6 +129,44 @@ def test_operator_build_and_verify(tmp_path, so3_file):
     assert run_cli(["operator", "verify", str(out)]).returncode == 0
 
 
+def _nonaffine_operator():
+    """g = I, omega^{12} = u1^2: not affine in u, and not Hamiltonian."""
+    ring = ops.field_ring(2)
+    w = ring.parse("u1^2")
+    return ops.PolyOperator(ring, [[1, 0], [0, 1]], [[ring.zero, w], [-w, ring.zero]])
+
+
+@pytest.mark.parametrize("which, mode, code, reports", [
+    ("affine", "auto", 0, ["darboux", "general"]),
+    ("affine", "darboux", 0, ["darboux"]),
+    ("affine", "general", 0, ["general"]),
+    ("nonaffine", "auto", 1, ["general"]),
+    ("nonaffine", "darboux", 1, None),  # no Darboux form: an error line, no report
+    ("nonaffine", "general", 1, ["general"]),
+])
+def test_operator_verify_modes(tmp_path, capsys, which, mode, code, reports):
+    op = helpers.kdv_A().to_poly_operator() if which == "affine" else _nonaffine_operator()
+    path = tmp_path / "op.json"
+    io_json.dump_operator(op, str(path))
+    assert cli.main(["--format", "json", "operator", "verify", str(path), "--mode", mode]) == code
+    out = capsys.readouterr()
+    if reports is None:
+        assert out.out == "" and "not affine" in out.err
+        return
+    payload = json.loads(out.out)
+    assert list(payload) == reports
+    assert all(set(r) == {"passed", "conditions"} and r["passed"] == (code == 0)
+               for r in payload.values())
+
+
+def test_operator_verify_has_no_both_mode(tmp_path):
+    path = tmp_path / "op.json"
+    io_json.dump_operator(helpers.kdv_A().to_poly_operator(), str(path))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["operator", "verify", str(path), "--mode", "both"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("eta, f, params", [
     ("α*I", "zero", ["α"]),  # names the reader reads, though not ASCII identifiers
     ("x/y*I", "0,β,0;-β,0,0;0,0,0", ["x/y", "β"]),

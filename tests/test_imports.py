@@ -1,9 +1,12 @@
 """`import darbouxops` loads only the standard library and the package.
 
 This pins the README's "pure standard library" claim and keeps the import
-path short: every benchmark process pays for it at start-up.
+path short: every benchmark process pays for it at start-up.  No module
+keeps an import it does not use, unless the line says `# noqa` (a
+re-export).
 """
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -26,3 +29,35 @@ def test_import_loads_only_the_standard_library():
     assert "darbouxops.lie" in loaded
     tops = {m.split(".")[0] for m in loaded}
     assert sorted(tops - set(sys.stdlib_module_names) - {"darbouxops"}) == []
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """Names that `path` imports but never reads, outside `# noqa` lines."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                if "# noqa" not in lines[alias.lineno - 1]:
+                    imported[(alias.asname or alias.name).split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used)
+
+
+def test_no_module_keeps_an_unused_import():
+    """The package `__init__` is exempt: every import there is the public API."""
+    modules = sorted((ROOT / "src" / "darbouxops").glob("*.py"))
+    assert len(modules) > 10
+    unused = [u for path in modules if path.name != "__init__.py" for u in _unused_imports(path)]
+    assert unused == []
+
+
+def test_the_unused_import_check_sees_a_leftover(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from math import gcd, lcm\nimport os.path\n"
+                    "from sys import argv  # noqa: F401\n\nprint(gcd(4, 6))\n")
+    assert _unused_imports(path) == ["mod.py:1 lcm", "mod.py:2 os"]

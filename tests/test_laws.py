@@ -31,20 +31,27 @@ form) as the semisimple test and the dense `coboundary_basis`, with the
 constructor's `first_asymmetry` and Scalar Jacobi check.  Independently
 of all of them, the three space dimensions are unknowns minus the rank of
 systems written out entry by entry and ranked by sympy's `DomainMatrix`.
+
+`scalars.to_integers` is the one Z[sqrt(d)] integer form.  The three
+encoders it replaced, the coefficient loop of `poly._int_form`,
+`linalg._integer_rows` (one lcm denominator per row) and
+`lie._support_table`, are references for the forms the package builds now,
+and for the error type of a sqrt(2)/sqrt(3) mix.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from darbouxops import catalog, latexout, lie, linalg, pencil
+from darbouxops import catalog, latexout, lie, linalg, pencil, poly
 from darbouxops import invariants as inv
 from darbouxops import operators as ops
-from darbouxops.errors import NotALieAlgebraError
+from darbouxops.errors import FieldMismatchError, NotALieAlgebraError
 from darbouxops.poly import Poly, PolyRing, dot
-from darbouxops.scalars import Scalar
+from darbouxops.scalars import Scalar, join_field_tags
 
 # -- references: symmetry and skewness ---------------------------------------
 
@@ -596,6 +603,57 @@ def ref_structure_tags(g):
         semisimple=g.dim > 0 and bool(linalg.det(ref_killing_form(g))),
         center_dim=len(ref_center(g)),
     )
+
+
+# -- references: the three integer encoders ------------------------------------
+
+
+def ref_poly_int_form(p):
+    """The coefficient loop of `poly._int_form`: (d, D, [(A, B), ...]) by term."""
+    d = 0
+    den = 1
+    for c in p.terms.values():
+        if c.d:
+            if d and c.d != d:
+                raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({c.d})")
+            d = c.d
+            den = lcm(den, c.a.denominator, c.b.denominator)
+        else:
+            den = lcm(den, c.a.denominator)
+    return d, den, [(c.a.numerator * (den // c.a.denominator),
+                     c.b.numerator * (den // c.b.denominator)) for c in p.terms.values()]
+
+
+def ref_integer_rows(rows):
+    """`linalg._integer_rows`: (d, [(R, L), ...]), each row as R = L * row with
+    L its own lcm denominator."""
+    d = 0
+    for tag in sorted({x.d for row in rows for x in row.values()}):
+        d = join_field_tags(d, tag)
+    out = []
+    for row in rows:
+        parts = [(c, x.a, x.b) for c, x in row.items() if x]
+        den = lcm(*[q.denominator for _, a, b in parts for q in (a, b)])
+        out.append(({c: (a.numerator * (den // a.denominator),
+                         b.numerator * (den // b.denominator)) for c, a, b in parts}, den))
+    return d, out
+
+
+def ref_support_table(tensor):
+    """`lie._support_table`: (d, den, rows) with rows[i][j] = [(k, (A, B)), ...]."""
+    cz = lie.support_rows(tensor)
+    d, den = 0, 1
+    for plane in cz:
+        for row in plane:
+            for _, x in row:
+                if x.d:
+                    d = join_field_tags(d, x.d)
+                    den = lcm(den, x.a.denominator, x.b.denominator)
+                elif x.a.denominator != 1:
+                    den = lcm(den, x.a.denominator)
+    return d, den, [
+        [[(k, (x.a.numerator * (den // x.a.denominator), x.b.numerator * (den // x.b.denominator)))
+          for k, x in row] for row in plane] for plane in cz]
 
 
 # -- random data -------------------------------------------------------------
@@ -1292,3 +1350,70 @@ def test_space_dimensions_match_sympy_ranks(name, g):
     assert lie.structure_tags(g).semisimple == semisimple
     if semisimple:  # Whitehead's second lemma: H^2 = 0
         assert z2 - b2 == 0 == cocycles.h2_dim
+
+
+# -- the integer form against the three encoders it replaced ---------------------
+
+# sqrt(3) values join the Q(sqrt(2)) pool only to be refused with it
+_QSQRT3 = _Q + [Scalar(0, 1, 3), Scalar(Fraction(2, 5), Fraction(-1, 7), 3)]
+_MIXED = _QSQRT2 + [Scalar(0, 1, 3)]
+_ENCODER_POOLS = st.sampled_from([_Q, _QSQRT2, _QSQRT3, _MIXED])
+
+
+def _outcome(call):
+    """call(), or the type of the FieldMismatchError it raises."""
+    try:
+        return call()
+    except FieldMismatchError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_polynomial_integer_form_matches_the_deleted_encoder(data):
+    pool = data.draw(_ENCODER_POOLS)
+    ring = PolyRing(["u1", "u2"], ["alpha"])
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=6, unique=True))
+    p = Poly(ring, {e: data.draw(st.sampled_from(pool)) for e in exps})
+    form, ref = _outcome(lambda: poly._int_form(p)), _outcome(lambda: ref_poly_int_form(p))
+    if ref is FieldMismatchError:
+        assert form is FieldMismatchError
+    else:
+        d, den, terms = form
+        assert (d, den, [(a, b) for _, a, b in terms]) == ref
+        assert [key for key, _, _ in terms] == [
+            int.from_bytes(ring._exp_struct.pack(*e), "little") for e in p.terms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_rows_match_the_deleted_encoder(data):
+    """One common denominator now, one per row before: each row is the
+    reference row times L over its own denominator, explicit zeros dropped."""
+    pool = data.draw(_ENCODER_POOLS)
+    ncols = data.draw(st.integers(1, 5))
+    rows = [{j: data.draw(st.sampled_from(pool)) for j in range(ncols)
+             if data.draw(st.booleans())} for _ in range(data.draw(st.integers(0, 5)))]
+    new = _outcome(lambda: linalg._integer_rows(rows))
+    ref = _outcome(lambda: ref_integer_rows(rows))
+    if ref is FieldMismatchError:
+        assert new is FieldMismatchError
+    else:
+        (d, den, int_rows), (ref_d, ref_rows) = new, ref
+        assert d == ref_d and den == lcm(*[scale for _, scale in ref_rows])
+        assert int_rows == [{c: (a * (den // scale), b * (den // scale))
+                             for c, (a, b) in row.items()} for row, scale in ref_rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_support_table_matches_the_deleted_encoder(data):
+    pool = data.draw(_ENCODER_POOLS)
+    c = lie._freeze_tensor(data.draw(_tensor(pool, data.draw(st.integers(1, 4)))))
+    assert _outcome(lambda: tuple(lie._support_table(c))) == _outcome(lambda: ref_support_table(c))
+
+
+def test_support_table_matches_the_deleted_encoder_on_catalog_algebras():
+    for name in catalog.catalog_list():
+        c = catalog.catalog_get(name).algebra.c
+        assert tuple(lie._support_table(c)) == ref_support_table(c)

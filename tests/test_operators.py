@@ -17,7 +17,7 @@ from darbouxops.errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from darbouxops.poly import dot
+from darbouxops.poly import PolyRing, dot
 from darbouxops.scalars import Scalar
 
 
@@ -300,6 +300,24 @@ def test_parse_density_rejects_parameters_and_unknowns():
     with pytest.raises(NonHydrodynamicDensityError):
         ops.parse_density(op, "u1_x*u2")
     assert ops.parse_density(op, "u1^2-u2") == ring.parse("u1^2-u2")
+
+
+def test_parse_density_lets_an_untyped_error_propagate(monkeypatch):
+    """Only typed errors of the reader become NonHydrodynamicDensityError; a bug keeps its type."""
+    ring = ops.field_ring(2, ["alpha"])
+    op = ops.PolyOperator(ring, [[1, 0], [0, 1]],
+                          [[ring.zero, ring.one], [-ring.one, ring.zero]])
+
+    def broken(self, text):
+        raise RuntimeError("reader bug")
+
+    monkeypatch.setattr(PolyRing, "parse", broken)
+    with pytest.raises(RuntimeError, match="reader bug"):
+        ops.parse_density(op, "u1")
+    monkeypatch.undo()
+    for text in ("alpha*u1", "u1_x*u2"):
+        with pytest.raises(NonHydrodynamicDensityError):
+            ops.parse_density(op, text)
 
 
 def test_transform_identity():

@@ -1,6 +1,7 @@
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +18,10 @@ from darbouxops.scalars import (
     _above_digit_limit,
     _printable,
     _unprintable,
+    from_integers,
     join_field_tags,
     parse_scalar,
+    to_integers,
     validate_field_tag,
 )
 
@@ -266,3 +269,47 @@ def test_join_field_tags():
         join_field_tags(2, 3)
     with pytest.raises(FieldMismatchError, match="^A 2, B 3$"):
         join_field_tags(2, 3, "A {}, B {}")
+
+
+@st.composite
+def _field_values(draw, d):
+    """Scalars of Q(sqrt(d)), zeros and rationals included."""
+    parts = st.tuples(rationals, st.just(0) | rationals)
+    return [Scalar(a, b, d) for a, b in draw(st.lists(parts, max_size=8))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 2, 3, 5]).flatmap(_field_values))
+def test_integer_form_round_trip(values):
+    """Each value comes back exactly; den is the least common denominator
+    and d the tag of the values."""
+    d, den, ints = to_integers(values)
+    assert d == max((x.d for x in values), default=0)
+    assert den == lcm(*[q.denominator for x in values for q in (x.a, x.b)])
+    assert len(ints) == len(values)
+    assert [from_integers(a, b, den, d) for a, b in ints] == values
+    assert all(type(a) is int and type(b) is int for a, b in ints)
+    if not d:
+        assert all(b == 0 for _, b in ints)
+
+
+def test_integer_form_edges():
+    assert to_integers([]) == (0, 1, [])
+    assert to_integers([Scalar(0)]) == (0, 1, [(0, 0)])
+    assert to_integers([Scalar(Fraction(1, 2)), Scalar(Fraction(-1, 3), Fraction(1, 4), 2)]) == (
+        2, 12, [(6, 0), (-4, 3)])
+    assert from_integers(6, -4, -12, 3) == Scalar(Fraction(-1, 2), Fraction(1, 3), 3)
+    with pytest.raises(FieldMismatchError, match="cannot mix sqrt\\(2\\) and sqrt\\(3\\)"):
+        to_integers([Scalar(1), Scalar(0, 1, 2), Scalar(5), Scalar(1, 1, 3)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_field_values(2), _field_values(3))
+def test_integer_form_refuses_mixed_fields(root2, root3):
+    values = root2 + root3
+    if any(x.d for x in root2) and any(x.d for x in root3):
+        with pytest.raises(FieldMismatchError):
+            to_integers(values)
+    else:
+        d, den, ints = to_integers(values)
+        assert [from_integers(a, b, den, d) for a, b in ints] == values
