@@ -323,8 +323,6 @@ def to_integers(values) -> tuple:
             den = lcm(den, x.a.denominator, x.b.denominator)
         elif x.a.denominator != 1:
             den = lcm(den, x.a.denominator)
-    if not d:
-        return 0, den, [(x.a.numerator * (den // x.a.denominator), 0) for x in values]
     return d, den, [(x.a.numerator * (den // x.a.denominator),
                      x.b.numerator * (den // x.b.denominator)) for x in values]
 

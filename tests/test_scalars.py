@@ -301,15 +301,3 @@ def test_integer_form_edges():
     assert from_integers(6, -4, -12, 3) == Scalar(Fraction(-1, 2), Fraction(1, 3), 3)
     with pytest.raises(FieldMismatchError, match="cannot mix sqrt\\(2\\) and sqrt\\(3\\)"):
         to_integers([Scalar(1), Scalar(0, 1, 2), Scalar(5), Scalar(1, 1, 3)])
-
-
-@settings(max_examples=100, deadline=None)
-@given(_field_values(2), _field_values(3))
-def test_integer_form_refuses_mixed_fields(root2, root3):
-    values = root2 + root3
-    if any(x.d for x in root2) and any(x.d for x in root3):
-        with pytest.raises(FieldMismatchError):
-            to_integers(values)
-    else:
-        d, den, ints = to_integers(values)
-        assert [from_integers(a, b, den, d) for a, b in ints] == values
