@@ -37,9 +37,8 @@ def main() -> int:
             coc = invariants.two_cocycle_space(entry.algebra).dim
             extra = f"  dims(casimir,metric,cocycle)=({cas},{met},{coc})"
         print(f"{name:10s} {status}  {entry.algebra_name:22s} {entry.structure:18s}{extra}")
-        for label, ok in report.checks:
-            if not ok:
-                print(f"           !! {label}")
+        for label in report.failed_names():
+            print(f"           !! {label}")
         for flag in report.flags:
             print(f"           flag: {flag}")
     elapsed = time.monotonic() - t0

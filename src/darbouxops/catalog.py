@@ -14,8 +14,10 @@ summand), parameter counts against computed dimensions, and the
 Casimir/metric inversion on a nondegenerate witness of the displayed
 metric family.
 
-Mismatches listed in a record's `expect_flags` are reported as flags, not
-failures; anything else failing is a regression.
+Every check is one `operators.ConditionResult` of the entry's report, after
+the conditions of `verify_darboux`.  Mismatches listed in a record's
+`expect_flags` are reported as flags, not failures; anything else failing
+is a regression.
 """
 
 from __future__ import annotations
@@ -35,20 +37,18 @@ from .invariants import (
 )
 from .lie import LieAlgebra, structure_tags
 from .operators import (
+    ConditionResult,
     DarbouxOperator,
     PolyMatrix,
+    VerificationReport,
     field_ring,
     linear_parts,
     nonaffine_entry,
+    parse_matrix,
     verify_darboux,
 )
 from .poly import Poly, PolyRing
 from .scalars import ZERO, Scalar
-
-
-def _parse_matrix(ring: PolyRing, text: str) -> PolyMatrix:
-    rows = [r for r in text.split(";") if r.strip()]
-    return [[ring.parse(e) for e in row.split(",")] for row in rows]
 
 
 def _at_moduli(entries: list, ring: PolyRing, moduli: Dict[str, Fraction]) -> list:
@@ -128,10 +128,10 @@ def catalog_get(name: str) -> CatalogEntry:
     moduli = {k: Fraction(v) for k, v in rec.get("moduli", {}).items()}
     params = list(rec["eta_params"]) + list(rec["f_params"]) + list(moduli)
     ring = field_ring(n, params)
-    eta = _parse_matrix(ring, rec["eta"])
-    omega = _parse_matrix(ring, rec["omega"])
+    eta = parse_matrix(ring, rec["eta"], n, "eta")
+    omega = parse_matrix(ring, rec["omega"], n, "omega")
     if "fconst" in rec:
-        fc = _parse_matrix(ring, rec["fconst"])
+        fc = parse_matrix(ring, rec["fconst"], n, "fconst")
         omega = [[omega[i][j] + fc[i][j] for j in range(n)] for i in range(n)]
     c, fmat = linear_parts(ring, omega)
     algebra = LieAlgebra(_at_moduli(c, ring, moduli))
@@ -158,18 +158,13 @@ def catalog_get(name: str) -> CatalogEntry:
     return entry
 
 
-@dataclass
-class EntryReport:
+@dataclass(kw_only=True)
+class EntryReport(VerificationReport):
+    """The checks of one entry as conditions; `flags` lists the expected
+    mismatches and the entry's notes."""
+
     name: str
-    checks: List[tuple]  # (label, ok)
     flags: List[str]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    def failed(self) -> List[str]:
-        return [label for label, ok in self.checks if not ok]
 
 
 def _tags_match(entry: CatalogEntry) -> tuple:
@@ -195,22 +190,21 @@ def _tags_match(entry: CatalogEntry) -> tuple:
 
 def verify_entry(name: str) -> EntryReport:
     entry = catalog_get(name)
-    checks: List[tuple] = []
-    flags: List[str] = list(entry.notes)
+    report = EntryReport(conditions=verify_darboux(entry.operator()).conditions,
+                         name=entry.name, flags=list(entry.notes))
 
-    rep = verify_darboux(entry.operator())
-    for cond in rep.conditions:
-        checks.append((cond.name, cond.ok))
-
-    # displayed omega must be affine in u with u-free coefficients
-    checks.append(("omega-affine-in-u", nonaffine_entry(entry.ring, entry.omega) is None))
+    def check(name: str, ok: bool) -> None:
+        report.conditions.append(ConditionResult(name, ok))
 
     def check_or_flag(name: str, ok: bool, flag: str) -> None:
         """Record check `name`; a failure the entry expects is a flag instead."""
         if not ok and name in entry.expect_flags:
-            flags.append(flag)
+            report.flags.append(flag)
             name, ok = f"{name}(flagged)", True
-        checks.append((name, ok))
+        check(name, ok)
+
+    # displayed omega must be affine in u with u-free coefficients
+    check("omega-affine-in-u", nonaffine_entry(entry.ring, entry.omega) is None)
 
     ok, problems = _tags_match(entry)
     check_or_flag("structure-tags", ok,
@@ -225,7 +219,7 @@ def verify_entry(name: str) -> EntryReport:
     check_or_flag("f-param-count", len(entry.f_params) == coc.dim,
                   f"f params {len(entry.f_params)} != cocycle dim {coc.dim}")
 
-    checks.append(("casimir-metric-dims-equal", cas.dim == met.dim))
+    check("casimir-metric-dims-equal", cas.dim == met.dim)
 
     # nondegenerate witness of the displayed eta family; its inverse must be
     # a quadratic Casimir (the bijection direction the catalog relies on)
@@ -237,12 +231,12 @@ def verify_entry(name: str) -> EntryReport:
         ]
         directions.append(_at_moduli(direction, entry.ring, entry.moduli))
     witness = nondegenerate_witness(directions)
-    checks.append(("eta-family-nondegenerate", witness is not None))
+    check("eta-family-nondegenerate", witness is not None)
     if witness is not None:
         inv = linalg.inverse(witness[1])
-        checks.append(("eta-inverse-is-casimir", casimir_residual(entry.algebra.c, inv) is None))
+        check("eta-inverse-is-casimir", casimir_residual(entry.algebra.c, inv) is None)
 
-    return EntryReport(entry.name, checks, flags)
+    return report
 
 
 @dataclass

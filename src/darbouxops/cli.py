@@ -167,7 +167,8 @@ def _block_params(text: str, dim: int) -> List[str]:
 
 
 def _parse_block(ring: PolyRing, text: str, n: int, kind: str):
-    """A constant n x n block: "zero", "I", "coeff*I" or ";"-separated rows.
+    """A constant n x n block: "zero", "I", "coeff*I" or rows "a,b;c,d"
+    (`operators.parse_matrix`).
 
     Entries may carry parameters and the ring's sqrt(d), not field variables.
     """
@@ -178,12 +179,7 @@ def _parse_block(ring: PolyRing, text: str, n: int, kind: str):
         coeff = ring.one if text == "I" else ring.parse(text[:-2])
         block = [[coeff if i == j else ring.zero for j in range(n)] for i in range(n)]
     else:
-        rows = [r for r in text.split(";") if r.strip()]
-        if len(rows) != n:
-            raise ParseError(f"{kind} needs {n} rows, got {len(rows)}")
-        block = [[ring.parse(x) for x in row.split(",")] for row in rows]
-        if any(len(row) != n for row in block):
-            raise ParseError(f"{kind} rows need {n} entries each")
+        block = ops.parse_matrix(ring, text, n, kind)
     io_json.check_radicals(ring, kind, block)
     for i, row in enumerate(block):
         for j, x in enumerate(row):
@@ -212,7 +208,7 @@ def cmd_operator(args) -> int:
             return EXIT_FAIL
         reports = {}
         if mode in ("auto", "darboux") and affine:
-            reports["darboux"] = ops.verify_darboux(pencil.darboux_view(op))
+            reports["darboux"] = ops.verify_darboux(ops.darboux_view(op))
         if mode in ("auto", "general") or not affine:
             reports["general"] = ops.verify_hamiltonian(op)
         passed = all(r.passed for r in reports.values())
@@ -263,7 +259,7 @@ def cmd_pencil(args) -> int:
         if any(ops.nonaffine_entry(a.ring, op.omega) is not None for op in (a, b)):
             print("error: darboux mode needs affine omega on both operands", file=sys.stderr)
             return EXIT_FAIL
-        rep = pencil.pencil_compatible_darboux(pencil.darboux_view(a), pencil.darboux_view(b))
+        rep = pencil.pencil_compatible_darboux(ops.darboux_view(a), ops.darboux_view(b))
         payload["darboux"] = rep.as_dict()
         verdicts.append(rep.compatible)
         lines.append(f"darboux criterion: {'compatible' if rep.compatible else 'NOT compatible'}")
@@ -316,7 +312,7 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
 
     # verify
-    names = catalog_mod.catalog_list() if (args.all or not args.name) else [args.name]
+    names = [args.name] if args.name else catalog_mod.catalog_list()
     reports = [catalog_mod.verify_entry(name) for name in names]
     passed = sum(1 for r in reports if r.passed)
     failed = [r for r in reports if not r.passed]
@@ -326,11 +322,11 @@ def cmd_catalog(args) -> int:
         "passed": passed,
         "failed": [r.name for r in failed],
         "flagged": {r.name: r.flags for r in flagged},
-        "checks": {r.name: [[label, ok] for label, ok in r.checks] for r in reports},
+        "checks": {r.name: [[c.name, c.ok] for c in r.conditions] for r in reports},
     }
     lines = []
     for r in reports:
-        status = "PASS" if r.passed else f"FAIL ({', '.join(r.failed())})"
+        status = "PASS" if r.passed else f"FAIL ({', '.join(r.failed_names())})"
         suffix = "  [flagged]" if r.flags else ""
         lines.append(f"{r.name:10s} {status}{suffix}")
         for flag in r.flags:
@@ -395,9 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     catsub.add_parser("list")
     s = catsub.add_parser("show")
     s.add_argument("name")
-    v = catsub.add_parser("verify")
+    v = catsub.add_parser("verify").add_mutually_exclusive_group()
     v.add_argument("name", nargs="?")
-    v.add_argument("--all", action="store_true")
+    v.add_argument("--all", action="store_true", help="verify every entry (the default)")
     p.set_defaults(func=cmd_catalog)
 
     return parser

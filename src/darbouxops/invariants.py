@@ -3,10 +3,11 @@
 Three spaces determine an operator in Darboux form: quadratic Casimirs
 (symmetric a), compatible metrics (symmetric eta) and 2-cocycles (skew f).
 Their equations are the identities defined once in `lie`
-(`casimir_terms`, `metric_terms`, `cocycle_terms`): a solver evaluates an
-identity on a matrix of unknown markers and takes its kernel with
-`lie.solve`, and a residual checker takes the first nonzero equation of
-its `lie.defect`.  All solvers return canonical RREF-derived bases so
+(`casimir_terms`, `metric_terms`, `cocycle_terms`).  Every space is one
+call of `_space`, which evaluates an identity on a matrix of unknown
+markers (`_unknowns`), takes its kernel with `lie.solve` and writes each
+kernel vector back as a matrix (`_matrix`); a residual checker takes the
+first nonzero equation of its `lie.defect`.  All solvers return canonical RREF-derived bases so
 dimensions and bases reproduce across runs.  The linear Casimirs of g are
 its center, `lie.center`.
 """
@@ -78,21 +79,15 @@ def skew_pairs(n: int) -> List[Tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def sym_from_vector(v: Sequence[Scalar], n: int) -> Matrix:
+def _matrix(values: Sequence[Scalar], n: int, pairs: Sequence[Tuple[int, int]],
+            skew: bool) -> Matrix:
+    """The n x n matrix with x^{ij} = values[col] at pairs[col] = (i, j) and
+    x^{ji} its mirror, negated if skew; only nonzero entries are written."""
     m = linalg.zeros(n, n)
-    for idx, (i, j) in enumerate(sym_pairs(n)):
-        m[i][j] = v[idx]
-        m[j][i] = v[idx]
-    return m
-
-
-def skew_from_vector(v: Sequence[Scalar], n: int, pairs=None) -> Matrix:
-    m = linalg.zeros(n, n)
-    for idx, (i, j) in enumerate(skew_pairs(n) if pairs is None else pairs):
-        x = v[idx]
-        if x:  # m starts as ZERO: only nonzero entries are written and negated
+    for (i, j), x in zip(pairs, values):
+        if x:
             m[i][j] = x
-            m[j][i] = -x
+            m[j][i] = -x if skew else x
     return m
 
 
@@ -118,20 +113,21 @@ class CocycleSpace(SolutionSpace):
         return self.dim - len(self.coboundary_basis)
 
 
-def _symmetric_space(g: LieAlgebra, terms, kind: str) -> SolutionSpace:
+def _space(g: LieAlgebra, terms, pairs: Sequence[Tuple[int, int]], skew: bool) -> List[Matrix]:
+    """Canonical basis of the matrices x whose entries at `pairs` are free and
+    mirrored (negated if skew) and which solve the identity `terms`(c, x) of g."""
     n = g.dim
-    pairs = sym_pairs(n)
     table = g._table
-    sols = solve(terms(table.rows, _unknowns(n, pairs, skew=False)), len(pairs), table.d)
-    return SolutionSpace(g, [sym_from_vector(v, n) for v in sols], kind)
+    sols = solve(terms(table.rows, _unknowns(n, pairs, skew)), len(pairs), table.d)
+    return [_matrix(v, n, pairs, skew) for v in sols]
 
 
 def quadratic_casimir_space(g: LieAlgebra) -> SolutionSpace:
-    return _symmetric_space(g, casimir_terms, "casimir")
+    return SolutionSpace(g, _space(g, casimir_terms, sym_pairs(g.dim), False), "casimir")
 
 
 def compatible_metric_space(g: LieAlgebra) -> SolutionSpace:
-    return _symmetric_space(g, metric_terms, "metric")
+    return SolutionSpace(g, _space(g, metric_terms, sym_pairs(g.dim), False), "metric")
 
 
 def coboundary_basis(g: LieAlgebra) -> List[Matrix]:
@@ -144,21 +140,13 @@ def coboundary_basis(g: LieAlgebra) -> List[Matrix]:
     for col, (i, j) in enumerate(pairs):
         for k, v in table.rows[i][j]:
             rows[k][col] = v
-    return [skew_from_vector([row.get(col, ZERO) for col in range(len(pairs))], n)
+    return [_matrix([row.get(col, ZERO) for col in range(len(pairs))], n, pairs, True)
             for _, row in sorted(linalg.integer_rref(rows, table.d).items())]
 
 
 def two_cocycle_space(g: LieAlgebra) -> CocycleSpace:
-    n = g.dim
-    pairs = skew_pairs(n)
-    table = g._table
-    sols = solve(cocycle_terms(table.rows, _unknowns(n, pairs, skew=True)), len(pairs), table.d)
-    return CocycleSpace(
-        g,
-        [skew_from_vector(v, n) for v in sols],
-        "cocycle",
-        coboundary_basis=coboundary_basis(g),
-    )
+    return CocycleSpace(g, _space(g, cocycle_terms, skew_pairs(g.dim), True), "cocycle",
+                        coboundary_basis=coboundary_basis(g))
 
 
 # -- nondegenerate witnesses ------------------------------------------------
@@ -307,18 +295,15 @@ def mixed_cocycle_check(g1: LieAlgebra, g2: LieAlgebra) -> MixedCocycleReport:
     n1, n2 = g1.dim, g2.dim
     total = direct_sum(g1, g2)
     pairs = [(i, n1 + jp) for i in range(n1) for jp in range(n2)]
-    table = total._table
-    sols = solve(cocycle_terms(table.rows, _unknowns(n1 + n2, pairs, skew=True)), len(pairs),
-                 table.d)
-    mixed_basis = [skew_from_vector(v, n1 + n2, pairs) for v in sols]
+    mixed_basis = _space(total, cocycle_terms, pairs, True)
     z1 = two_cocycle_space(g1).dim
     z2 = two_cocycle_space(g2).dim
     zsum = two_cocycle_space(total).dim
     return MixedCocycleReport(
-        mixed_dim=len(sols),
+        mixed_dim=len(mixed_basis),
         z2_sum=zsum,
         z2_g1=z1,
         z2_g2=z2,
-        formula_holds=zsum == z1 + z2 + len(sols),
+        formula_holds=zsum == z1 + z2 + len(mixed_basis),
         mixed_basis=mixed_basis,
     )

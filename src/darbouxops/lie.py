@@ -13,7 +13,9 @@ once each, as equation generators (`jacobi_terms`, `casimir_terms`,
 c: cz[i][j] lists the nonzero (k, c^{ij}_k).  An identity has two
 readers: `defect` evaluates it, and `solve` returns its kernel when the
 unknown entries are column markers.  Every checker, space solver, center
-and mixed pencil condition of the package is derived from them.
+and mixed pencil condition of the package is derived from them.  The
+identities summed cyclically over i < j < k (Jacobi, cocycle and
+`operators.schouten_terms`) iterate one enumeration, `cyclic_triples`.
 
 A `LieAlgebra` caches one integer support table of its tensor
 (`SupportTable`, built once in the constructor): the support rows with
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations, groupby
 from math import lcm
 from operator import itemgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -83,8 +85,13 @@ def support_rows(c) -> list:
     return [[_support(row) for row in plane] for plane in c]
 
 
-def _cyclic(i: int, j: int, k: int) -> tuple:
-    return ((i, j), k), ((j, k), i), ((k, i), j)
+def cyclic_triples(n: int) -> Iterator[tuple]:
+    """((i, j, k), (((i, j), k), ((j, k), i), ((k, i), j))) for i < j < k < n,
+    in increasing order: the keys and the three cyclic terms of every
+    identity summed cyclically over a triple (`jacobi_terms`,
+    `cocycle_terms`, `operators.schouten_terms`)."""
+    for i, j, k in combinations(range(n), 3):
+        yield (i, j, k), (((i, j), k), ((j, k), i), ((k, i), j))
 
 
 def jacobi_terms(cz, xz):
@@ -93,29 +100,22 @@ def jacobi_terms(cz, xz):
     With x = c this is the Jacobi identity; for a skew tensor J is fully
     antisymmetric in (i, j, k), so i < j < k lists every equation.
     """
-    n = len(cz)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                eqs: Dict[int, list] = {}
-                for (a, b), last in _cyclic(i, j, k):
-                    for s, y in cz[a][b]:
-                        for m, z in xz[s][last]:
-                            eqs.setdefault(m, []).append((y, z))
-                for m in sorted(eqs):
-                    yield (i, j, k, m), eqs[m]
+    for key, cyclic in cyclic_triples(len(cz)):
+        eqs: Dict[int, list] = {}
+        for (a, b), last in cyclic:
+            for s, y in cz[a][b]:
+                for m, z in xz[s][last]:
+                    eqs.setdefault(m, []).append((y, z))
+        for m in sorted(eqs):
+            yield key + (m,), eqs[m]
 
 
 def cocycle_terms(cz, f):
     """c^{ij}_s f^{sk} + c^{jk}_s f^{si} + c^{ki}_s f^{sj}, i < j < k (2-cocycle f)."""
-    n = len(cz)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                eq = [(y, f[s][last]) for (a, b), last in _cyclic(i, j, k)
-                      for s, y in cz[a][b] if f[s][last]]
-                if eq:
-                    yield (i, j, k), eq
+    for key, cyclic in cyclic_triples(len(cz)):
+        eq = [(y, f[s][last]) for (a, b), last in cyclic for s, y in cz[a][b] if f[s][last]]
+        if eq:
+            yield key, eq
 
 
 def _symmetric_terms(table, x):

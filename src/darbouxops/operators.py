@@ -39,11 +39,13 @@ from .errors import (
     MetricIncompatibleError,
     NonHydrodynamicDensityError,
     NotACocycleError,
+    ParseError,
     ShapeMismatchError,
 )
 from .lie import (
     LieAlgebra,
     cocycle_terms,
+    cyclic_triples,
     defect,
     first_violation,
     jacobi_terms,
@@ -77,6 +79,20 @@ def lift_matrix(ring: PolyRing, m: Sequence[Sequence]) -> PolyMatrix:
 
 def lift_tensor(ring: PolyRing, c: Sequence[Sequence[Sequence]]):
     return [[[_lift_entry(ring, x) for x in row] for row in plane] for plane in c]
+
+
+def parse_matrix(ring: PolyRing, text: str, n: int, kind: str) -> PolyMatrix:
+    """The n x n matrix displayed as "a,b;c,d": rows split on ";", blank rows
+    skipped, and entries on ",".  The row count is checked before any entry
+    is parsed, then the row lengths; either mismatch is a ParseError naming
+    `kind`."""
+    rows = [r for r in text.split(";") if r.strip()]
+    if len(rows) != n:
+        raise ParseError(f"{kind} needs {n} rows, got {len(rows)}")
+    m = [[ring.parse(x) for x in row.split(",")] for row in rows]
+    if any(len(row) != n for row in m):
+        raise ParseError(f"{kind} rows need {n} entries each")
+    return m
 
 
 @dataclass
@@ -283,17 +299,14 @@ def schouten_terms(omega, domega):
     + omega^{ks} domega[i][j][s], i < j < k: with domega the Jacobian of
     omega (`field_jacobian`), the Schouten-Jacobi identity.
 
-    A `lie`-style generator of ((i, j, k), pairs) in increasing key order,
+    A `lie`-style generator of ((i, j, k), pairs) over `lie.cyclic_triples`,
     skipping zero factors and keys without a product.
     """
-    n = len(omega)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                pairs = [(x, y) for p, q, r in ((i, j, k), (j, k, i), (k, i, j))
-                         for x, y in zip(omega[p], domega[q][r]) if x and y]
-                if pairs:
-                    yield (i, j, k), pairs
+    for key, cyclic in cyclic_triples(len(omega)):
+        pairs = [(x, y) for (p, q), r in cyclic for x, y in zip(omega[p], domega[q][r])
+                 if x and y]
+        if pairs:
+            yield key, pairs
 
 
 def schouten_residual(ring: PolyRing, omega: PolyMatrix, domega=None) -> Optional[tuple]:

@@ -30,7 +30,6 @@ from .operators import (
     DarbouxOperator,
     PolyOperator,
     VerificationReport,
-    darboux_view,  # noqa: F401  re-exported: the pencil commands read triples through it
     field_jacobian,
     hamiltonian_report,
     phi_sum,

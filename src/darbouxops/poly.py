@@ -266,6 +266,9 @@ class Poly:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value (`__eq__`), so it hashes as that value
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.ring, frozenset(self.terms.items())))
 
     # -- calculus and substitution --------------------------------------

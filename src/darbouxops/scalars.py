@@ -234,7 +234,8 @@ class Scalar:
         return self.d == other.d and self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a rational value equals its Fraction (and an integral one its int)
+        return hash((self.a, self.b, self.d)) if self.d else hash(self.a)
 
     # -- formatting ----------------------------------------------------
 

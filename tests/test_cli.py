@@ -421,6 +421,31 @@ def test_catalog_cli():
     assert proc.returncode == 2
 
 
+def test_catalog_verify_all_is_the_run_without_a_name(capsys):
+    outs = []
+    for argv in (["--all"], []):
+        assert cli.main(["--format", "json", "catalog", "verify", *argv]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert list(json.loads(outs[0])["checks"]) == catalog.catalog_list()
+
+
+def test_catalog_verify_one_name(capsys):
+    assert cli.main(["--format", "json", "catalog", "verify", "A_{4,2}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["entries"], payload["passed"], payload["failed"]) == (1, 1, [])
+    assert list(payload["checks"]) == ["A_{4,2}"]
+
+
+@pytest.mark.parametrize("argv", [["A_{4,2}", "--all"], ["--all", "A_{4,2}"]])
+def test_catalog_verify_refuses_a_name_with_all(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["catalog", "verify", *argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with argument" in out.err
+
+
 def _error_types(cls):
     for sub in cls.__subclasses__():
         yield sub

@@ -4,7 +4,8 @@ Each case runs `darbouxops` in-process through `cli.main` and compares the
 SHA-256 of its stdout with the digest in `DIGESTS`: `catalog show` of every
 entry in text, JSON and LaTeX; `spaces` of every catalog algebra of
 dimension at most 6 in LaTeX and JSON; `operator verify` and `pencil` in
-JSON on a passing and a failing input each.  Any byte change in those
+JSON on a passing and a failing input each; `catalog verify --all` in text
+and JSON.  Any byte change in those
 outputs fails a test.
 
 To print the digest table of the code on the path, run
@@ -68,6 +69,9 @@ def _cases():
         ("pencil kdv_A kdv_B", ["--format", "json", "pencil", "@kdv_A", "@kdv_B"], 0),
         ("pencil moduli moduli", ["--format", "json", "pencil", "@moduli", "@moduli"], 1),
     ]
+    for fmt in ("text", "json"):
+        cases.append((f"catalog verify --all {fmt}",
+                      ["--format", fmt, "catalog", "verify", "--all"], 0))
     return cases
 
 
@@ -403,6 +407,8 @@ DIGESTS = {
     'verify not_lie': '737c5bfb5686a18eb7976786bc7872235d8048159f4c65eeaf1cf00e0647f345',
     'pencil kdv_A kdv_B': '2ab9b29afaef266860a449172018745854c66e0d97dd858beef6fd1a6adfdfd7',
     'pencil moduli moduli': 'e34b6b546d2802297a1baf839e33f265bcd1d56b8d11bffd6433c95578347f69',
+    'catalog verify --all text': '234c972886cc5a128bd1909813d5323c1bf231a1621c6ae6cc9dc0e96687eb89',
+    'catalog verify --all json': '8e3e68ee507c05a12ef74d30896ba085bf9f71d2236579b90d7ba8e1d43dd949',
 }
 
 

@@ -171,7 +171,7 @@ def ref_casimir_basis(c):
                 _add_to(row, idx[(j, s)], c[s][k][i])
         _keep(rows, row)
     sols = linalg.sparse_nullspace(rows, n * (n + 1) // 2)
-    return [inv.sym_from_vector(v, n) for v in sols]
+    return [inv._matrix(v, n, inv.sym_pairs(n), False) for v in sols]
 
 
 def ref_metric_basis(c):
@@ -187,7 +187,7 @@ def ref_metric_basis(c):
                 _add_to(row, idx[(j, s)], c[i][k][s])
         _keep(rows, row)
     sols = linalg.sparse_nullspace(rows, n * (n + 1) // 2)
-    return [inv.sym_from_vector(v, n) for v in sols]
+    return [inv._matrix(v, n, inv.sym_pairs(n), False) for v in sols]
 
 
 def ref_cocycle_basis(c):
@@ -206,7 +206,7 @@ def ref_cocycle_basis(c):
                     _add_to(row, p, coeff if sign > 0 else -coeff)
         _keep(rows, row)
     sols = linalg.sparse_nullspace(rows, n * (n - 1) // 2)
-    return [inv.skew_from_vector(v, n) for v in sols]
+    return [inv._matrix(v, n, inv.skew_pairs(n), True) for v in sols]
 
 
 def ref_mixed_basis(g1, g2):
@@ -434,7 +434,7 @@ def test_pencil_verdicts_match_reference_loops_on_catalog_pairs():
         for y in names[:4]:
             a, b = pencil.unify_operators(catalog.catalog_get(x).operator().to_poly_operator(),
                                           catalog.catalog_get(y).operator().to_poly_operator())
-            a, b = pencil.darboux_view(a), pencil.darboux_view(b)
+            a, b = ops.darboux_view(a), ops.darboux_view(b)
             rep = pencil.pencil_compatible_darboux(a, b)
             assert [(cond.name, cond.first_violation) for cond in rep.conditions] == [
                 ("mixed-jacobi", ref_mixed_jacobi_residual(a.c, b.c)),

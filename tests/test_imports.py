@@ -3,7 +3,8 @@
 This pins the README's "pure standard library" claim and keeps the import
 path short: every benchmark process pays for it at start-up.  No module
 keeps an import it does not use, unless the line says `# noqa` (a
-re-export).
+re-export), and every top-level function and class of the package is
+read somewhere outside its own definition.
 """
 
 import ast
@@ -61,3 +62,47 @@ def test_the_unused_import_check_sees_a_leftover(tmp_path):
     path.write_text("from math import gcd, lcm\nimport os.path\n"
                     "from sys import argv  # noqa: F401\n\nprint(gcd(4, 6))\n")
     assert _unused_imports(path) == ["mod.py:1 lcm", "mod.py:2 os"]
+
+
+def _references(tree: ast.Module) -> set:
+    """The names `tree` reads (`ast.Name`, the attribute of an `ast.Attribute`,
+    an imported name), not counting a top-level definition's reads of itself."""
+    names = set()
+    for stmt in tree.body:
+        own = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                own.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                own.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                own.update(alias.name for alias in node.names)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.discard(stmt.name)
+        names |= own
+    return names
+
+
+def _unreferenced(defining: list, reading: list) -> list:
+    """Top-level functions and classes of `defining` that no file of `reading` reads."""
+    read = set().union(*(_references(ast.parse(p.read_text())) for p in reading))
+    return sorted(f"{path.name}:{stmt.lineno} {stmt.name}" for path in defining
+                  for stmt in ast.parse(path.read_text()).body
+                  if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and stmt.name not in read)
+
+
+def test_every_function_and_class_is_read():
+    modules = sorted((ROOT / "src" / "darbouxops").glob("*.py"))
+    readers = [p for top in ("src", "scripts", "perfbench", "tests")
+               for p in sorted((ROOT / top).rglob("*.py"))]
+    assert len(readers) > len(modules) > 10
+    assert _unreferenced(modules, readers) == []
+
+
+def test_the_dead_code_check_sees_a_leftover(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text("def used():\n    pass\n\n\nclass Kept:\n    pass\n\n\n"
+                   "def dead(n):\n    return dead(n - 1)\n")
+    user.write_text("from lib import used\nimport lib\n\nused()\nlib.Kept()\n")
+    assert _unreferenced([lib], [lib, user]) == ["lib.py:9 dead"]

@@ -342,7 +342,7 @@ def ref_coboundary_basis(g):
     if not rows:
         return []
     red, _, rank = linalg.rref(rows)
-    return [inv.skew_from_vector(red[r], n) for r in range(rank)]
+    return [inv._matrix(red[r], n, inv.skew_pairs(n), True) for r in range(rank)]
 
 
 def ref_matrix_algebra_from_basis(basis):
@@ -583,8 +583,9 @@ def ref_spaces(g):
     cas = ref_solve(ref_casimir_terms(g.c, inv._unknowns(n, sym, False)), len(sym))
     met = ref_solve(ref_metric_terms(g.c, inv._unknowns(n, sym, False)), len(sym))
     coc = ref_solve(ref_cocycle_terms(g.c, inv._unknowns(n, skew, True)), len(skew))
-    return ([inv.sym_from_vector(v, n) for v in cas], [inv.sym_from_vector(v, n) for v in met],
-            [inv.skew_from_vector(v, n) for v in coc])
+    return ([inv._matrix(v, n, sym, False) for v in cas],
+            [inv._matrix(v, n, sym, False) for v in met],
+            [inv._matrix(v, n, skew, True) for v in coc])
 
 
 def ref_center(g):

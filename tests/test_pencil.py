@@ -553,7 +553,7 @@ def test_pencil_report_as_dict_keeps_keys_order_and_values():
         (pencil.pencil_compatible_general(helpers.kdv_A().to_poly_operator(),
                                           helpers.kdv_B().to_poly_operator()),
          _pencil_dict(True, [], [(name, None) for name in lam])),
-        (pencil.pencil_compatible_darboux(pencil.darboux_view(a), pencil.darboux_view(b)),
+        (pencil.pencil_compatible_darboux(ops.darboux_view(a), ops.darboux_view(b)),
          _pencil_dict(False, [("mixed-jacobi", None), ("mixed-cocycle", None),
                               ("mixed-metric", [2, 5, 4])], None)),
         (pencil.pencil_compatible_general(a, b),

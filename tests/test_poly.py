@@ -785,3 +785,23 @@ def test_printers_pinned_examples():
     assert str(ring.zero) == ring.zero.latex() == "0"
     assert str(ring.parse("-sqrt(2)*u1")) == "-sqrt(2)*u1"
     assert ring.parse("-sqrt(2)*u1").latex() == "-\\sqrt{2} u^{1}"
+
+
+_SQRT2_RING = PolyRing(["u1"], ["alpha"], d=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_FRACS, b=st.one_of(st.just(Fraction(0)), _FRACS))
+def test_equal_values_hash_equal(a, b):
+    """A value of Q or Q(sqrt 2) as a Scalar, a constant Poly and, when
+    rational, a Fraction and an int: all equal, all one hash, one set
+    element and one dict key."""
+    value = Scalar(a, b, 2)
+    forms = [value, _SQRT2_RING.const(value)]
+    if not b:
+        forms.append(a)
+        if a.denominator == 1:
+            forms.append(int(a))
+    assert all(x == y and hash(x) == hash(y) for x in forms for y in forms)
+    assert len(set(forms)) == 1
+    assert len({x: k for k, x in enumerate(forms)}) == 1
