@@ -37,8 +37,8 @@ def main() -> int:
     print("operator B verifies:", ops.verify_darboux(b).passed)
 
     dar, gen = pencil.pencil_compatible_both(a, b)
-    print("pencil (Darboux criterion):", dar.compatible)
-    print("pencil (lambda criterion): ", gen.compatible)
+    print("pencil (Darboux criterion):", dar.passed)
+    print("pencil (lambda criterion): ", gen.passed)
 
     pa = a.to_poly_operator()
     pb = b.to_poly_operator()

@@ -64,7 +64,6 @@ from .operators import (
     verify_hamiltonian,
 )
 from .pencil import (
-    PencilReport,
     pencil_compatible_both,
     pencil_compatible_darboux,
     pencil_compatible_general,

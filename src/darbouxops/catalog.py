@@ -239,25 +239,6 @@ def verify_entry(name: str) -> EntryReport:
     return report
 
 
-@dataclass
-class CatalogSummary:
-    reports: List[EntryReport]
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for r in self.reports if r.passed)
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for r in self.reports if not r.passed)
-
-    @property
-    def flagged(self) -> int:
-        return sum(1 for r in self.reports if r.flags)
-
-    def all_passed(self) -> bool:
-        return self.failed == 0
-
-
-def verify_all() -> CatalogSummary:
-    return CatalogSummary([verify_entry(name) for name in catalog_list()])
+def verify_all() -> List[EntryReport]:
+    """The report of every entry, in catalog order."""
+    return [verify_entry(name) for name in catalog_list()]

@@ -204,8 +204,7 @@ def cmd_operator(args) -> int:
         mode = args.mode
         affine = ops.nonaffine_entry(op.ring, op.omega) is None
         if mode == "darboux" and not affine:
-            print("error: omega is not affine in u, no Darboux form", file=sys.stderr)
-            return EXIT_FAIL
+            raise InvalidOperandError("omega is not affine in u, no Darboux form")
         reports = {}
         if mode in ("auto", "darboux") and affine:
             reports["darboux"] = ops.verify_darboux(ops.darboux_view(op))
@@ -251,26 +250,27 @@ def cmd_operator(args) -> int:
 
 
 def cmd_pencil(args) -> int:
+    """Each route prints {"compatible", "conditions", "lambda_check"}: the
+    Darboux route its mixed conditions, the lambda route its report."""
     a, b = pencil.unify_operators(io_json.load_operator(args.a), io_json.load_operator(args.b))
     payload = {}
     lines = []
-    verdicts = []
     if args.mode in ("darboux", "both"):
         if any(ops.nonaffine_entry(a.ring, op.omega) is not None for op in (a, b)):
-            print("error: darboux mode needs affine omega on both operands", file=sys.stderr)
-            return EXIT_FAIL
+            raise InvalidOperandError("darboux mode needs affine omega on both operands")
         rep = pencil.pencil_compatible_darboux(ops.darboux_view(a), ops.darboux_view(b))
-        payload["darboux"] = rep.as_dict()
-        verdicts.append(rep.compatible)
-        lines.append(f"darboux criterion: {'compatible' if rep.compatible else 'NOT compatible'}")
+        payload["darboux"] = {"compatible": rep.passed,
+                              "conditions": [c.record() for c in rep.conditions],
+                              "lambda_check": None}
+        lines.append(f"darboux criterion: {'compatible' if rep.passed else 'NOT compatible'}")
         lines.extend(_condition_line(cond) for cond in rep.conditions)
     if args.mode in ("lambda", "both"):
         rep = pencil.pencil_compatible_general(a, b)
-        payload["lambda"] = rep.as_dict()
-        verdicts.append(rep.compatible)
-        lines.append(f"lambda criterion: {'compatible' if rep.compatible else 'NOT compatible'}")
+        payload["lambda"] = {"compatible": rep.passed, "conditions": [],
+                             "lambda_check": rep.as_dict()}
+        lines.append(f"lambda criterion: {'compatible' if rep.passed else 'NOT compatible'}")
     _emit(args, payload, lines)
-    return EXIT_OK if all(verdicts) else EXIT_FAIL
+    return EXIT_OK if all(route["compatible"] for route in payload.values()) else EXIT_FAIL
 
 
 def cmd_catalog(args) -> int:

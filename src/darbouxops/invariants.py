@@ -29,6 +29,7 @@ from .lie import (
     solve,
     support_rows,
 )
+from .operators import ConditionResult, VerificationReport
 from .poly import Poly, PolyRing, dot
 from .scalars import ZERO, Scalar, field_tag
 
@@ -228,24 +229,16 @@ def nondegenerate_witness(basis: Sequence[Matrix]) -> Optional[Tuple[Tuple[int, 
     return tuple(point), witness
 
 
-@dataclass
-class DualityReport:
+@dataclass(kw_only=True)
+class DualityReport(VerificationReport):
+    """The inversion as conditions: casimir-metric-dims-equal, then
+    inverse-casimir-is-metric and inverse-metric-is-casimir for each side
+    that has a nondegenerate witness."""
+
     casimir_dim: int
     metric_dim: int
-    dims_equal: bool
     casimir_witness: Optional[Matrix]
     metric_witness: Optional[Matrix]
-    inverse_casimir_is_metric: Optional[bool]
-    inverse_metric_is_casimir: Optional[bool]
-
-    @property
-    def passed(self) -> bool:
-        checks = [self.dims_equal]
-        if self.inverse_casimir_is_metric is not None:
-            checks.append(self.inverse_casimir_is_metric)
-        if self.inverse_metric_is_casimir is not None:
-            checks.append(self.inverse_metric_is_casimir)
-        return all(checks)
 
 
 def casimir_metric_duality(g: LieAlgebra) -> DualityReport:
@@ -254,23 +247,15 @@ def casimir_metric_duality(g: LieAlgebra) -> DualityReport:
     met = compatible_metric_space(g)
     cw = nondegenerate_witness(cas.basis)
     mw = nondegenerate_witness(met.basis)
-    inv_c = inv_m = None
-    cw_mat = mw_mat = None
+    report = DualityReport(casimir_dim=cas.dim, metric_dim=met.dim,
+                           casimir_witness=None if cw is None else cw[1],
+                           metric_witness=None if mw is None else mw[1])
+    report.conditions.append(ConditionResult("casimir-metric-dims-equal", cas.dim == met.dim))
     if cw is not None:
-        cw_mat = cw[1]
-        inv_c = metric_residual(g.c, linalg.inverse(cw_mat)) is None
+        report.add("inverse-casimir-is-metric", metric_residual(g.c, linalg.inverse(cw[1])))
     if mw is not None:
-        mw_mat = mw[1]
-        inv_m = casimir_residual(g.c, linalg.inverse(mw_mat)) is None
-    return DualityReport(
-        casimir_dim=cas.dim,
-        metric_dim=met.dim,
-        dims_equal=cas.dim == met.dim,
-        casimir_witness=cw_mat,
-        metric_witness=mw_mat,
-        inverse_casimir_is_metric=inv_c,
-        inverse_metric_is_casimir=inv_m,
-    )
+        report.add("inverse-metric-is-casimir", casimir_residual(g.c, linalg.inverse(mw[1])))
+    return report
 
 
 # -- mixed cocycles of direct sums ------------------------------------------

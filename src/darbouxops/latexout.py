@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from .invariants import general_element
-from .operators import PolyMatrix
+from .operators import PolyMatrix, linear_parts
 
 
 def matrix_latex(m: Sequence[Sequence]) -> str:
@@ -22,9 +22,7 @@ def matrix_latex(m: Sequence[Sequence]) -> str:
 def operator_latex(eta: PolyMatrix, omega: PolyMatrix) -> str:
     """Three-summand display; omega is split into linear and constant parts."""
     n = len(omega)
-    ring = omega[0][0].ring
-    fidx = ring.field_indices()
-    const = [[omega[i][j].at_zero(fidx) for j in range(n)] for i in range(n)]
+    const = linear_parts(omega[0][0].ring, omega)[1]
     linear = [[omega[i][j] - const[i][j] for j in range(n)] for i in range(n)]
     pieces = [matrix_latex(eta) + "\\,\\partial_x"]
     if any(x for row in linear for x in row):

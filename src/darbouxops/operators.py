@@ -410,18 +410,15 @@ def parse_density(op: PolyOperator, text: str) -> Poly:
     return h
 
 
-def transform_darboux(op: DarbouxOperator, a: Sequence[Sequence],
-                      validate: bool = True) -> DarbouxOperator:
+def transform_darboux(op: DarbouxOperator, a: Sequence[Sequence]) -> DarbouxOperator:
     """Push forward along u~^i = a^i_l u^l: `transform_poly_operator` of
-    g = eta, omega = c.u + f, read back as a triple (`linear_parts`).
+    g = eta, omega = c.u + f, read back as a verified triple (`linear_parts`).
 
     The result lives over the joined field of the operator and the matrix.
-    With validate=False it is returned unverified, which lets diagnostics
-    transport failing triples and compare verdicts.
     """
     moved = transform_poly_operator(op.to_poly_operator(), a)
     c, f = linear_parts(moved.ring, moved.omega)
-    return DarbouxOperator(moved.ring, c, moved.g, f, _checked=not validate)
+    return DarbouxOperator(moved.ring, c, moved.g, f)
 
 
 def _two_tensor(ring: PolyRing, a, m: PolyMatrix) -> PolyMatrix:

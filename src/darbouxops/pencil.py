@@ -20,13 +20,11 @@ invariant of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from .errors import InvalidOperandError, ShapeMismatchError
 from .lie import cocycle_terms, first_violation, jacobi_terms, metric_terms, support_rows
 from .operators import (
-    ConditionResult,
     DarbouxOperator,
     PolyOperator,
     VerificationReport,
@@ -39,28 +37,6 @@ from .operators import (
 )
 from .poly import PolyRing
 from .scalars import join_field_tags
-
-
-@dataclass
-class PencilReport:
-    operand_a: Optional[VerificationReport]
-    operand_b: Optional[VerificationReport]
-    conditions: List[ConditionResult]  # from VerificationReport.add
-    lambda_report: Optional[VerificationReport] = None
-
-    @property
-    def compatible(self) -> bool:
-        ok = all(c.ok for c in self.conditions)
-        if self.lambda_report is not None:
-            ok = ok and self.lambda_report.passed
-        return ok
-
-    def as_dict(self) -> dict:
-        return {
-            "compatible": self.compatible,
-            "conditions": [c.record() for c in self.conditions],
-            "lambda_check": None if self.lambda_report is None else self.lambda_report.as_dict(),
-        }
 
 
 def _require_common_ring(a, b) -> None:
@@ -78,8 +54,9 @@ def _require_hamiltonian(ra: VerificationReport, rb: VerificationReport) -> None
         )
 
 
-def pencil_compatible_darboux(a: DarbouxOperator, b: DarbouxOperator) -> PencilReport:
-    """Darboux-form pencil criterion; both operands must verify on their own."""
+def pencil_compatible_darboux(a: DarbouxOperator, b: DarbouxOperator) -> VerificationReport:
+    """Darboux-form pencil criterion: the report of mixed-jacobi, mixed-cocycle
+    and mixed-metric; both operands must verify on their own."""
     _require_common_ring(a, b)
     ra, rb = verify_darboux(a), verify_darboux(b)
     _require_hamiltonian(ra, rb)
@@ -90,7 +67,7 @@ def pencil_compatible_darboux(a: DarbouxOperator, b: DarbouxOperator) -> PencilR
                                   ("mixed-cocycle", cocycle_terms, a.f, b.f),
                                   ("mixed-metric", metric_terms, a.eta, b.eta)):
         report.add(name, first_violation(terms(czb, x_a), terms(cza, x_b)))
-    return PencilReport(ra, rb, report.conditions)
+    return report
 
 
 def pencil_operator(a: PolyOperator, b: PolyOperator, lam: str = "lam") -> PolyOperator:
@@ -108,7 +85,7 @@ def pencil_operator(a: PolyOperator, b: PolyOperator, lam: str = "lam") -> PolyO
     return PolyOperator(ring, g, om, _checked=True)
 
 
-def pencil_compatible_general(a: PolyOperator, b: PolyOperator) -> PencilReport:
+def pencil_compatible_general(a: PolyOperator, b: PolyOperator) -> VerificationReport:
     """Hamiltonianity of A + lambda B, identically in lambda, from its
     lambda^1 coefficient once A and B pass: omega_B skew,
     S(omega_A, d omega_B) + S(omega_B, d omega_A) (`schouten_terms`) and
@@ -122,18 +99,17 @@ def pencil_compatible_general(a: PolyOperator, b: PolyOperator) -> PencilReport:
     ring = a.ring
     # both operands passed, so omega_A and omega_B are skew: the lambda^1
     # omega-skew condition holds and the lambda^1 Phi is skew in j, k
-    lam_report = hamiltonian_report(
+    return hamiltonian_report(
         ring, None,
         first_violation(schouten_terms(a.omega, db), schouten_terms(b.omega, da)),
         phi_sum(ring, (a.g, db), (b.g, da), skew=True),
     )
-    return PencilReport(ra, rb, [], lambda_report=lam_report)
 
 
-def pencil_compatible_both(a: DarbouxOperator, b: DarbouxOperator) -> Tuple[PencilReport, PencilReport]:
+def pencil_compatible_both(a: DarbouxOperator,
+                           b: DarbouxOperator) -> Tuple[VerificationReport, VerificationReport]:
     darboux = pencil_compatible_darboux(a, b)
-    general = pencil_compatible_general(a.to_poly_operator(), b.to_poly_operator())
-    return darboux, general
+    return darboux, pencil_compatible_general(a.to_poly_operator(), b.to_poly_operator())
 
 
 def unify_operators(a: PolyOperator, b: PolyOperator) -> Tuple[PolyOperator, PolyOperator]:

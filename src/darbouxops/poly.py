@@ -263,7 +263,11 @@ class Poly:
             other = self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        if self.ring != other.ring:
+            # constants of two rings compare by value, as each does with a number
+            return (self.is_constant() and other.is_constant()
+                    and self.constant_value() == other.constant_value())
+        return self.terms == other.terms
 
     def __hash__(self):
         # a constant equals its value (`__eq__`), so it hashes as that value
@@ -327,14 +331,6 @@ class Poly:
         # e[i] == k is fixed, so setting it to 0 merges no two terms
         return _poly(self.ring, {e[:i] + (0,) + e[i + 1:]: c
                                  for e, c in self.terms.items() if e[i] == k})
-
-    def at_zero(self, indices) -> "Poly":
-        """Restriction setting the listed indeterminates to zero."""
-        idx = set(indices)
-        return Poly(
-            self.ring,
-            {e: c for e, c in self.terms.items() if not any(e[i] for i in idx)},
-        )
 
     # -- formatting ----------------------------------------------------
 

@@ -31,14 +31,15 @@ def report(criterion, ok, detail=""):
 
 def test_criterion_1_catalog_regression():
     t0 = time.monotonic()
-    summary = catalog.verify_all()
+    reports = catalog.verify_all()
     elapsed = time.monotonic() - t0
-    ok = summary.all_passed() and summary.passed == 35 and elapsed < 60.0
+    passed = sum(1 for r in reports if r.passed)
+    ok = passed == len(reports) == 35 and elapsed < 60.0
     assert report(
         1,
         ok,
-        f"{summary.passed}/35 entries verified identically in their parameters,"
-        f" {summary.flagged} carry data flags, {elapsed:.1f}s",
+        f"{passed}/35 entries verified identically in their parameters,"
+        f" {sum(1 for r in reports if r.flags)} carry data flags, {elapsed:.1f}s",
     )
 
 
@@ -130,12 +131,9 @@ def test_criterion_4_casimir_metric_bijection():
     for name in catalog.catalog_list():
         entry = catalog.catalog_get(name)
         rep = inv.casimir_metric_duality(entry.algebra)
-        ok = ok and rep.dims_equal
+        ok = ok and rep.passed
         if rep.casimir_witness is not None:
             with_witness += 1
-            ok = ok and rep.inverse_casimir_is_metric
-        if rep.metric_witness is not None:
-            ok = ok and rep.inverse_metric_is_casimir
     assert report(
         4,
         ok and with_witness == 35,
@@ -153,7 +151,7 @@ def test_criterion_5ab_kdv_operators_and_pencil():
     ok = ops.verify_darboux(a).passed and ops.verify_darboux(b).passed
     ok = ok and a.ring.d == 2
     dar, gen = pencil.pencil_compatible_both(a, b)
-    ok = ok and dar.compatible and gen.compatible
+    ok = ok and dar.passed and gen.passed
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
     assert report(
@@ -311,7 +309,7 @@ def test_criterion_7a_basis_change_invariance(seed):
         ring = ops.field_ring(g.dim)
         op = ops.DarbouxOperator(ring, g.c, eta, f, _checked=True)
         verdict = ops.verify_darboux(op).passed
-        moved_op = ops.transform_darboux(op, a, validate=False)
+        moved_op = ops.darboux_view(ops.transform_poly_operator(op.to_poly_operator(), a))
         ok = ok and verdict and ops.verify_darboux(moved_op).passed == verdict
         if not ok:
             break
@@ -334,7 +332,7 @@ def test_criterion_7a_basis_change_invariance(seed):
         op = ops.DarbouxOperator(ring, g.c, eta, f, _checked=True)
         verdict = ops.verify_darboux(op).passed
         a = helpers.random_invertible(rnd2, n, -2, 2)
-        moved_op = ops.transform_darboux(op, a, validate=False)
+        moved_op = ops.darboux_view(ops.transform_poly_operator(op.to_poly_operator(), a))
         ok = ok and ops.verify_darboux(moved_op).passed == verdict
         if not ok:
             break

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import pathlib
@@ -410,6 +411,52 @@ def test_pencil_modes(kdv_files):
         assert run_cli(["pencil", a_file, b_file, "--mode", mode]).returncode == 0
 
 
+@pytest.mark.parametrize("mode", [["--mode", "darboux"], []], ids=["darboux", "both"])
+def test_pencil_darboux_mode_refuses_a_nonaffine_operand(tmp_path, capsys, mode):
+    path = str(tmp_path / "na.json")
+    io_json.dump_operator(_nonaffine_operator(), path)
+    assert cli.main(["pencil", path, path, *mode]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "affine" in out.err
+
+
+def _pencil_dict(compatible, mixed, lam):
+    """One route of the pencil JSON from the mixed (name, first violation) rows
+    and the lambda-route (name, first violation) rows or None, keys in order."""
+    return {
+        "compatible": compatible,
+        "conditions": [{"name": name, "ok": v is None, "first_violation": v} for name, v in mixed],
+        "lambda_check": None if lam is None else {
+            "passed": compatible,
+            "conditions": [{"name": name, "ok": v is None, "first_violation": v, "residual": None}
+                           for name, v in lam]},
+    }
+
+
+def test_pencil_json_keeps_keys_order_and_values(tmp_path, capsys, kdv_files):
+    moduli = str(tmp_path / "moduli.json")
+    io_json.dump_operator(catalog.catalog_get("A_{6,11}").operator().to_poly_operator(), moduli)
+    lam = ["omega-skew", "schouten", "phi-cyclic-symmetry", "phi-constant"]
+    cases = [
+        ([*kdv_files, "--mode", "darboux"], "darboux",
+         _pencil_dict(True, [("mixed-jacobi", None), ("mixed-cocycle", None),
+                             ("mixed-metric", None)], None)),
+        ([*kdv_files, "--mode", "lambda"], "lambda",
+         _pencil_dict(True, [], [(name, None) for name in lam])),
+        ([moduli, moduli, "--mode", "darboux"], "darboux",
+         _pencil_dict(False, [("mixed-jacobi", None), ("mixed-cocycle", None),
+                              ("mixed-metric", [2, 5, 4])], None)),
+        ([moduli, moduli, "--mode", "lambda"], "lambda",
+         _pencil_dict(False, [], [("omega-skew", None), ("schouten", None),
+                                  ("phi-cyclic-symmetry", [2, 4, 5]), ("phi-constant", None)])),
+    ]
+    for argv, route, want in cases:
+        code = cli.main(["--format", "json", "pencil", *argv])
+        assert code == (0 if want["compatible"] else 1)
+        # the values and the key order
+        assert capsys.readouterr().out == json.dumps({route: want}, indent=2) + "\n"
+
+
 def test_catalog_cli():
     proc = run_cli(["catalog", "list"])
     assert proc.returncode == 0
@@ -521,6 +568,19 @@ _EXIT_CASES = [
     ("unprintable-value", ["operator", "transform", "{so3op}", "--matrix", "{mbig}"], 2, "error"),
     ("density-parameter", ["operator", "apply", "{A}", "--density=q*u1"], 2, "error"),
 ]
+
+
+def test_cli_writes_to_stderr_only_in_main():
+    """One exit home: cli.py names sys.stderr only inside `main`, which prints
+    the `EXIT_CODES` line of a typed error."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "stderr"
+             and isinstance(node.value, ast.Name) and node.value.id == "sys"]
+    assert lines
+    assert all(main.lineno <= line <= main.end_lineno for line in lines), lines
 
 
 def test_exit_cases_cover_every_row():

@@ -296,11 +296,12 @@ def ref_killing_form(g):
 
 
 def ref_linear_parts(ring, omega):
-    """operators.linear_parts as n `coefficient_of_var` scans and one `at_zero` per entry."""
+    """operators.linear_parts as n `coefficient_of_var` scans and one u-free filter per entry."""
     fidx = ring.field_indices()
     n = len(omega)
     c = [[[x.coefficient_of_var(fidx[k]) for k in range(n)] for x in row] for row in omega]
-    f = [[x.at_zero(fidx) for x in row] for row in omega]
+    f = [[Poly(ring, {e: v for e, v in x.terms.items() if not any(e[i] for i in fidx)})
+          for x in row] for row in omega]
     return c, f
 
 
@@ -811,7 +812,7 @@ def test_transform_darboux_matches_reference_triples(data):
     c, eta, f = data.draw(_tensor(pool, n)), data.draw(_matrix(pool, n)), data.draw(
         _matrix(pool, n))
     op = ops.DarbouxOperator(ring, c, eta, f, _checked=True)
-    moved = ops.transform_darboux(op, a, validate=False)
+    moved = ops.darboux_view(ops.transform_poly_operator(op.to_poly_operator(), a))
     b = linalg.inverse(a)
     assert moved.c == ref_transport_direct(ring, a, b, op.c)
     assert moved.eta == ref_two_tensor(ring, a, op.eta)
@@ -857,7 +858,7 @@ def test_transported_catalog_operators_match_direct_sum():
         op = catalog.catalog_get(name).operator()
         n = op.n
         a = [[Scalar(3 if i == j else (i + 2 * j) % 3 - 1) for j in range(n)] for i in range(n)]
-        moved = ops.transform_darboux(op, a, validate=False)
+        moved = ops.darboux_view(ops.transform_poly_operator(op.to_poly_operator(), a))
         assert moved.c == ref_transport_direct(op.ring, a, linalg.inverse(a), op.c)
         assert moved.eta == ref_two_tensor(op.ring, a, op.eta)
         assert moved.f == ref_two_tensor(op.ring, a, op.f)
@@ -915,8 +916,9 @@ def test_non_skew_omega_reports_the_first_varying_phi_below_the_diagonal():
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_skew_half_lambda_route_matches_full_tensors(data):
-    """Catalog operators moved over Q(sqrt(2)) and paired: the operands'
-    reports and the lambda^1 report, first violations included."""
+    """Catalog operators moved over Q(sqrt(2)) and paired: each operand's
+    report (`_assert_skew_half_matches`) and the lambda^1 report, first
+    violations included."""
     names = data.draw(st.sampled_from([["A_{3,2}", "A_{3,3}"], ["A_{4,2}", "A_{4,4}", "A_{4,5}"]]))
     moved = []
     for _ in range(2):
@@ -925,9 +927,7 @@ def test_skew_half_lambda_route_matches_full_tensors(data):
     a, b = pencil.unify_operators(*moved)
     for x in (a, b):
         _assert_skew_half_matches(x)
-    want = pencil.PencilReport(ref_verify_hamiltonian(a), ref_verify_hamiltonian(b), [],
-                               lambda_report=ref_lambda_report(a, b))
-    assert pencil.pencil_compatible_general(a, b).as_dict() == want.as_dict()
+    assert pencil.pencil_compatible_general(a, b).as_dict() == ref_lambda_report(a, b).as_dict()
 
 
 # -- the general element and the series --------------------------------------

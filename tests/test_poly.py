@@ -367,7 +367,6 @@ def test_coefficient_extraction(ring):
     p = ring.parse("3*u1+alpha*u2+f12")
     assert p.coefficient_of_var("u1") == ring.const(3)
     assert p.coefficient_of_var("u2") == ring.var("alpha")
-    assert p.at_zero(ring.field_indices()) == ring.var("f12")
 
 
 small_polys = st.lists(
@@ -805,3 +804,28 @@ def test_equal_values_hash_equal(a, b):
     assert all(x == y and hash(x) == hash(y) for x in forms for y in forms)
     assert len(set(forms)) == 1
     assert len({x: k for k, x in enumerate(forms)}) == 1
+
+
+_ONE_VALUE_RINGS = [PolyRing(["u1"], [], d=2), PolyRing(["u1", "u2"], [], d=2), _SQRT2_RING]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_FRACS, b=st.one_of(st.just(Fraction(0)), _FRACS), order=st.permutations(range(6)))
+def test_constants_of_different_rings_compare_by_value(a, b, order):
+    """A value of Q or Q(sqrt 2) as a Scalar and as a constant of several
+    rings, and when rational also of a Q ring, as a Fraction and as an int:
+    equality is transitive, so the forms make one set element in every
+    insertion order.  A field variable stays unequal to the same name in
+    another ring."""
+    value = Scalar(a, b, 2)
+    rings = _ONE_VALUE_RINGS + ([] if b else [PolyRing(["u1"], [])])
+    forms = [value] + [ring.const(value) for ring in rings]
+    if not b:
+        forms += [a] + ([int(a)] if a.denominator == 1 else [])
+    forms = [forms[k] for k in order if k < len(forms)]
+    assert all(x == y for x in forms for y in forms)
+    assert len(set(forms)) == 1
+    assert len({x: k for k, x in enumerate(forms)}) == 1
+    u1 = [ring.var("u1") for ring in rings]
+    assert all((x == y) == (x.ring == y.ring) for x in u1 for y in u1)
+    assert all(x != ring.const(value) for x in u1 for ring in rings)
