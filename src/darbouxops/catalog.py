@@ -3,8 +3,8 @@
 `catalog_get` materializes an embedded record into parsed polynomial
 matrices, the extracted structure tensor (`operators.linear_parts`) and a
 concrete Lie algebra (the modulus, if any, instantiated at the documented
-rational value).  `_at_moduli` evaluates each term at the moduli directly,
-for the structure tensor and for the eta directions of the witness alike.
+rational value).  `_at_moduli` substitutes the moduli (`Poly.subs`), for
+the structure tensor and for the eta directions of the witness alike.
 `verify_entry` re-derives everything the record claims: skewness and
 symmetry, the Jacobi identity, membership of the displayed eta and f
 families in the computed solution spaces, the Darboux verification itself
@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from . import catalog_data, linalg
-from .errors import ShapeMismatchError, UnknownEntryError
+from .errors import UnknownEntryError
 from .invariants import (
     casimir_residual,
     compatible_metric_space,
@@ -47,37 +47,20 @@ from .operators import (
     parse_matrix,
     verify_darboux,
 )
-from .poly import Poly, PolyRing
-from .scalars import ZERO, Scalar
+from .poly import PolyRing
 
 
 def _at_moduli(entries: list, ring: PolyRing, moduli: Dict[str, Fraction]) -> list:
-    """Nested lists of u-free polynomials as Scalars, each modulus at its value.
-
-    Each term is evaluated at the moduli directly; ShapeMismatchError when
-    an entry keeps another indeterminate after the evaluation.
+    """Nested lists of u-free polynomials as Scalars, each modulus at its
+    value (`Poly.subs`); ShapeMismatchError (from `constant_value`) when an
+    entry keeps another indeterminate after the substitution.
     """
-    at = [(ring.index(name), Scalar(val)) for name, val in moduli.items()]
+    at = {name: ring.const(val) for name, val in moduli.items()}
 
     def value(x):
         if isinstance(x, list):
             return [value(y) for y in x]
-        total, rest = ZERO, {}
-        for e, v in x.terms.items():
-            kept = list(e)
-            for i, m in at:
-                if e[i]:
-                    kept[i] = 0
-                    v = v * m ** e[i]
-            if any(kept):
-                key = tuple(kept)
-                rest[key] = rest[key] + v if key in rest else v
-            else:
-                total = total + v if total else v
-        if any(rest.values()):
-            rest[ring._zero_exp] = total
-            raise ShapeMismatchError(f"{Poly(ring, rest)} is not constant")
-        return total
+        return (x.subs(at) if at and x else x).constant_value()
 
     return value(entries)
 

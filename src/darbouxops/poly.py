@@ -54,6 +54,7 @@ from .errors import (
 from .scalars import (
     MINUS_ONE,
     ONE,
+    ZERO,
     Scalar,
     _int,
     _literal_power,
@@ -193,11 +194,10 @@ class Poly:
         return all(not any(e) for e in self.terms)
 
     def constant_value(self) -> Scalar:
-        if not self.terms:
-            return Scalar(0)
-        if not self.is_constant():
+        value = self.terms.get(self.ring._zero_exp, ZERO)
+        if len(self.terms) > bool(value):  # a term besides the constant one
             raise ShapeMismatchError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return value
 
     def degree_on(self, indices) -> int:
         if not self.terms:

@@ -101,8 +101,6 @@ def test_every_entry_passes_the_general_verifier_too():
 def test_phi_symmetry_fails_exactly_when_metric_fails_on_mutations():
     """Mutating the metric of a catalog family breaks the general verifier's
     cyclic-symmetry condition if and only if the metric condition breaks."""
-    from darbouxops.scalars import Scalar as S
-
     for name in ("A_{3,2}", "A_{3,3}", "A_{4,2}", "A_{5,6}", "A_{6,7}"):
         entry = catalog.catalog_get(name)
         ring = entry.ring

@@ -2,9 +2,9 @@
 
 This pins the README's "pure standard library" claim and keeps the import
 path short: every benchmark process pays for it at start-up.  No module
-keeps an import it does not use, unless the line says `# noqa` (a
-re-export), and every top-level function and class of the package is
-read somewhere outside its own definition.
+of the package, the tests or the scripts keeps an import it does not use,
+unless the line says `# noqa` (a re-export), and every top-level function
+and class of the package is read somewhere outside its own definition.
 """
 
 import ast
@@ -50,9 +50,11 @@ def _unused_imports(path: pathlib.Path) -> list:
 
 
 def test_no_module_keeps_an_unused_import():
-    """The package `__init__` is exempt: every import there is the public API."""
+    """Over the package, the tests and the scripts.  The package `__init__`
+    is exempt: every import there is the public API."""
     modules = sorted((ROOT / "src" / "darbouxops").glob("*.py"))
     assert len(modules) > 10
+    modules += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     unused = [u for path in modules if path.name != "__init__.py" for u in _unused_imports(path)]
     assert unused == []
 

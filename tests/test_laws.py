@@ -7,14 +7,14 @@
 reader; `operators._two_tensor` contracts one index at a time as
 `transport_tensor` does, and `so_n`/`sl_n` read commutator coordinates off
 matrix entries.  The bracket, the series, `killing_form`,
-`operators.linear_parts`, `catalog._at_moduli` and `first_asymmetry` read
-only nonzero entries.  The references below are the earlier
-implementations: eight symmetry and skewness predicates and the
-pair-by-pair `first_asymmetry`, the staged loops of `change_basis`, the
+`operators.linear_parts` and `first_asymmetry` read only nonzero entries,
+and `catalog._at_moduli` is `Poly.subs` followed by `constant_value`.
+The references below are the earlier implementations: eight symmetry
+and skewness predicates and the pair-by-pair `first_asymmetry`, the staged loops of `change_basis`, the
 direct sums of `transform_darboux` and of the (2,0) law, the entry builder
 of `space_latex`, the dense bracket and both series loops on it with the
 dense rref, the n^4 Killing form, the n-scan `linear_parts`, the
-`subs`-based `_at_moduli`, the rref slice of `coboundary_basis`, the
+per-term evaluator of `_at_moduli`, the rref slice of `coboundary_basis`, the
 sparse reduction of the matrix algebras, and the n^3 Jacobian and Phi
 tensors with the n^4 Phi-constancy loop of the Hamiltonian verifier (now
 built on j <= k for a skew omega).  They are compared with hypothesis over
@@ -49,9 +49,9 @@ from hypothesis import strategies as st
 from darbouxops import catalog, latexout, lie, linalg, pencil, poly
 from darbouxops import invariants as inv
 from darbouxops import operators as ops
-from darbouxops.errors import FieldMismatchError, NotALieAlgebraError
+from darbouxops.errors import FieldMismatchError, NotALieAlgebraError, ShapeMismatchError
 from darbouxops.poly import Poly, PolyRing, dot
-from darbouxops.scalars import Scalar, join_field_tags
+from darbouxops.scalars import ZERO, Scalar, join_field_tags
 
 # -- references: symmetry and skewness ---------------------------------------
 
@@ -306,13 +306,29 @@ def ref_linear_parts(ring, omega):
 
 
 def ref_at_moduli(entries, ring, moduli):
-    """catalog._at_moduli through `Poly.subs` and `constant_value`."""
-    subs = {name: ring.const(Scalar(val)) for name, val in moduli.items()}
+    """catalog._at_moduli as each term evaluated at the moduli directly;
+    ShapeMismatchError when an entry keeps another indeterminate."""
+    at = [(ring.index(name), Scalar(val)) for name, val in moduli.items()]
 
     def value(x):
         if isinstance(x, list):
             return [value(y) for y in x]
-        return (x.subs(subs) if subs else x).constant_value()
+        total, rest = ZERO, {}
+        for e, v in x.terms.items():
+            kept = list(e)
+            for i, m in at:
+                if e[i]:
+                    kept[i] = 0
+                    v = v * m ** e[i]
+            if any(kept):
+                key = tuple(kept)
+                rest[key] = rest[key] + v if key in rest else v
+            else:
+                total = total + v if total else v
+        if any(rest.values()):
+            rest[ring._zero_exp] = total
+            raise ShapeMismatchError(f"{Poly(ring, rest)} is not constant")
+        return total
 
     return value(entries)
 
@@ -1093,8 +1109,9 @@ def _value_or_error(read, *args):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_at_moduli_matches_subs(data):
-    """Values, or the non-constant error with its message, as `subs` gives them;
-    entries in alpha or u1 often cancel at the moduli."""
+    """`subs` values, or the non-constant error with its message, as the
+    per-term evaluator gives them; entries in alpha or u1 often cancel at
+    the moduli."""
     moduli = data.draw(st.sampled_from([{}, {"m1": Fraction(1, 2)},
                                         {"m1": Fraction(-2), "m2": Fraction(1, 3)}]))
     ring = _MODULI_RING
