@@ -12,7 +12,7 @@ families in the computed solution spaces, the Darboux verification itself
 split holds when every nonzero bracket c^{ij}_k has i, j and k in one
 summand), parameter counts against computed dimensions, and the
 Casimir/metric inversion on a nondegenerate witness of the displayed
-metric family.
+metric family (the inverse checked on the algebra's support table).
 
 Every check is one `operators.ConditionResult` of the entry's report, after
 the conditions of `verify_darboux`.  Mismatches listed in a record's
@@ -24,18 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from . import catalog_data, linalg
 from .errors import UnknownEntryError
 from .invariants import (
-    casimir_residual,
     compatible_metric_space,
     nondegenerate_witness,
     quadratic_casimir_space,
     two_cocycle_space,
 )
-from .lie import LieAlgebra, structure_tags
+from .lie import LieAlgebra, _int_dot, casimir_terms, structure_tags
 from .operators import (
     ConditionResult,
     DarbouxOperator,
@@ -48,6 +47,7 @@ from .operators import (
     verify_darboux,
 )
 from .poly import PolyRing
+from .scalars import join_field_tags, to_integers
 
 
 def _at_moduli(entries: list, ring: PolyRing, moduli: Dict[str, Fraction]) -> list:
@@ -171,6 +171,29 @@ def _tags_match(entry: CatalogEntry) -> tuple:
     return (not problems), problems
 
 
+def _eta_directions(entry: CatalogEntry) -> list:
+    """The displayed eta family as Scalar matrices, one per eta parameter
+    (its coefficient), with the moduli at their values."""
+    n = entry.dim
+    return [_at_moduli([[entry.eta[i][j].coefficient_of_var(p) for j in range(n)]
+                        for i in range(n)], entry.ring, entry.moduli)
+            for p in entry.eta_params]
+
+
+def _casimir_residual(g: LieAlgebra, a: linalg.Matrix) -> Optional[tuple]:
+    """`invariants.casimir_residual(g.c, a)` read off g's support table: a is
+    written once in integers (`to_integers`, a zero entry as 0 so that
+    `lie._support` skips it) and each equation summed with `lie._int_dot`,
+    as `LieAlgebra.__init__` sums Jacobi.  Common denominators are left out."""
+    table = g._table
+    d, _, ints = to_integers([x for row in a for x in row])
+    d = join_field_tags(table.d, d)
+    n = len(a)
+    az = [[ab if ab != (0, 0) else 0 for ab in ints[i * n:(i + 1) * n]] for i in range(n)]
+    return next((key for key, pairs in casimir_terms(table.rows, az) if any(_int_dot(pairs, d))),
+                None)
+
+
 def verify_entry(name: str) -> EntryReport:
     entry = catalog_get(name)
     report = EntryReport(conditions=verify_darboux(entry.operator()).conditions,
@@ -206,18 +229,11 @@ def verify_entry(name: str) -> EntryReport:
 
     # nondegenerate witness of the displayed eta family; its inverse must be
     # a quadratic Casimir (the bijection direction the catalog relies on)
-    directions = []
-    for p in entry.eta_params:
-        direction = [
-            [entry.eta[i][j].coefficient_of_var(p) for j in range(entry.dim)]
-            for i in range(entry.dim)
-        ]
-        directions.append(_at_moduli(direction, entry.ring, entry.moduli))
-    witness = nondegenerate_witness(directions)
+    witness = nondegenerate_witness(_eta_directions(entry))
     check("eta-family-nondegenerate", witness is not None)
     if witness is not None:
         inv = linalg.inverse(witness[1])
-        check("eta-inverse-is-casimir", casimir_residual(entry.algebra.c, inv) is None)
+        check("eta-inverse-is-casimir", _casimir_residual(entry.algebra, inv) is None)
 
     return report
 

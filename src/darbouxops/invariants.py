@@ -30,7 +30,7 @@ from .lie import (
     support_rows,
 )
 from .operators import ConditionResult, VerificationReport
-from .poly import Poly, PolyRing, dot
+from .poly import Poly, PolyRing, _poly, dot
 from .scalars import ZERO, Scalar, field_tag
 
 Matrix = linalg.Matrix
@@ -154,20 +154,32 @@ def two_cocycle_space(g: LieAlgebra) -> CocycleSpace:
 
 
 def general_element(basis: Sequence[Matrix], symbol: str = "t") -> Tuple[PolyRing, list]:
-    """sum_k t_k B_k over the ring of parameters t1..tk (named `symbol`1, ...)."""
+    """sum_k t_k B_k over the ring of parameters t1..tk (named `symbol`1, ...).
+
+    Each entry is written directly as a linear form: t_k has its own unit
+    exponent, so no two terms meet and no product is taken.
+    """
     n = len(basis[0]) if basis else 0
-    ring = PolyRing([], [f"{symbol}{m + 1}" for m in range(len(basis))],
-                    d=field_tag(x for b in basis for row in b for x in row))
-    ts = [ring.var(name) for name in ring.names]
-    return ring, [[dot(ring, [(b[i][j], t) for b, t in zip(basis, ts) if b[i][j]])
-                   for j in range(n)] for i in range(n)]
+    k = len(basis)
+    coeffs = [[[(m, Scalar.of(b[i][j])) for m, b in enumerate(basis) if b[i][j]]
+               for j in range(n)] for i in range(n)]
+    ring = PolyRing([], [f"{symbol}{m + 1}" for m in range(k)],
+                    d=field_tag(x for row in coeffs for entry in row for _, x in entry))
+    units = [tuple(int(m == col) for col in range(k)) for m in range(k)]
+    return ring, [[_poly(ring, {units[m]: x for m, x in entry}) for entry in row]
+                  for row in coeffs]
 
 
 def _det_minor_expansion(ring: PolyRing, m: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant by column-subset memoized Laplace expansion."""
+    """Determinant by column-subset memoized Laplace expansion.
+
+    Each minor is one `dot` over its (+-entry, sub-minor) pairs, with `keep`
+    false: the memo holds each minor once, without its integer form.
+    """
     n = len(m)
     if n == 0:
         return ring.one
+    negated = [[-x for x in row] for row in m]
     cache = {(): ring.one}
 
     def minor(cols: tuple) -> Poly:
@@ -175,18 +187,13 @@ def _det_minor_expansion(ring: PolyRing, m: Sequence[Sequence[Poly]]) -> Poly:
         if cols in cache:
             return cache[cols]
         i = n - len(cols)
-        total = ring.zero
-        sign = 1
+        pairs = []
         for pos, cjx in enumerate(cols):
-            entry = m[i][cjx]
-            if entry:
-                rest = cols[:pos] + cols[pos + 1 :]
-                sub = minor(rest)
+            if m[i][cjx]:
+                sub = minor(cols[:pos] + cols[pos + 1 :])
                 if sub:
-                    term = entry * sub
-                    total = total + (term if sign > 0 else -term)
-            sign = -sign
-        cache[cols] = total
+                    pairs.append((negated[i][cjx] if pos & 1 else m[i][cjx], sub))
+        total = cache[cols] = dot(ring, pairs, keep=False)
         return total
 
     return minor(tuple(range(n)))

@@ -5,6 +5,7 @@ import pytest
 from darbouxops import catalog, invariants as inv, lie, linalg
 from darbouxops import operators as ops
 from darbouxops.errors import UnknownEntryError
+from darbouxops.scalars import Scalar
 
 TABLE_NAMES = [
     "A_{2,1}", "A_{3,1}", "A_{3,2}", "A_{3,3}",
@@ -205,3 +206,22 @@ def test_duality_on_all_entries():
         assert [c.name for c in rep.conditions] == [
             "casimir-metric-dims-equal", "inverse-casimir-is-metric", "inverse-metric-is-casimir",
         ], name
+
+
+def test_table_casimir_residual_matches_the_scalar_checker():
+    """The eta-inverse check reads the support table; on every entry's
+    witness inverse, and on that inverse with one entry moved by 1 + sqrt(2)
+    or by 1, it finds the first violation `casimir_residual` finds."""
+    moved = 0
+    for k, name in enumerate(catalog.catalog_list()):
+        entry = catalog.catalog_get(name)
+        g = entry.algebra
+        a = linalg.inverse(inv.nondegenerate_witness(catalog._eta_directions(entry))[1])
+        assert catalog._casimir_residual(g, a) == inv.casimir_residual(g.c, a) is None, name
+        i, j = k % g.dim, (3 * k + 1) % g.dim
+        perturbed = [row[:] for row in a]
+        perturbed[i][j] = perturbed[i][j] + (Scalar(1, 1, 2) if k % 2 else Scalar(1))
+        got = catalog._casimir_residual(g, perturbed)
+        assert got == inv.casimir_residual(g.c, perturbed), name
+        moved += got is not None
+    assert moved > 20, moved

@@ -8,13 +8,15 @@ reader; `operators._two_tensor` contracts one index at a time as
 `transport_tensor` does, and `so_n`/`sl_n` read commutator coordinates off
 matrix entries.  The bracket, the series, `killing_form`,
 `operators.linear_parts` and `first_asymmetry` read only nonzero entries,
-and `catalog._at_moduli` is `Poly.subs` followed by `constant_value`.
+`catalog._at_moduli` is `Poly.subs` followed by `constant_value`, and
+each minor of `invariants._det_minor_expansion` is one `poly.dot` call.
 The references below are the earlier implementations: eight symmetry
 and skewness predicates and the pair-by-pair `first_asymmetry`, the staged loops of `change_basis`, the
 direct sums of `transform_darboux` and of the (2,0) law, the entry builder
 of `space_latex`, the dense bracket and both series loops on it with the
 dense rref, the n^4 Killing form, the n-scan `linear_parts`, the
-per-term evaluator of `_at_moduli`, the rref slice of `coboundary_basis`, the
+per-term evaluator of `_at_moduli`, the per-term Laplace expansion of
+the witness determinant, the rref slice of `coboundary_basis`, the
 sparse reduction of the matrix algebras, and the n^3 Jacobian and Phi
 tensors with the n^4 Phi-constancy loop of the Hamiltonian verifier (now
 built on j <= k for a skew omega).  They are compared with hypothesis over
@@ -209,6 +211,34 @@ def ref_general_element(basis, symbol):
                 if mat[i][j]:
                     general[i][j] = general[i][j] + ring.const(mat[i][j]) * t
     return ring, general
+
+
+def ref_det_minor_expansion(ring, m):
+    """invariants._det_minor_expansion with one product and one sum per
+    (entry, sub-minor) term, the running total copied by each `+`."""
+    n = len(m)
+    if n == 0:
+        return ring.one
+    cache = {(): ring.one}
+
+    def minor(cols):
+        if cols in cache:
+            return cache[cols]
+        i = n - len(cols)
+        total = ring.zero
+        sign = 1
+        for pos, cjx in enumerate(cols):
+            entry = m[i][cjx]
+            if entry:
+                sub = minor(cols[:pos] + cols[pos + 1:])
+                if sub:
+                    term = entry * sub
+                    total = total + (term if sign > 0 else -term)
+            sign = -sign
+        cache[cols] = total
+        return total
+
+    return minor(tuple(range(n)))
 
 
 def ref_space_latex(basis, symbol="t"):
@@ -679,6 +709,9 @@ def ref_support_table(tensor):
 _Q = [Scalar(0)] * 5 + [Scalar(1), Scalar(-1), Scalar(2), Scalar(Fraction(-1, 3))]
 _QSQRT2 = _Q + [Scalar(0, 1, 2), Scalar(Fraction(1, 2), -1, 2)]
 _SCALAR_POOLS = st.sampled_from([_Q, _QSQRT2])
+# plain numbers, which `Scalar.of` coerces, alone and beside sqrt(2) Scalars
+_NUMBERS = [0] * 5 + [1, -1, 2, Fraction(-1, 3), Fraction(5, 2)]
+_NUMBER_POOLS = st.sampled_from([_Q, _QSQRT2, _NUMBERS, _NUMBERS + _QSQRT2[-2:]])
 
 
 def _poly_pool(ring):
@@ -952,7 +985,7 @@ def test_skew_half_lambda_route_matches_full_tensors(data):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_space_latex_matches_reference(data):
-    pool = data.draw(_SCALAR_POOLS)
+    pool = data.draw(_NUMBER_POOLS)
     n = data.draw(st.integers(1, 4))
     basis = data.draw(st.lists(_matrix(pool, n), max_size=3))
     symbol = data.draw(st.sampled_from(["t", "s"]))
@@ -961,6 +994,28 @@ def test_space_latex_matches_reference(data):
         ring, general = inv.general_element(basis, symbol)
         ref_ring, ref = ref_general_element(basis, symbol)
         assert (ring, general) == (ref_ring, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_det_minor_expansion_matches_per_term_sums(data):
+    """Square matrices of linear forms in t1..t3, n = 0..5, over Q and Q(sqrt(2))."""
+    pool = data.draw(_SCALAR_POOLS)
+    ring = PolyRing([], ["t1", "t2", "t3"], d=2 if pool is _QSQRT2 else 0)
+    ts = [ring.var(name) for name in ring.names]
+    n = data.draw(st.integers(0, 5))
+    m = [[dot(ring, [(data.draw(st.sampled_from(pool)), t) for t in ts]) for _ in range(n)]
+         for _ in range(n)]
+    got = inv._det_minor_expansion(ring, m)
+    assert got.terms == ref_det_minor_expansion(ring, m).terms
+    assert all(got.terms.values())
+
+
+def test_det_minor_expansion_matches_per_term_sums_on_catalog_eta_families():
+    for name in catalog.catalog_list():
+        ring, general = inv.general_element(catalog._eta_directions(catalog.catalog_get(name)))
+        assert inv._det_minor_expansion(ring, general).terms == \
+            ref_det_minor_expansion(ring, general).terms, name
 
 
 def test_space_latex_matches_reference_on_solution_spaces():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darbouxops import poly as poly_module
 from darbouxops.errors import (
     DarbouxOpsError,
     ExponentOverflowError,
@@ -566,6 +567,29 @@ def test_exponent_above_max_rejected_as_operand():
         with pytest.raises(ExponentOverflowError):
             dot(ring, [(u2, u1), (u1, bad)])
     assert issubclass(ExponentOverflowError, DarbouxOpsError)
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    """p**n takes one product per set bit and one squaring per bit below the
+    top one: a squaring after the last bit, which the earlier loop made and
+    discarded, is gone, so p**1 is the single product 1*p."""
+    ring = PolyRing(["u1", "u2"], d=2)
+    p = ring.parse("u1+sqrt(2)*u2+1")
+    calls = []
+    kernel = poly_module.dot
+    monkeypatch.setattr(poly_module, "dot", lambda *a, **k: calls.append(1) or kernel(*a, **k))
+    expected = ring.one
+    for n in range(0, 12):
+        calls.clear()
+        got = p**n
+        made = len(calls)
+        earlier = n.bit_length() + bin(n).count("1")  # the loop that squared after the last bit
+        assert made == (earlier - 1 if n else 0), n
+        assert got == expected
+        expected = expected * p
+    calls.clear()
+    p**1
+    assert len(calls) == 1
 
 
 def test_only_sums_of_products_cache_operand_forms():
