@@ -1,10 +1,15 @@
 """Catalog of verified operator families and its regression harness.
 
 `catalog_get` materializes an embedded record into parsed polynomial
-matrices, the extracted structure tensor (`operators.linear_parts`) and a
+matrices (`operators.parse_matrix`, each distinct entry text parsed once;
+a constant offset `fconst` added only where it is nonzero), the extracted
+structure tensor (`operators.linear_parts` on the field variables) and a
 concrete Lie algebra (the modulus, if any, instantiated at the documented
-rational value).  `_at_moduli` substitutes the moduli (`Poly.subs`), for
-the structure tensor and for the eta directions of the witness alike.
+rational value).  The eta directions of the witness are one
+`linear_parts` pass over eta on the eta parameters.  `_at_moduli` reads
+the structure tensor and the eta directions alike as Scalars: each entry
+through `Poly.constant_value`, after `Poly.subs` of the moduli when the
+entry has any.
 `verify_entry` re-derives everything the record claims: skewness and
 symmetry, the Jacobi identity, membership of the displayed eta and f
 families in the computed solution spaces, the Darboux verification itself
@@ -46,21 +51,27 @@ from .operators import (
     parse_matrix,
     verify_darboux,
 )
-from .poly import PolyRing
-from .scalars import join_field_tags, to_integers
+from .poly import Poly, PolyRing
+from .scalars import ZERO, join_field_tags, to_integers
 
 
 def _at_moduli(entries: list, ring: PolyRing, moduli: Dict[str, Fraction]) -> list:
     """Nested lists of u-free polynomials as Scalars, each modulus at its
-    value (`Poly.subs`); ShapeMismatchError (from `constant_value`) when an
-    entry keeps another indeterminate after the substitution.
+    value; ShapeMismatchError (from `constant_value`) when an entry keeps
+    another indeterminate after the substitution.  The entry reader is
+    picked once: `Poly.constant_value`, after `Poly.subs` of the moduli
+    when there are any.
     """
-    at = {name: ring.const(val) for name, val in moduli.items()}
+    if moduli:
+        at = {name: ring.const(val) for name, val in moduli.items()}
 
-    def value(x):
-        if isinstance(x, list):
-            return [value(y) for y in x]
-        return (x.subs(at) if at and x else x).constant_value()
+        def leaf(x):
+            return x.subs(at).constant_value() if x else ZERO
+    else:
+        leaf = Poly.constant_value
+
+    def value(xs):
+        return [value(x) if type(x) is list else leaf(x) for x in xs]
 
     return value(entries)
 
@@ -115,7 +126,8 @@ def catalog_get(name: str) -> CatalogEntry:
     omega = parse_matrix(ring, rec["omega"], n, "omega")
     if "fconst" in rec:
         fc = parse_matrix(ring, rec["fconst"], n, "fconst")
-        omega = [[omega[i][j] + fc[i][j] for j in range(n)] for i in range(n)]
+        omega = [[x + y if y else x for x, y in zip(row, fc_row)]
+                 for row, fc_row in zip(omega, fc)]
     c, fmat = linear_parts(ring, omega)
     algebra = LieAlgebra(_at_moduli(c, ring, moduli))
     entry = CatalogEntry(
@@ -173,11 +185,14 @@ def _tags_match(entry: CatalogEntry) -> tuple:
 
 def _eta_directions(entry: CatalogEntry) -> list:
     """The displayed eta family as Scalar matrices, one per eta parameter
-    (its coefficient), with the moduli at their values."""
-    n = entry.dim
-    return [_at_moduli([[entry.eta[i][j].coefficient_of_var(p) for j in range(n)]
-                        for i in range(n)], entry.ring, entry.moduli)
-            for p in entry.eta_params]
+    (its coefficient, read by one `linear_parts` pass over eta on the eta
+    parameters), with the moduli at their values.  A higher power of an eta
+    parameter is dropped; a product of two of them is a ShapeMismatchError
+    (`_at_moduli`)."""
+    ring = entry.ring
+    c, _ = linear_parts(ring, entry.eta, [ring.index(p) for p in entry.eta_params])
+    directions = [[[x[k] for x in row] for row in c] for k in range(len(entry.eta_params))]
+    return _at_moduli(directions, ring, entry.moduli)
 
 
 def _casimir_residual(g: LieAlgebra, a: linalg.Matrix) -> Optional[tuple]:

@@ -237,23 +237,29 @@ def solve(equations, ncols: int, d: int = 0) -> List[linalg.Vector]:
         if eq and type(eq[0][0]) is Poly:
             forms = [(_operand_form(x.ring, x, True), marker) for x, marker in eq]
             den = lcm(*[form[1] for form, _ in forms])
-            entries = []
+            by_monomial: Dict[object, dict] = {}
             for (dx, fden, terms), (col, sign) in forms:
                 d = join_field_tags(d, dx)
                 k = sign * (den // fden)
-                entries += [(e, col, k * a, k * b) for e, a, b in terms]
+                for e, a, b in terms:
+                    _add_to_row(by_monomial.setdefault(e, {}), col, k * a, k * b)
+            rows += [row for row in by_monomial.values() if row]
         else:
-            entries = [(None, col, sign * a, sign * b) for (a, b), (col, sign) in eq]
-        by_monomial: Dict[object, dict] = {}
-        for e, col, a, b in entries:
-            row = by_monomial.setdefault(e, {})
-            w = row.pop(col, None)
-            if w is not None:
-                a, b = a + w[0], b + w[1]
-            if a or b:
-                row[col] = (a, b)
-        rows += [row for row in by_monomial.values() if row]
+            row = {}
+            for (a, b), (col, sign) in eq:
+                _add_to_row(row, col, sign * a, sign * b)
+            if row:
+                rows.append(row)
     return linalg.integer_nullspace(rows, ncols, d)
+
+
+def _add_to_row(row: dict, col: int, a: int, b: int) -> None:
+    """row[col] += (a, b), the entry dropped when the sum is zero."""
+    w = row.pop(col, None)
+    if w is not None:
+        a, b = a + w[0], b + w[1]
+    if a or b:
+        row[col] = (a, b)
 
 
 def jacobi_defect(c: Sequence[Sequence[Sequence]]) -> Dict[tuple, Scalar]:

@@ -85,11 +85,14 @@ def parse_matrix(ring: PolyRing, text: str, n: int, kind: str) -> PolyMatrix:
     """The n x n matrix displayed as "a,b;c,d": rows split on ";", blank rows
     skipped, and entries on ",".  The row count is checked before any entry
     is parsed, then the row lengths; either mismatch is a ParseError naming
-    `kind`."""
+    `kind`.  Each distinct entry text is parsed once, and its entries share
+    the one immutable `Poly` (most displayed entries are "0")."""
     rows = [r for r in text.split(";") if r.strip()]
     if len(rows) != n:
         raise ParseError(f"{kind} needs {n} rows, got {len(rows)}")
-    m = [[ring.parse(x) for x in row.split(",")] for row in rows]
+    read = {}
+    m = [[read[x] if x in read else read.setdefault(x, ring.parse(x)) for x in row.split(",")]
+         for row in rows]
     if any(len(row) != n for row in m):
         raise ParseError(f"{kind} rows need {n} entries each")
     return m
@@ -479,26 +482,29 @@ def nonaffine_entry(ring: PolyRing, omega: PolyMatrix) -> Optional[Tuple[int, in
     return None
 
 
-def linear_parts(ring: PolyRing, omega: PolyMatrix):
-    """Read omega = c.u + f: c[i][j][k] is the coefficient of u^k in
-    omega[i][j] and f[i][j] its value at u = 0.
+def linear_parts(ring: PolyRing, matrix: PolyMatrix, indices: Optional[Sequence[int]] = None):
+    """Read matrix = c.x + f on the indeterminates x^k at `indices` (by
+    default the field variables u): c[i][j][k] is the coefficient of x^k in
+    matrix[i][j] and f[i][j] its value at x = 0.
 
-    Each entry is read in one pass over its terms: a term without field
-    variables goes to f, and a term is sorted into c[i][j][k] once for each
-    u^k it holds to the first power, the other indeterminates kept.  Never
-    raises; the split is exact only when omega is affine in u
-    (`nonaffine_entry`), and then every entry of c and f is u-free.
+    Each entry is read in one pass over its terms: a term without any x
+    goes to f, and a term is sorted into c[i][j][k] once for each x^k it
+    holds to the first power, the other indeterminates kept.  Never raises;
+    the split is exact only when the matrix is affine in x (for omega in u,
+    `nonaffine_entry`), and then no entry of c or f holds an x.  This is
+    the one reader of "linear in these indeterminates": omega's (c, f) and
+    the eta directions of a catalog entry (`catalog._eta_directions`).
     """
-    fidx = ring.field_indices()
+    xidx = ring.field_indices() if indices is None else indices
     c, f = [], []
-    for row in omega:
+    for row in matrix:
         c_row, f_row = [], []
         for x in row:
-            parts = [{} for _ in fidx]
+            parts = [{} for _ in xidx]
             const = {}
             for e, v in x.terms.items():
                 linear = False
-                for k, i in enumerate(fidx):
+                for k, i in enumerate(xidx):
                     if e[i]:
                         linear = True
                         if e[i] == 1:

@@ -216,8 +216,9 @@ class Scalar:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- comparisons ---------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -225,3 +227,61 @@ def test_table_casimir_residual_matches_the_scalar_checker():
         assert got == inv.casimir_residual(g.c, perturbed), name
         moved += got is not None
     assert moved > 20, moved
+
+
+# SHA-256 of each entry's eta directions, witness point and witness matrix
+# (`_witness_text`).  `catalog verify` prints none of them, so these pins are
+# what keeps the direction order, and with it the canonical witness, fixed.
+WITNESS_DIGESTS = {
+    "A_{2,1}": "067a014d9eeb164d01a5fa3802961ab358046db95ab41159e46cf3c799965044",
+    "A_{3,1}": "e68ea568c0fd2b913b2596b06ea9becbda183f97bcbc11a59c8d855fe769d85f",
+    "A_{3,2}": "88349cd912cd763bbe4681e5da01e2f745e5f25cd083601146f6a7befa80fdc3",
+    "A_{3,3}": "fcfa7236eb4cf921250df1b19d0c37e31d0972aa3ba1755320fb89f1a6a2d974",
+    "A_{4,1}": "115e28b7b15d0bd8832f0ead0866f6a018f45338ec649a1f0695735081c4363f",
+    "A_{4,2}": "5da2751a9f49a049993e6b277952814133c756b203ced7ecfb2f15a95e6f0eff",
+    "A_{4,3}": "8cbcdf15c7d4d8eeea82458cd29e054f9c76148068cefeb7df6bbc1d5ac38255",
+    "A_{4,4}": "df793679d29cbd87867c689916968aa69bd4e42f46a77979f6f0ead7b774db9a",
+    "A_{4,5}": "7b869cbfea7ec3542ba2ec3366570a3f2cc425089a7681ea50fdc2a85bbb3d91",
+    "A_{5,1}": "0594c9aeed2f814598fc984473b797f61436da022aa4451781bb0a4a5a1264ae",
+    "A_{5,2}": "f2383073b26b9d3234884c9b3a522d40671b566a333f84f01caa4b51390e8d91",
+    "A_{5,3}": "57dce6aa85c8a924ac294560a734d6bf596a5ee066900de5dffac31e01b377ce",
+    "A_{5,4}": "78878aa3e10f277583f99cf2804b9cadb045ccbe5e95a5822f8d3a486f568580",
+    "A_{5,5}": "cccd29dc9d16cff2645b3816fdef6c66482dcc8f6294bd98ff78b1eb25c14d7d",
+    "A_{5,6}": "93d9cbc7b0fbeba8b274bb2c434c3e4f1af36864d38c2f493005e4336550037a",
+    "A_{6,1}": "323e4c33291fbb3ad2721ed85aa599218d41c4358b01ab9f8a4f3c3a526d395b",
+    "A_{6,2}": "61d775b95b062adb593f124b3930c4f28cd5615ad129483724af58d8bd342cbe",
+    "A_{6,3}": "bc22c9074d0020f8249092506d9dc01076cb042feb5cc8f2051ea3b0ba101a20",
+    "A_{6,4}": "70596a070dfabaa281a18a5b33022b040d8f0b92e545efe8a74da4668de78214",
+    "A_{6,5}": "196564487f9fac3dc0c39e46a49684e84d72de8d97d610345e202f86efe3d882",
+    "A_{6,6}": "f986f18e4ac263e25904db72aa2ca7f77195e76bee7a4637988aea5e4b8f5aae",
+    "A_{6,7}": "c8440cf057bdc25fe08615be97b4c18bf8284a0a7e60486be2af354d74824681",
+    "A_{6,8}": "7d3dd8b3b34b7b93764cb77c8caae213a8522308d0da627e7ddb0118502d329d",
+    "A_{6,9}": "db6b9f4527ce93f66d62bb9a00c9692774dc8d556989e17755001c1cd94eeb38",
+    "A_{6,10}": "db6b9f4527ce93f66d62bb9a00c9692774dc8d556989e17755001c1cd94eeb38",
+    "A_{6,11}": "efe726da2b7b7507adfdc03699e876d706dce3d946a8c2b13863ff64591a244c",
+    "A_{6,12}": "7d079e30c5ee5b4dc53a666de436e8529fc8f0ebb3b750c488cdd28f741c91ad",
+    "A_{6,13}": "90ed6f11539b7afcd7fc31bddc9fbaa2342bafb5278e0b959c6eb6e55a403dca",
+    "A_{6,14}": "f2020cb4580762626417b037cf2ae9998bd87457881c4d1f1a54f34c0bcea53c",
+    "A_{6,15}": "6f6f5b1c877b34fd39558bba902c81dbde3577bc0763ed286cf3b44ad6f4ab18",
+    "A_{6,16}": "75343940f8b10d023afffb145dd8d1ec990830194e3f6438bb6a596a19e24f3d",
+    "A_{6,17}": "a18304ed7478e0ccf630bfef5c5150bd1b3de62880c09963b9a5a87573335d93",
+    "A_{6,18}": "c17db59941156a5c50abe7fa7f18df8bfce90d7c805cd0cb8ce523df3a58c54a",
+    "sl3": "212b6133343fdb05001b5d936071e96302a9d76658ab904ecfc7ec853112ead6",
+    "g2": "926c04c7a23aef488181f0f3d9975452d89ac6158da14bbce2172d677240b072",
+}
+
+
+def _witness_text(entry) -> str:
+    def strings(x):
+        return [strings(y) for y in x] if isinstance(x, (list, tuple)) else str(x)
+
+    directions = catalog._eta_directions(entry)
+    point, witness = inv.nondegenerate_witness(directions)
+    return json.dumps({"directions": strings(directions), "point": list(point),
+                       "witness": strings(witness)}, sort_keys=True)
+
+
+def test_eta_directions_and_witnesses_are_pinned():
+    got = {name: hashlib.sha256(_witness_text(catalog.catalog_get(name)).encode()).hexdigest()
+           for name in catalog.catalog_list()}
+    assert got == WITNESS_DIGESTS

@@ -8,13 +8,18 @@ reader; `operators._two_tensor` contracts one index at a time as
 `transport_tensor` does, and `so_n`/`sl_n` read commutator coordinates off
 matrix entries.  The bracket, the series, `killing_form`,
 `operators.linear_parts` and `first_asymmetry` read only nonzero entries,
-`catalog._at_moduli` is `Poly.subs` followed by `constant_value`, and
+`catalog._at_moduli` is `constant_value`, after `Poly.subs` for an entry
+with moduli, `catalog._eta_directions` is one `linear_parts` pass on the
+eta parameters, `operators.parse_matrix` parses each distinct entry text
+once, `lie.solve` sums a pair equation straight into one row, and
 each minor of `invariants._det_minor_expansion` is one `poly.dot` call.
 The references below are the earlier implementations: eight symmetry
 and skewness predicates and the pair-by-pair `first_asymmetry`, the staged loops of `change_basis`, the
 direct sums of `transform_darboux` and of the (2,0) law, the entry builder
 of `space_latex`, the dense bracket and both series loops on it with the
-dense rref, the n^4 Killing form, the n-scan `linear_parts`, the
+dense rref, the n^4 Killing form, the n-scan `linear_parts`, the k*n^2
+`coefficient_of_var` scans of `_eta_directions`, the per-entry
+`parse_matrix`, the monomial-grouping pair branch of `solve`, the
 per-term evaluator of `_at_moduli`, the per-term Laplace expansion of
 the witness determinant, the rref slice of `coboundary_basis`, the
 sparse reduction of the matrix algebras, and the n^3 Jacobian and Phi
@@ -43,6 +48,7 @@ and for the error type of a sqrt(2)/sqrt(3) mix.
 
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -51,7 +57,12 @@ from hypothesis import strategies as st
 from darbouxops import catalog, latexout, lie, linalg, pencil, poly
 from darbouxops import invariants as inv
 from darbouxops import operators as ops
-from darbouxops.errors import FieldMismatchError, NotALieAlgebraError, ShapeMismatchError
+from darbouxops.errors import (
+    FieldMismatchError,
+    NotALieAlgebraError,
+    ParseError,
+    ShapeMismatchError,
+)
 from darbouxops.poly import Poly, PolyRing, dot
 from darbouxops.scalars import ZERO, Scalar, join_field_tags
 
@@ -361,6 +372,45 @@ def ref_at_moduli(entries, ring, moduli):
         return total
 
     return value(entries)
+
+
+def ref_eta_directions(entry):
+    """catalog._eta_directions as one `coefficient_of_var` scan per eta
+    parameter and entry (k*n^2 scans), each direction evaluated at the
+    moduli on its own."""
+    n = entry.dim
+    return [ref_at_moduli([[entry.eta[i][j].coefficient_of_var(p) for j in range(n)]
+                           for i in range(n)], entry.ring, entry.moduli)
+            for p in entry.eta_params]
+
+
+def ref_parse_matrix(ring, text, n, kind):
+    """operators.parse_matrix with every entry text parsed on its own."""
+    rows = [r for r in text.split(";") if r.strip()]
+    if len(rows) != n:
+        raise ParseError(f"{kind} needs {n} rows, got {len(rows)}")
+    m = [[ring.parse(x) for x in row.split(",")] for row in rows]
+    if any(len(row) != n for row in m):
+        raise ParseError(f"{kind} rows need {n} entries each")
+    return m
+
+
+def ref_solve_pairs(equations, ncols, d):
+    """lie.solve on integer-pair coefficients through the per-monomial
+    grouping layer of polynomial coefficients (one group, key None)."""
+    rows = []
+    for _, eq in equations:
+        entries = [(None, col, sign * a, sign * b) for (a, b), (col, sign) in eq]
+        by_monomial = {}
+        for e, col, a, b in entries:
+            row = by_monomial.setdefault(e, {})
+            w = row.pop(col, None)
+            if w is not None:
+                a, b = a + w[0], b + w[1]
+            if a or b:
+                row[col] = (a, b)
+        rows += [row for row in by_monomial.values() if row]
+    return linalg.integer_nullspace(rows, ncols, d)
 
 
 def ref_first_asymmetry(m, skew=False):
@@ -1184,6 +1234,109 @@ def test_at_moduli_matches_subs_on_catalog_entries():
         new = catalog._at_moduli(entry.c, entry.ring, entry.moduli)
         assert _tensor_strings(new) == _tensor_strings(ref_at_moduli(entry.c, entry.ring,
                                                                      entry.moduli))
+
+
+_ETA_RING = PolyRing(["u1"], ["alpha", "beta", "m1"], d=2)
+
+
+def _strings_or_error(read, *args):
+    try:
+        return _tensor_strings(read(*args))
+    except Exception as exc:  # the reader and the reference must fail alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eta_directions_match_per_parameter_scans(data):
+    """The directions, or the non-constant error with its message, as the
+    k*n^2 scans give them: alpha^2 is dropped, alpha*beta and a leftover u1
+    or unset modulus raise ShapeMismatchError."""
+    ring = _ETA_RING
+    n = data.draw(st.integers(1, 3))
+    pool = [ring.parse(t) for t in ("0", "0", "alpha", "beta", "alpha-sqrt(2)*beta", "3/2",
+                                    "alpha^2", "alpha^2+beta", "alpha*beta", "m1*alpha",
+                                    "alpha*m1^2-1/2*beta+m1", "u1*beta")]
+    pool.append(data.draw(_any_polys(ring)))
+    entry = SimpleNamespace(
+        dim=n, ring=ring,
+        eta=[[data.draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)],
+        eta_params=data.draw(st.sampled_from([["alpha"], ["alpha", "beta"], ["beta", "alpha"]])),
+        moduli=data.draw(st.sampled_from([{}, {"m1": Fraction(1, 3)}])))
+    assert _strings_or_error(catalog._eta_directions, entry) == \
+        _strings_or_error(ref_eta_directions, entry)
+
+
+def test_eta_directions_drop_higher_powers_and_refuse_products():
+    ring = _ETA_RING
+    entry = SimpleNamespace(dim=1, ring=ring, eta=[[ring.parse("alpha^2+2*beta")]],
+                            eta_params=["alpha", "beta"], moduli={})
+    assert _tensor_strings(catalog._eta_directions(entry)) == [[["0"]], [["2"]]]
+    entry.eta = [[ring.parse("alpha*beta")]]
+    with pytest.raises(ShapeMismatchError, match="^beta is not constant$"):
+        catalog._eta_directions(entry)
+    with pytest.raises(ShapeMismatchError, match="^beta is not constant$"):
+        ref_eta_directions(entry)
+
+
+def test_eta_directions_match_per_parameter_scans_on_catalog_entries():
+    for name in catalog.catalog_list():
+        entry = catalog.catalog_get(name)
+        assert _tensor_strings(catalog._eta_directions(entry)) == \
+            _tensor_strings(ref_eta_directions(entry)), name
+
+
+# readable literals, repeated ones, and literals that fail in different ways
+_LITERALS = ["0", "0", "0", " 0", "1", "u1", "alpha", "-alpha+1/2", "sqrt(2)*u2", "u1^2*beta",
+             "", "u1+", "2*", "zeta", "(1", "sqrt(3)", "1/0"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parse_matrix_matches_per_entry_parse(data):
+    """The same values, or the same first error, as parsing every entry on
+    its own; equal entry texts share one polynomial."""
+    n = data.draw(st.integers(1, 3))
+    lengths = st.sampled_from([n] * 6 + [n - 1, n + 1])
+    rows = [",".join(data.draw(st.lists(st.sampled_from(_LITERALS), min_size=k, max_size=k)))
+            for k in data.draw(st.lists(lengths, min_size=max(n - 1, 0), max_size=n + 1))]
+    if rows and data.draw(st.booleans()):
+        rows.insert(data.draw(st.integers(0, len(rows))), " ")  # a blank row, skipped
+    text = ";".join(rows)
+
+    def read(parse):
+        try:
+            return _terms_in_order(parse(_LP_RING, text, n, "eta"))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    got = read(ops.parse_matrix)
+    assert got == read(ref_parse_matrix)
+    if isinstance(got, list):
+        m = ops.parse_matrix(_LP_RING, text, n, "eta")
+        texts = [x for r in text.split(";") if r.strip() for x in r.split(",")]
+        entries = [x for row in m for x in row]
+        for t, x in zip(texts, entries):
+            assert x is entries[texts.index(t)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_solve_matches_monomial_grouping(data):
+    """Rows summed straight into one dict give the kernel the grouping layer
+    gives, with repeated columns, cancelling pairs and -1 markers."""
+    d = data.draw(st.sampled_from([0, 2, 3]))
+    ncols = data.draw(st.integers(1, 5))
+    coeff = st.tuples(st.integers(-2, 2), st.integers(-2, 2) if d else st.just(0)).filter(any)
+    marker = st.tuples(st.integers(0, ncols - 1), st.sampled_from([1, -1]))
+    equations = []
+    for key in range(data.draw(st.integers(0, 6))):
+        eq = data.draw(st.lists(st.tuples(coeff, marker), max_size=6))
+        if eq and data.draw(st.booleans()):  # a pair and its negation cancel
+            ab, (col, sign) = data.draw(st.sampled_from(eq))
+            eq.insert(data.draw(st.integers(0, len(eq))), (ab, (col, -sign)))
+        equations.append((key, eq))
+    assert lie.solve(equations, ncols, d) == ref_solve_pairs(equations, ncols, d)
 
 
 @settings(max_examples=150, deadline=None)

@@ -65,6 +65,27 @@ def test_inverse_in_extension():
         Scalar(0).inverse()
 
 
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    """x**n takes one product per set bit and one squaring per bit below the
+    top one, as `Poly.__pow__` does: x**1 is the single product 1*x and
+    x**8 three squarings and one product."""
+    x = Scalar(1, 1, 2)
+    calls = []
+    product = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda s, o: calls.append(1) or product(s, o))
+    expected = Scalar(1)
+    for n in range(0, 12):
+        calls.clear()
+        got = x**n
+        assert len(calls) == (n.bit_length() + bin(n).count("1") - 1 if n else 0), n
+        assert got == expected
+        expected = product(expected, x)
+    for n, made in ((1, 1), (8, 4)):
+        calls.clear()
+        x**n
+        assert len(calls) == made, n
+
+
 def test_field_mixing_rejected():
     with pytest.raises(FieldMismatchError):
         Scalar(0, 1, 2) + Scalar(0, 1, 3)
