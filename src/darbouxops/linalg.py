@@ -9,15 +9,19 @@ row is reduced against the pivot rows kept so far, leading column first,
 by row <- p*row - f*pivot (p the pivot's integer lead, f the row's entry
 there), with the integer content divided out after each step; the
 remainder becomes the pivot row of its leading column, times the conjugate
-of its lead if that lead carries sqrt(d).  `echelon` is the entry point
-of integer rows into the reducer (only `det`, which tracks each row's
-scale, inserts its rows itself): `lie` hands it the rows of its solvers
-and series directly, and `sparse_rref`/`sparse_nullspace` hand it their
-Scalar rows once written as integers.  `integer_rref` and
-`integer_nullspace` back-substitute the same way and divide by each pivot
-row's lead once: Scalars are built (`scalars.from_integers`) only for the
-result.  The RREF is unique, so pivots, nullspace bases (one vector per
-free column, free entry 1) and everything derived from them are canonical.
+of its lead if that lead carries sqrt(d).  A pivot row with one entry
+says x_c = 0, and column c is dropped from the rows that follow it, so
+the many such rows of `lie`'s solvers are reduced once.  `echelon` is
+the entry point of integer rows into the reducer (only `det`, which
+tracks each row's scale, inserts its rows itself): `lie` hands it the
+rows of its solvers and series directly, and `sparse_rref`/
+`sparse_nullspace` hand it their Scalar rows once written as integers.
+`integer_rref` and `integer_nullspace` back-substitute the same way,
+visiting the entries of each pivot row, and divide by each pivot row's
+lead (a nonzero integer) once: Scalars are built (`scalars.from_integers`)
+only for the result.  The RREF is unique, so pivots, nullspace bases (one
+vector per free column, free entry 1) and everything derived from them are
+canonical.
 
 `rref`, `nullspace` and `inverse` (which reduces [A | I]) are dense views of
 that result.  `det` is the product of the leads met during insertion, each
@@ -225,12 +229,21 @@ def echelon(rows, d: int) -> Dict[int, dict]:
     """Echelon pivot rows (pivot -> integer row) of integer rows {col: (A, B)} over Z[sqrt(d)].
 
     The entry point of integer rows into the reducer: each row is made
-    primitive and inserted; empty rows are skipped.
+    primitive and inserted; empty rows are skipped.  A pivot row with a
+    single entry puts e_c in the row space, so column c is dropped from
+    every later row before it is inserted (a row this leaves empty is
+    skipped): each remainder keeps its lead, and the pivots are found in
+    the same order as without the drop.
     """
     pivots: Dict[int, dict] = {}
+    units = set()
     for row in rows:
-        if row:
-            _insert(_primitive(row)[0], pivots, d)
+        if units and not units.isdisjoint(row):
+            row = {c: x for c, x in row.items() if c not in units}
+        if row and _insert(_primitive(row)[0], pivots, d) is not None:
+            c = next(reversed(pivots))
+            if len(pivots[c]) == 1:
+                units.add(c)
     return pivots
 
 
@@ -238,23 +251,29 @@ def _reduced(rows, d: int) -> Dict[int, dict]:
     """`echelon`, back-substituted so that the pivot rows form the unique RREF
     up to the integer lead of each row."""
     pivots = echelon(rows, d)
-    for p in sorted(pivots, reverse=True):
-        prow = pivots[p]
-        for q, qrow in pivots.items():
-            if q < p and p in qrow:
-                pivots[q] = _eliminate(qrow, p, prow, d)[0]
+    for q in sorted(pivots, reverse=True):  # the rows of later pivots are reduced already
+        qrow = pivots[q]
+        for p in [c for c in qrow if c != q and c in pivots]:
+            qrow = _eliminate(qrow, p, pivots[p], d)[0]
+        pivots[q] = qrow
     return pivots
 
 
 def integer_rref(rows, d: int) -> Dict[int, SparseRow]:
-    """Canonical reduced pivot rows (pivot -> normalized Scalar row) of integer rows."""
+    """Canonical reduced pivot rows (pivot -> normalized Scalar row) of integer
+    rows, in the order the pivots are found."""
     return {p: {c: from_integers(a, b, row[p][0], d) for c, (a, b) in row.items()}
             for p, row in _reduced(rows, d).items()}
 
 
 def integer_nullspace(rows, ncols: int, d: int) -> List[Vector]:
-    """Canonical kernel basis of integer rows: one vector per free column, free entry 1."""
-    pivots = _reduced(rows, d)
+    """Canonical kernel basis of integer rows: one vector per free column, free entry 1.
+
+    The basis does not depend on the order of the rows, so they are reduced
+    shortest first: the single-entry rows become pivots before the others
+    are inserted (`echelon`).
+    """
+    pivots = _reduced(sorted(rows, key=len), d)
     basis: List[Vector] = []
     for free in range(ncols):
         if free in pivots:
@@ -270,7 +289,8 @@ def integer_nullspace(rows, ncols: int, d: int) -> List[Vector]:
 
 
 def sparse_rref(rows: Sequence[SparseRow]) -> Dict[int, SparseRow]:
-    """Canonical reduced pivot rows (pivot -> normalized row)."""
+    """Canonical reduced pivot rows (pivot -> normalized row), in the order
+    the pivots are found."""
     d, _, int_rows = _integer_rows(rows)
     return integer_rref(int_rows, d)
 

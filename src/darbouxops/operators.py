@@ -496,10 +496,15 @@ def linear_parts(ring: PolyRing, matrix: PolyMatrix, indices: Optional[Sequence[
     the eta directions of a catalog entry (`catalog._eta_directions`).
     """
     xidx = ring.field_indices() if indices is None else indices
+    empty = _poly(ring, {})  # every empty part is this one Poly
     c, f = [], []
     for row in matrix:
         c_row, f_row = [], []
         for x in row:
+            if not x.terms:
+                c_row.append([empty] * len(xidx))
+                f_row.append(empty)
+                continue
             parts = [{} for _ in xidx]
             const = {}
             for e, v in x.terms.items():
@@ -511,8 +516,8 @@ def linear_parts(ring: PolyRing, matrix: PolyMatrix, indices: Optional[Sequence[
                             parts[k][e[:i] + (0,) + e[i + 1:]] = v
                 if not linear:
                     const[e] = v
-            c_row.append([_poly(ring, p) for p in parts])
-            f_row.append(_poly(ring, const))
+            c_row.append([_poly(ring, p) if p else empty for p in parts])
+            f_row.append(_poly(ring, const) if const else empty)
         c.append(c_row)
         f.append(f_row)
     return c, f

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from darbouxops import linalg
+from darbouxops import invariants, lie, linalg
 from darbouxops.errors import FieldMismatchError, SingularMatrixError
 from darbouxops.scalars import Scalar
 
@@ -275,23 +275,39 @@ rational_parts = (st.fractions(min_value=-30, max_value=30, max_denominator=6)
 
 @st.composite
 def field_matrices(draw, square=False):
-    """(d, rows of Scalars over Q(sqrt(d))), with zero, duplicate and scaled rows."""
+    """(d, rows of Scalars over Q(sqrt(d))), with zero, duplicate and scaled
+    rows, and unit rows (one nonzero entry): alone, repeated, or followed
+    by a multiple of the unit row plus a multiple of an earlier row."""
     d = draw(st.sampled_from([0, 2, 3]))
     nrows = draw(st.integers(1, 5))
     ncols = nrows if square else draw(st.integers(1, 6))
     parts = st.tuples(rational_parts, rational_parts if d else st.just(0))
     sparse = st.one_of(st.just((0, 0)), parts)
+
+    def nonzero():
+        a, b = draw(parts)
+        return Scalar(a, b, d) or Scalar(1)
+
     rows = [[Scalar(a, b, d) for a, b in draw(st.lists(sparse, min_size=ncols, max_size=ncols))]
             for _ in range(nrows)]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
-        kind = draw(st.sampled_from(["zero", "copy", "scaled"]))
+        kind = draw(st.sampled_from(["zero", "copy", "scaled", "unit", "units", "unit+row"]))
         if kind == "zero":
             rows[i] = [Scalar(0)] * ncols
-        else:
-            a, b = draw(parts)
-            factor = Scalar(1) if kind == "copy" else Scalar(a, b, d) or Scalar(1)
+        elif kind in ("copy", "scaled"):
+            factor = Scalar(1) if kind == "copy" else nonzero()
             rows[i] = [x * factor for x in rows[j]]
+        else:
+            unit = [Scalar(0)] * ncols
+            unit[draw(st.integers(0, ncols - 1))] = nonzero()
+            i, j = min(i, j), max(i, j)
+            rows[i] = unit
+            if kind == "units":
+                rows[j] = [x * nonzero() for x in unit]
+            elif kind == "unit+row" and j > i:
+                factor, earlier = nonzero(), rows[draw(st.integers(0, j - 1))]
+                rows[j] = [u * nonzero() + x * factor for u, x in zip(unit, earlier)]
     return d, rows
 
 
@@ -324,6 +340,31 @@ def test_sparse_rref_matches_the_scalar_reference(case):
     for r in padded:
         r.update({j: Scalar(0) for j in range(ncols) if j not in r})
     assert linalg.sparse_nullspace(padded, ncols) == ref_null
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(), st.randoms(use_true_random=False))
+def test_integer_nullspace_does_not_depend_on_row_order(case, rnd):
+    """`integer_nullspace` reduces its rows shortest first, which is sound
+    only because the canonical basis is the same for every row order."""
+    _, m = case
+    ncols = len(m[0])
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    rnd.shuffle(rows)
+    d, _, shuffled = linalg._integer_rows(rows)
+    assert linalg.integer_nullspace(shuffled, ncols, d) == linalg.nullspace(m)
+
+
+def test_unit_rows_skip_the_reducer(monkeypatch):
+    """so(5)'s Casimir system is 450 nonzero rows, 300 of them x_c = 0; once
+    e_c is a pivot row, `echelon` drops column c from the later rows, so
+    only 75 rows reach `_insert`, where inserting every row would make 450."""
+    calls = []
+    insert = linalg._insert
+    monkeypatch.setattr(linalg, "_insert", lambda *a: calls.append(1) or insert(*a))
+    space = invariants.quadratic_casimir_space(lie.so_n(5))
+    assert len(space.basis) == 1
+    assert len(calls) <= 100
 
 
 @settings(max_examples=200, deadline=None)
