@@ -31,7 +31,6 @@ from .lie import (
     StructureTags,
     build_two_step_nilpotent,
     center,
-    change_basis,
     derived_series,
     direct_sum,
     jacobi_defect,
@@ -55,6 +54,7 @@ from .operators import (
     VerificationReport,
     apply_to_density,
     build_darboux,
+    change_basis,
     field_ring,
     operator_casimir_functionals,
     phi_tensor,

@@ -1,10 +1,9 @@
 """Finite-dimensional real Lie algebras via structure constants.
 
 The structure tensor is stored contravariantly: c[i][j][k] is the
-coefficient of e^k in [e^i, e^j], skew in the upper pair (i, j).
-`transport_tensor` is the basis-change law of a structure tensor behind
-`change_basis`; operators are moved by `operators.transform_poly_operator`,
-whose substitution gives c the same law.
+coefficient of e^k in [e^i, e^j], skew in the upper pair (i, j).  A basis
+change moves c as the linear part of the Lie-Poisson operator
+omega = c.u, so it lives with the operators (`operators.change_basis`).
 
 The four identities of the Darboux triple (Jacobi, quadratic Casimir,
 compatible metric, 2-cocycle) and the center equations are defined here,
@@ -180,28 +179,13 @@ def _int_dot(pairs, d: int) -> Tuple[int, int]:
     return a, b
 
 
-def sum_of_products(pairs):
-    """The sum of x*y over a non-empty list of pairs.
-
-    Polynomial entries go through the integer kernel `poly.dot`; Scalar
-    entries are summed with Scalar arithmetic.
-    """
-    x, y = pairs[0]
-    if type(x) is Poly:
-        return dot(x.ring, pairs)
-    if type(y) is Poly:
-        return dot(y.ring, pairs)
-    tot = x * y
-    for x, y in pairs[1:]:
-        tot = tot + x * y
-    return tot
-
-
 def defect(*systems) -> Iterator[tuple]:
     """(key, value) of every nonzero equation of the summed systems, by increasing key.
 
     Equations with one key in several systems are added up.  The sums are
-    lazy, so the first violation costs only the equations before it.
+    lazy, so the first violation costs only the equations before it.  An
+    equation with a polynomial factor is summed by the integer kernel
+    `poly.dot`, one of Scalars with Scalar arithmetic.
     """
     if len(systems) == 1:
         equations = systems[0]
@@ -209,7 +193,13 @@ def defect(*systems) -> Iterator[tuple]:
         merged = groupby(heapq.merge(*systems, key=itemgetter(0)), key=itemgetter(0))
         equations = ((key, [p for _, pairs in group for p in pairs]) for key, group in merged)
     for key, pairs in equations:
-        value = sum_of_products(pairs)
+        x, y = pairs[0]
+        if type(x) is Poly or type(y) is Poly:
+            value = dot((x if type(x) is Poly else y).ring, pairs)
+        else:
+            value = x * y
+            for x, y in pairs[1:]:
+                value = value + x * y
         if value:
             yield key, value
 
@@ -490,37 +480,6 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
             for j, row in enumerate(plane):
                 c[shift + i][shift + j][shift:shift + h.dim] = row
     return LieAlgebra(c, _validated=True)
-
-
-def transport_tensor(a, b, c) -> list:
-    """c~^{ij}_k = a^i_l a^j_m c^{lm}_s b^s_k, the law of a basis change u~^i = a^i_l u^l.
-
-    `a` and its inverse `b` are Scalar matrices; `c` has Scalar or
-    polynomial entries.  One index is contracted at a time through
-    `sum_of_products`, so each stage costs O(n^4).
-    """
-    n = len(c)
-    if not n:
-        return []
-    zero = c[0][0][0] * 0
-
-    def contract(pairs):
-        pairs = [(x, y) for x, y in pairs if x and y]
-        return sum_of_products(pairs) if pairs else zero
-
-    rng = range(n)
-    t1 = [[[contract((c[l][m][s], b[s][k]) for s in rng) for k in rng] for m in rng]
-          for l in rng]
-    t2 = [[[contract((a[j][m], t1[l][m][k]) for m in rng) for k in rng] for j in rng]
-          for l in rng]
-    return [[[contract((a[i][l], t2[l][j][k]) for l in rng) for k in rng] for j in rng]
-            for i in rng]
-
-
-def change_basis(g: LieAlgebra, a: Sequence[Sequence]) -> LieAlgebra:
-    """Transport by u~^i = a^i_l u^l (`transport_tensor`)."""
-    amat, b = linalg.basis_change_pair(a, g.dim)
-    return LieAlgebra(transport_tensor(amat, b, g.c))
 
 
 def build_two_step_nilpotent(g: LieAlgebra, a: Sequence[Sequence],

@@ -28,9 +28,12 @@ that result.  `det` is the product of the leads met during insertion, each
 over its row's rational scale (tracked as two integers per step), times the
 sign of the permutation from row order to pivot column.
 
-`first_asymmetry` is the package's one symmetry/skewness law: metrics,
-cocycles, Casimirs, operator blocks and structure tensors (skew in the
-upper pair), with Scalar or polynomial entries, are all checked by it.
+`first_asymmetry` is the symmetry/skewness law of metrics, cocycles,
+Casimirs, operator blocks and structure tensors (skew in the upper pair),
+with Scalar or polynomial entries.  The `lie.LieAlgebra` constructor tests
+skewness on its integer support table instead, which it builds anyway.
+Basis-change matrices are checked and inverted by their one reader,
+`operators.transform_poly_operator`.
 """
 
 from __future__ import annotations
@@ -149,15 +152,6 @@ def inverse(m: Sequence[Sequence]) -> Matrix:
     return [[pivots[i].get(n + j, ZERO) for j in range(n)] for i in range(n)]
 
 
-def basis_change_pair(a: Sequence[Sequence], n: int) -> Tuple[Matrix, Matrix]:
-    """(A, A^{-1}) for the n x n basis-change matrix `a`: the one coercion,
-    shape check and inversion of every transport law."""
-    amat = [[Scalar.of(x) for x in row] for row in a]
-    if len(amat) != n or any(len(row) != n for row in amat):
-        raise ShapeMismatchError(f"basis-change matrix must be {n} x {n}")
-    return amat, inverse(amat)  # raises SingularMatrixError
-
-
 # -- the fraction-free reducer ---------------------------------------------
 # An integer row {col: (A, B)} never stores (0, 0); a pivot row's lead is (P, 0), P != 0.
 
@@ -233,14 +227,21 @@ def echelon(rows, d: int) -> Dict[int, dict]:
     single entry puts e_c in the row space, so column c is dropped from
     every later row before it is inserted (a row this leaves empty is
     skipped): each remainder keeps its lead, and the pivots are found in
-    the same order as without the drop.
+    the same order as without the drop.  The given rows are left as they
+    are: a row that neither step copies is copied before it is inserted.
     """
     pivots: Dict[int, dict] = {}
     units = set()
-    for row in rows:
+    for given in rows:
+        row = given
         if units and not units.isdisjoint(row):
             row = {c: x for c, x in row.items() if c not in units}
-        if row and _insert(_primitive(row)[0], pivots, d) is not None:
+        if not row:
+            continue
+        row = _primitive(row)[0]
+        if row is given:  # `_eliminate` writes into the row it reduces
+            row = dict(row)
+        if _insert(row, pivots, d) is not None:
             c = next(reversed(pivots))
             if len(pivots[c]) == 1:
                 units.add(c)

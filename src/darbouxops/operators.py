@@ -20,8 +20,10 @@ Two views of the same object:
 The views meet in one reader and one transport: `linear_parts` reads
 omega = c.u + f back as (c, f) in one pass over the terms of each entry,
 and `darboux_view` turns an affine-omega PolyOperator into a triple;
-`transform_poly_operator` moves an operator by a basis change, and
-`transform_darboux` is that move read back as a triple.
+`transform_poly_operator` moves an operator by a basis change (the one
+basis-change law of the package), `transform_darboux` is that move read
+back as a triple and `change_basis` the move of a Lie-Poisson operator
+omega = c.u read back as a `LieAlgebra`.
 `PolyOperator.embedded` is the one move of an operator into a larger ring.
 
 Verification never raises on a failing condition; failures land in the
@@ -312,16 +314,6 @@ def schouten_terms(omega, domega):
             yield key, pairs
 
 
-def schouten_residual(ring: PolyRing, omega: PolyMatrix, domega=None) -> Optional[tuple]:
-    """First (i, j, k) violating the Schouten-Jacobi identity for omega.
-
-    `domega` is `field_jacobian(ring, omega)`, computed when not given.
-    """
-    if domega is None:
-        domega = field_jacobian(ring, omega)
-    return first_violation(schouten_terms(omega, domega))
-
-
 def _first_field(p: Poly, fidx) -> Optional[int]:
     """The least r such that a term of p has a positive exponent of the
     field variable at index fidx[r], or None when p is constant in u."""
@@ -369,7 +361,7 @@ def verify_hamiltonian(op: PolyOperator, domega=None) -> VerificationReport:
     skew = linalg.first_asymmetry(omega, skew=True)
     if domega is None:
         domega = field_jacobian(ring, omega)
-    return hamiltonian_report(ring, skew, schouten_residual(ring, omega, domega),
+    return hamiltonian_report(ring, skew, first_violation(schouten_terms(omega, domega)),
                               phi_sum(ring, (op.g, domega), skew=skew is None))
 
 
@@ -427,8 +419,8 @@ def transform_darboux(op: DarbouxOperator, a: Sequence[Sequence]) -> DarbouxOper
 def _two_tensor(ring: PolyRing, a, m: PolyMatrix) -> PolyMatrix:
     """(2,0) law a^i_k m^{kl} a^j_l, with a a Scalar matrix.
 
-    One index is contracted at a time, m^{kl} a^j_l and then a^i_k, as in
-    `lie.transport_tensor`: 2 n^3 products instead of n^4.
+    One index is contracted at a time, m^{kl} a^j_l and then a^i_k:
+    2 n^3 products instead of n^4.
     """
     n = len(a)
     half = [[dot(ring, [(x, y) for x, y in zip(m[k], a[j]) if x and y]) for j in range(n)]
@@ -444,8 +436,11 @@ def transform_poly_operator(op: PolyOperator, a: Sequence[Sequence]) -> PolyOper
     (`join_field_tags`), so a rational operator moved by a sqrt(d) matrix
     is written with field_sqrt d.
     """
-    amat, b = linalg.basis_change_pair(a, op.n)
     n = op.n
+    amat = [[Scalar.of(x) for x in row] for row in a]
+    if len(amat) != n or any(len(row) != n for row in amat):
+        raise ShapeMismatchError(f"basis-change matrix must be {n} x {n}")
+    b = linalg.inverse(amat)  # raises SingularMatrixError
     ring = op.ring
     d = join_field_tags(ring.d, field_tag(x for row in amat for x in row),
                         "operator over sqrt({}) moved by a matrix over sqrt({})")
@@ -461,6 +456,19 @@ def transform_poly_operator(op: PolyOperator, a: Sequence[Sequence]) -> PolyOper
     omega_sub = [[op.omega[k][l].subs(subs_map) for l in range(n)] for k in range(n)]
     return PolyOperator(ring, _two_tensor(ring, amat, op.g),
                         _two_tensor(ring, amat, omega_sub), _checked=True)
+
+
+def change_basis(g: LieAlgebra, a: Sequence[Sequence]) -> LieAlgebra:
+    """Transport by u~^i = a^i_l u^l: `transform_poly_operator` of the
+    Lie-Poisson operator of g (omega = c.u, eta = f = 0), whose c is read
+    back (`linear_parts`) into a `LieAlgebra`, so skewness and Jacobi are
+    checked again.  c~^{ij}_k = a^i_l a^j_m c^{lm}_s b^s_k, b = a^{-1}.
+    """
+    zero = [[0] * g.dim for _ in range(g.dim)]
+    op = DarbouxOperator(field_ring(g.dim, d=g.field_tag()), g.c, zero, zero, _checked=True)
+    moved = transform_poly_operator(op.to_poly_operator(), a)
+    c, _ = linear_parts(moved.ring, moved.omega)
+    return LieAlgebra([[[x.constant_value() for x in row] for row in plane] for plane in c])
 
 
 def operator_casimir_functionals(op: DarbouxOperator) -> List[linalg.Vector]:

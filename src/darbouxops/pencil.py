@@ -92,10 +92,10 @@ def pencil_compatible_general(a: PolyOperator, b: PolyOperator) -> VerificationR
     Phi(g_A, d omega_B) + Phi(g_B, d omega_A) (`phi_sum`).  The report is
     that of `verify_hamiltonian(pencil_operator(a, b, lam))`, lam fresh.
     """
+    _require_common_ring(a, b)
     da, db = field_jacobian(a.ring, a.omega), field_jacobian(b.ring, b.omega)
     ra, rb = verify_hamiltonian(a, da), verify_hamiltonian(b, db)
     _require_hamiltonian(ra, rb)
-    _require_common_ring(a, b)
     ring = a.ring
     # both operands passed, so omega_A and omega_B are skew: the lambda^1
     # omega-skew condition holds and the lambda^1 Phi is skew in j, k

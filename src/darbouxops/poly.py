@@ -323,10 +323,6 @@ class Poly:
             out = out + term
         return out
 
-    def coefficient_of_var(self, var) -> "Poly":
-        """Coefficient of the degree-1 power of `var` (other vars kept)."""
-        return self.coefficient_of_power(var, 1)
-
     def coefficient_of_power(self, var, k: int) -> "Poly":
         i = var if isinstance(var, int) else self.ring.index(var)
         # e[i] == k is fixed, so setting it to 0 merges no two terms

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
 
+import darbouxops
 from darbouxops import catalog, invariants as inv, lie, linalg
 from darbouxops import operators as ops
 from darbouxops.errors import UnknownEntryError
@@ -61,7 +63,7 @@ def test_verify_a33_entry():
 
 def test_verify_a65_is_so3_plus_so3():
     entry = catalog.catalog_get("A_{6,5}")
-    flipped = lie.change_basis(lie.so3(), [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    flipped = ops.change_basis(lie.so3(), [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
     assert entry.algebra == lie.direct_sum(flipped, flipped)
     assert inv.quadratic_casimir_space(entry.algebra).dim == 2
 
@@ -160,7 +162,7 @@ def test_g2_entry_details():
     # each displayed cocycle direction solves the cocycle equations
     for p in entry.f_params:
         direction = [
-            [entry.fmat[i][j].coefficient_of_var(p).constant_value() for j in range(14)]
+            [entry.fmat[i][j].coefficient_of_power(p, 1).constant_value() for j in range(14)]
             for i in range(14)
         ]
         assert inv.cocycle_residual(entry.algebra.c, direction) is None
@@ -285,3 +287,35 @@ def test_eta_directions_and_witnesses_are_pinned():
     got = {name: hashlib.sha256(_witness_text(catalog.catalog_get(name)).encode()).hexdigest()
            for name in catalog.catalog_list()}
     assert got == WITNESS_DIGESTS
+
+
+def _seeded_invertible(n: int, d: int, seed: int):
+    """An invertible n x n matrix of entries a + b*sqrt(d), small integers drawn
+    from `random.Random(seed)`, redrawn until the determinant is nonzero."""
+    rng = random.Random(seed)
+    while True:
+        a = [[Scalar(rng.randint(-2, 2) + 3 * (i == j), rng.randint(-1, 1) if d else 0, d)
+              for j in range(n)] for i in range(n)]
+        if linalg.det(a):
+            return a
+
+
+def _moved_text(d: int) -> str:
+    """Every catalog algebra moved by one seeded matrix of its dimension over Q(sqrt(d))."""
+    moved = {name: darbouxops.change_basis(entry.algebra,
+                                           _seeded_invertible(entry.dim, d, 1000 + entry.dim))
+             for name, entry in ((name, catalog.catalog_get(name))
+                                 for name in catalog.catalog_list())}
+    return json.dumps({name: [[[str(x) for x in row] for row in plane] for plane in g.c]
+                       for name, g in moved.items()}, sort_keys=True)
+
+
+CHANGE_BASIS_DIGESTS = {
+    0: "5ee6a0efc9ef88d777f40d365cb106d714123580fd8f21952b5358aef1de1067",
+    2: "cff8738b6541b0c2a4d718471086aa6b441ef3f6edd347cd5b11434516ab27a0",
+}
+
+
+def test_change_basis_of_the_catalog_algebras_is_pinned():
+    got = {d: hashlib.sha256(_moved_text(d).encode()).hexdigest() for d in (0, 2)}
+    assert got == CHANGE_BASIS_DIGESTS

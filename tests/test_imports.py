@@ -5,6 +5,9 @@ path short: every benchmark process pays for it at start-up.  No module
 of the package, the tests or the scripts keeps an import it does not use,
 unless the line says `# noqa` (a re-export), and every top-level function
 and class of the package is read somewhere outside its own definition.
+The package modules form layers (`LAYERS`): each imports only modules
+below its own, at any depth, so no law drifts back into a lower layer
+behind a function-level import.
 """
 
 import ast
@@ -108,3 +111,53 @@ def test_the_dead_code_check_sees_a_leftover(tmp_path):
                    "def dead(n):\n    return dead(n - 1)\n")
     user.write_text("from lib import used\nimport lib\n\nused()\nlib.Kept()\n")
     assert _unreferenced([lib], [lib, user]) == ["lib.py:9 dead"]
+
+
+# every package module but `__init__`, lowest layer first
+LAYERS = ["errors", "scalars", "poly", "linalg", "lie", "operators", "invariants", "pencil",
+          "io_json", "latexout", "catalog_data", "catalog", "cli"]
+
+
+def _package_imports(path: pathlib.Path) -> list:
+    """(line, module) of every package module that `path` imports, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module
+            elif node.module and node.module.split(".")[0] == "darbouxops":
+                base = node.module.partition(".")[2] or None
+            else:
+                continue
+            names = [base] if base else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.partition(".")[2] for alias in node.names
+                     if alias.name.startswith("darbouxops.")]
+        else:
+            continue
+        found += [(node.lineno, name.split(".")[0]) for name in names]
+    return found
+
+
+def _layer_violations(paths: list) -> list:
+    """Imports of a module at or above the importer's own layer."""
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    return sorted(f"{path.stem}:{line} imports {name}" for path in paths
+                  for line, name in _package_imports(path)
+                  if rank.get(name, len(LAYERS)) >= rank[path.stem])
+
+
+def test_package_modules_import_only_lower_layers():
+    modules = sorted(p for p in (ROOT / "src" / "darbouxops").glob("*.py")
+                     if p.name != "__init__.py")
+    assert sorted(p.stem for p in modules) == sorted(LAYERS)
+    assert _layer_violations(modules) == []
+
+
+def test_the_layer_check_sees_a_lazy_import(tmp_path):
+    lie = tmp_path / "lie.py"
+    lie.write_text("from . import linalg\nfrom .scalars import Scalar\n\n\n"
+                   "def change_basis(g, a):\n    from .operators import transform_poly_operator\n"
+                   "    import darbouxops.invariants\n    from darbouxops import cli\n")
+    assert _layer_violations([lie]) == [
+        "lie:6 imports operators", "lie:7 imports invariants", "lie:8 imports cli"]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from darbouxops import invariants as inv
 from darbouxops import lie, linalg
+from darbouxops import operators as ops
 from darbouxops.scalars import Scalar
 
 
@@ -192,5 +193,5 @@ def test_space_dims_invariant_under_change_basis(rng):
             a = [[rng.randint(-3, 3) for _ in range(g.dim)] for _ in range(g.dim)]
             if linalg.det(a):
                 break
-        moved = lie.change_basis(g, a)
+        moved = ops.change_basis(g, a)
         assert dims(moved) == dims(g)

@@ -1,24 +1,26 @@
 """The structural laws against the copies they replaced.
 
 `linalg.first_asymmetry` is the one symmetry/skewness law,
-`lie.transport_tensor` the one basis-change law of a structure tensor,
+`operators.transform_poly_operator` the one basis-change law (a structure
+tensor moves as the Lie-Poisson operator omega = c.u, `change_basis`),
 `invariants.general_element` the one general element sum_k t_k B_k and
 `lie._series` the one series loop and `lie._span_basis` the one span
-reader; `operators._two_tensor` contracts one index at a time as
-`transport_tensor` does, and `so_n`/`sl_n` read commutator coordinates off
-matrix entries.  The bracket, the series, `killing_form`,
-`operators.linear_parts` and `first_asymmetry` read only nonzero entries,
+reader; `operators._two_tensor` contracts one index at a time, and
+`so_n`/`sl_n` read commutator coordinates off matrix entries.  The
+bracket, the series, `killing_form`, `operators.linear_parts` and
+`first_asymmetry` read only nonzero entries,
 `catalog._at_moduli` is `constant_value`, after `Poly.subs` for an entry
 with moduli, `catalog._eta_directions` is one `linear_parts` pass on the
 eta parameters, `operators.parse_matrix` parses each distinct entry text
 once, `lie.solve` sums a pair equation straight into one row, and
 each minor of `invariants._det_minor_expansion` is one `poly.dot` call.
 The references below are the earlier implementations: eight symmetry
-and skewness predicates and the pair-by-pair `first_asymmetry`, the staged loops of `change_basis`, the
-direct sums of `transform_darboux` and of the (2,0) law, the entry builder
+and skewness predicates and the pair-by-pair `first_asymmetry`, the
+staged loops of the former `lie.change_basis`, the direct sums of
+`transform_darboux` and of the (2,0) law, the entry builder
 of `space_latex`, the dense bracket and both series loops on it with the
 dense rref, the n^4 Killing form, the n-scan `linear_parts`, the k*n^2
-`coefficient_of_var` scans of `_eta_directions`, the per-entry
+degree-1 coefficient scans of `_eta_directions`, the per-entry
 `parse_matrix`, the monomial-grouping pair branch of `solve`, the
 per-term evaluator of `_at_moduli`, the per-term Laplace expansion of
 the witness determinant, the rref slice of `coboundary_basis`, the
@@ -149,7 +151,7 @@ def ref_first_skew_violation(m):
 
 
 def ref_change_basis(c, amat, b):
-    """The three staged loops of lie.change_basis, c~^{ij}_k = a^i_l a^j_m c^{lm}_s b^s_k."""
+    """The three staged loops of the former lie.change_basis, c~^{ij}_k = a^i_l a^j_m c^{lm}_s b^s_k."""
     n = len(c)
     t1 = [[[Scalar(0)] * n for _ in range(n)] for _ in range(n)]  # c^{lm}_s b^s_k
     for l in range(n):
@@ -337,10 +339,11 @@ def ref_killing_form(g):
 
 
 def ref_linear_parts(ring, omega):
-    """operators.linear_parts as n `coefficient_of_var` scans and one u-free filter per entry."""
+    """operators.linear_parts as n degree-1 `coefficient_of_power` scans and one
+    u-free filter per entry."""
     fidx = ring.field_indices()
     n = len(omega)
-    c = [[[x.coefficient_of_var(fidx[k]) for k in range(n)] for x in row] for row in omega]
+    c = [[[x.coefficient_of_power(fidx[k], 1) for k in range(n)] for x in row] for row in omega]
     f = [[Poly(ring, {e: v for e, v in x.terms.items() if not any(e[i] for i in fidx)})
           for x in row] for row in omega]
     return c, f
@@ -375,11 +378,11 @@ def ref_at_moduli(entries, ring, moduli):
 
 
 def ref_eta_directions(entry):
-    """catalog._eta_directions as one `coefficient_of_var` scan per eta
+    """catalog._eta_directions as one degree-1 `coefficient_of_power` scan per eta
     parameter and entry (k*n^2 scans), each direction evaluated at the
     moduli on its own."""
     n = entry.dim
-    return [ref_at_moduli([[entry.eta[i][j].coefficient_of_var(p) for j in range(n)]
+    return [ref_at_moduli([[entry.eta[i][j].coefficient_of_power(p, 1) for j in range(n)]
                            for i in range(n)], entry.ring, entry.moduli)
             for p in entry.eta_params]
 
@@ -540,7 +543,7 @@ def ref_hamiltonian_report(ring, omega, schouten, phi):
 def ref_verify_hamiltonian(op):
     domega = ops.field_jacobian(op.ring, op.omega)
     return ref_hamiltonian_report(op.ring, op.omega,
-                                  ops.schouten_residual(op.ring, op.omega, domega),
+                                  lie.first_violation(ops.schouten_terms(op.omega, domega)),
                                   ref_phi_sum(op.ring, (op.g, domega)))
 
 
@@ -758,6 +761,7 @@ def ref_support_table(tensor):
 
 _Q = [Scalar(0)] * 5 + [Scalar(1), Scalar(-1), Scalar(2), Scalar(Fraction(-1, 3))]
 _QSQRT2 = _Q + [Scalar(0, 1, 2), Scalar(Fraction(1, 2), -1, 2)]
+_QSQRT3 = _Q + [Scalar(0, 1, 3), Scalar(Fraction(2, 5), Fraction(-1, 7), 3)]
 _SCALAR_POOLS = st.sampled_from([_Q, _QSQRT2])
 # plain numbers, which `Scalar.of` coerces, alone and beside sqrt(2) Scalars
 _NUMBERS = [0] * 5 + [1, -1, 2, Fraction(-1, 3), Fraction(5, 2)]
@@ -869,13 +873,21 @@ def test_verifiers_report_the_reference_keys(data):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_transport_tensor_matches_change_basis_loops(data):
-    pool = data.draw(_SCALAR_POOLS)
+def test_change_basis_matches_staged_loops_on_random_tensors(data):
+    """Over Q, Q(sqrt(2)) and Q(sqrt(3)).  Skewness and Jacobi do not depend
+    on the basis, so a tensor that fails them is refused after the move."""
+    pool = data.draw(st.sampled_from([_Q, _QSQRT2, _QSQRT3]))
     n = data.draw(st.integers(1, 4))
     a = data.draw(_invertible(pool, n))
     c = data.draw(_tensor(pool, n))
-    b = linalg.inverse(a)
-    assert lie.transport_tensor(a, b, c) == ref_change_basis(c, a, b)
+    g = lie.LieAlgebra(c, _validated=True)
+    if _constructor_verdict(c) is None:
+        moved = ops.change_basis(g, a)
+        assert [[list(row) for row in plane] for plane in moved.c] == ref_change_basis(
+            c, a, linalg.inverse(a))
+    else:
+        with pytest.raises(NotALieAlgebraError):
+            ops.change_basis(g, a)
 
 
 _ALGEBRAS = [lie.so3(), lie.heisenberg3(), lie.sl2_jbasis(), lie.su11_contact(), lie.s46(),
@@ -888,18 +900,27 @@ def test_change_basis_matches_staged_loops(data):
     g = data.draw(st.sampled_from(_ALGEBRAS))
     a = data.draw(_invertible(data.draw(_SCALAR_POOLS), g.dim))
     ref = ref_change_basis(g.c, a, linalg.inverse(a))
-    moved = lie.change_basis(g, a)
+    moved = ops.change_basis(g, a)
     assert [[list(row) for row in plane] for plane in moved.c] == ref
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_transport_tensor_matches_direct_sum_on_polynomials(data):
+def test_transform_poly_operator_matches_direct_sum_on_lie_poisson_tensors(data):
+    """omega = c.u with polynomial c moves to c~.u, c~ the direct sum (the law
+    `change_basis` reads back)."""
     n = data.draw(st.integers(1, 3))
     a = data.draw(_invertible(data.draw(_SCALAR_POOLS), n))
-    c = data.draw(_tensor(_POLY, n))
-    b = linalg.inverse(a)
-    assert lie.transport_tensor(a, b, c) == ref_transport_direct(RING, a, b, c)
+    ring, pool = _RINGS[n], _POLYS[n]
+    c = data.draw(_tensor(pool, n))
+    zero = [[ring.zero] * n for _ in range(n)]
+    op = ops.DarbouxOperator(ring, c, zero, zero, _checked=True).to_poly_operator()
+    moved = ops.transform_poly_operator(op, a)
+    u = [ring.var(f"u{k + 1}") for k in range(n)]
+    ref = ref_transport_direct(ring, a, linalg.inverse(a), c)
+    assert moved.omega == [[dot(ring, list(zip(ref[i][j], u))) for j in range(n)]
+                           for i in range(n)]
+    assert moved.g == zero
 
 
 @settings(max_examples=40, deadline=None)
@@ -1477,7 +1498,7 @@ def test_support_table_readers_match_scalar_references_over_sqrt2(data):
     g = data.draw(st.sampled_from(_ALGEBRAS + [lie.n52(), lie.abelian(2)]))
     a = data.draw(_invertible(_QSQRT2, g.dim))
     assume(any(x.d for row in a for x in row))
-    moved = lie.change_basis(g, a)
+    moved = ops.change_basis(g, a)
     assert moved.field_tag() == next((x.d for plane in moved.c for row in plane for x in row
                                       if x.d), 0)
     _assert_table_readers_match(moved)
@@ -1581,7 +1602,6 @@ def test_space_dimensions_match_sympy_ranks(name, g):
 # -- the integer form against the three encoders it replaced ---------------------
 
 # sqrt(3) values join the Q(sqrt(2)) pool only to be refused with it
-_QSQRT3 = _Q + [Scalar(0, 1, 3), Scalar(Fraction(2, 5), Fraction(-1, 7), 3)]
 _MIXED = _QSQRT2 + [Scalar(0, 1, 3)]
 _ENCODER_POOLS = st.sampled_from([_Q, _QSQRT2, _QSQRT3, _MIXED])
 

@@ -355,6 +355,29 @@ def test_integer_nullspace_does_not_depend_on_row_order(case, rnd):
     assert linalg.integer_nullspace(shuffled, ncols, d) == linalg.nullspace(m)
 
 
+@settings(max_examples=100, deadline=None)
+@given(field_matrices())
+def test_reducers_leave_their_input_rows_as_they_are(case):
+    """`echelon`, `integer_rref`, `integer_nullspace` and `sparse_rref` only read
+    their rows: `_eliminate` writes into the row it reduces, so a row that
+    reaches the reducer as given must be a copy."""
+    _, m = case
+    ncols = len(m[0])
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    d, _, ints = linalg._integer_rows(rows)
+    unit_lead = [{0: (1, 0), 1: (1, 0)}, {0: (1, 0), 2: (1, 0)}]
+    for call, given in ((lambda r: linalg.echelon(r, d), ints),
+                        (lambda r: linalg.integer_rref(r, d), ints),
+                        (lambda r: linalg.integer_nullspace(r, ncols, d), ints),
+                        (linalg.sparse_rref, rows),
+                        (lambda r: linalg.echelon(r, 0), unit_lead),
+                        (lambda r: linalg.integer_rref(r, 0), unit_lead),
+                        (lambda r: linalg.integer_nullspace(r, 3, 0), unit_lead)):
+        before = [dict(row) for row in given]  # the entries themselves are immutable
+        call(given)
+        assert given == before
+
+
 def test_unit_rows_skip_the_reducer(monkeypatch):
     """so(5)'s Casimir system is 450 nonzero rows, 300 of them x_c = 0; once
     e_c is a pivot row, `echelon` drops column c from the later rows, so

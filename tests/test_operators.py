@@ -400,18 +400,31 @@ _WRONG_SHAPES = [
 
 
 @pytest.mark.parametrize("transport", [
-    lambda op, a: lie.change_basis(lie.so3(), a),
+    lambda op, a: ops.change_basis(lie.so3(), a),
     ops.transform_darboux,
     lambda op, a: ops.transform_poly_operator(op.to_poly_operator(), a),
 ], ids=["change_basis", "transform_darboux", "transform_poly_operator"])
 def test_basis_change_shape_and_singularity(transport):
-    """All three transport laws share one matrix check (`linalg.basis_change_pair`)."""
+    """All three transports are one law, `transform_poly_operator`, and share
+    its matrix check: the shape first, then the inverse."""
     op = helpers.kdv_A()
     for a in _WRONG_SHAPES:
         with pytest.raises(ShapeMismatchError, match="must be 3 x 3"):
             transport(op, a)
     with pytest.raises(SingularMatrixError):
         transport(op, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+
+
+def test_change_basis_refuses_a_field_mix():
+    """A sqrt(3) algebra moved by a sqrt(2) matrix is refused by the operator
+    transport (a wrong size and a singular matrix are refused with the
+    other transports, above)."""
+    g = lie.LieAlgebra.from_brackets(2, {(0, 1): {1: Scalar.sqrt(3)}})
+    with pytest.raises(FieldMismatchError,
+                       match=r"operator over sqrt\(3\) moved by a matrix over sqrt\(2\)"):
+        ops.change_basis(g, [[1, 0], [0, Scalar.sqrt(2)]])
+    moved = ops.change_basis(g, [[1, 0], [0, Scalar.sqrt(3)]])
+    assert moved.field_tag() == 3 and moved == g
 
 
 def test_transform_poly_operator_joins_field_tags():

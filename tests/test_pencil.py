@@ -103,7 +103,7 @@ def test_so3_transports_stay_compatible(rng):
     a = ops.DarbouxOperator(ring, lie.so3().c, linalg.identity(3), zero)
     for _ in range(10):
         m = helpers.random_invertible(rng, 3)
-        g2 = lie.change_basis(lie.so3(), m)
+        g2 = ops.change_basis(lie.so3(), m)
         eta2 = inv.nondegenerate_witness(inv.compatible_metric_space(g2).basis)[1]
         b = ops.DarbouxOperator(ring, g2.c, eta2, zero)
         rep = pencil.pencil_compatible_darboux(a, b)
@@ -127,6 +127,27 @@ def test_invalid_operand_rejected():
     )
     with pytest.raises(InvalidOperandError):
         pencil.pencil_compatible_darboux(a, b)
+
+
+def test_both_routes_check_the_shared_ring_first():
+    """Operands over different rings are a ShapeMismatchError on both routes,
+    also when A is not Hamiltonian, which over one ring is an
+    InvalidOperandError."""
+    ring, other = ops.field_ring(2), ops.field_ring(2, ["alpha"])
+    u1, u2 = ring.var("u1"), ring.var("u2")
+    zero = [[0, 0], [0, 0]]
+    curved = ops.PolyOperator(ring, linalg.identity(2), [[0, u1 * u2], [-u1 * u2, 0]])
+    # [e1, e2] = e1 is not compatible with the metric eta = 1
+    affine = ops.DarbouxOperator(ring, [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]],
+                                 linalg.identity(2), zero, _checked=True)
+    for b_ring, error in ((other, ShapeMismatchError), (ring, InvalidOperandError)):
+        b = ops.DarbouxOperator(b_ring, [[[0, 0], [0, 0]]] * 2, zero, zero)
+        with pytest.raises(error):
+            pencil.pencil_compatible_general(curved, b.to_poly_operator())
+        with pytest.raises(error):
+            pencil.pencil_compatible_general(affine.to_poly_operator(), b.to_poly_operator())
+        with pytest.raises(error):
+            pencil.pencil_compatible_darboux(affine, b)
 
 
 def test_symmetry_and_scaling(rng):

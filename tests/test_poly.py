@@ -366,8 +366,8 @@ def test_constant_value(ring):
 
 def test_coefficient_extraction(ring):
     p = ring.parse("3*u1+alpha*u2+f12")
-    assert p.coefficient_of_var("u1") == ring.const(3)
-    assert p.coefficient_of_var("u2") == ring.var("alpha")
+    assert p.coefficient_of_power("u1", 1) == ring.const(3)
+    assert p.coefficient_of_power("u2", 1) == ring.var("alpha")
 
 
 small_polys = st.lists(
