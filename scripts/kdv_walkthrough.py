@@ -11,10 +11,12 @@ the displayed quasilinear system (first operator) and minus twice it
 (second operator).
 """
 
+import pathlib
 import sys
 from fractions import Fraction
 
-sys.path.insert(0, "tests")  # reuse the shared operator constructions
+# reuse the shared operator constructions
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 
 import helpers  # noqa: E402
 from darbouxops import operators as ops  # noqa: E402

@@ -25,7 +25,7 @@ from .errors import (
     UnprintableValueError,
 )
 from .scalars import Scalar, parse_scalar
-from .poly import FIELD, MAX_EXPONENT, PARAM, Poly, PolyRing
+from .poly import MAX_EXPONENT, Poly, PolyRing
 from .lie import (
     LieAlgebra,
     StructureTags,

@@ -130,7 +130,7 @@ def dump_algebra(g: LieAlgebra, path: str) -> None:
 
 
 def operator_to_dict(op: PolyOperator) -> dict:
-    params = [op.ring.names[i] for i in op.ring.param_indices()]
+    params = list(op.ring.names[op.ring.nfields:])
     return {
         "dim": op.n,
         "field_sqrt": op.ring.d,

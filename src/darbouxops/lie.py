@@ -49,7 +49,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .poly import Poly, _operand_form, dot
-from .scalars import ZERO, Scalar, from_integers, join_field_tags, to_integers
+from .scalars import ZERO, Frozen, Scalar, from_integers, join_field_tags, to_integers
 
 Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
@@ -290,7 +290,7 @@ class StructureTags:
     center_dim: int
 
 
-class LieAlgebra:
+class LieAlgebra(Frozen):
     """A structure tensor `c` of Scalars with its cached `SupportTable`, `_table`.
 
     Unless `_validated`, the constructor checks on the table that c is skew
@@ -318,9 +318,6 @@ class LieAlgebra:
         object.__setattr__(self, "dim", len(tensor))
         object.__setattr__(self, "c", tensor)
         object.__setattr__(self, "_table", table)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LieAlgebra is immutable")
 
     def __eq__(self, other):
         return isinstance(other, LieAlgebra) and self.c == other.c

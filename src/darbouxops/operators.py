@@ -56,7 +56,7 @@ from .lie import (
     support_rows,
 )
 from .poly import Poly, PolyRing, _poly, dot, ring_embedding
-from .scalars import Scalar, field_tag, join_field_tags
+from .scalars import Frozen, Scalar, field_tag, join_field_tags
 
 PolyMatrix = List[List[Poly]]
 
@@ -146,15 +146,14 @@ def _check_shape(ring: PolyRing, n: int, *blocks: Tuple[object, int]) -> None:
     def fits(m, depth):
         return len(m) == n and (depth == 1 or all(fits(x, depth - 1) for x in m))
 
-    fields = len(ring.field_indices())
-    if fields != n:
+    if ring.nfields != n:
         raise ShapeMismatchError(
-            f"operator of dimension {n} over a ring with {fields} field variables")
+            f"operator of dimension {n} over a ring with {ring.nfields} field variables")
     if not all(fits(m, depth) for m, depth in blocks):
         raise ShapeMismatchError("operator blocks disagree in dimension")
 
 
-class DarbouxOperator:
+class DarbouxOperator(Frozen):
     """Validated triple (c, eta, f); omega = c.u + f."""
 
     __slots__ = ("ring", "n", "c", "eta", "f")
@@ -180,12 +179,9 @@ class DarbouxOperator:
                     raise NotACocycleError(f"conditions failed: {bad}")
                 raise ShapeMismatchError(f"conditions failed: {bad}")
 
-    def __setattr__(self, *_):
-        raise AttributeError("DarbouxOperator is immutable")
-
     def omega(self) -> PolyMatrix:
         ring = self.ring
-        uvars = [ring.var(ring.names[i]) for i in ring.field_indices()]
+        uvars = [ring.var(name) for name in ring.names[:ring.nfields]]
         n = self.n
         return [
             [self.f[i][j] + dot(ring, [(self.c[i][j][k], uvars[k]) for k in range(n)])
@@ -230,7 +226,7 @@ def verify_darboux(op) -> VerificationReport:
     return report
 
 
-class PolyOperator:
+class PolyOperator(Frozen):
     """g d_x + omega(u) with g constant symmetric and b = 0."""
 
     __slots__ = ("ring", "n", "g", "omega")
@@ -250,9 +246,6 @@ class PolyOperator:
         object.__setattr__(self, "g", gp)
         object.__setattr__(self, "omega", om)
 
-    def __setattr__(self, *_):
-        raise AttributeError("PolyOperator is immutable")
-
     def embedded(self, ring: PolyRing, renames=None) -> "PolyOperator":
         """The same operator over `ring`, indeterminates matched by name (`ring_embedding`)."""
         lift = ring_embedding(self.ring, ring, renames)
@@ -263,8 +256,7 @@ class PolyOperator:
 def field_jacobian(ring: PolyRing, omega: PolyMatrix):
     """d omega^{jk} / d u^s, indexed [j][k][s]."""
     n = len(omega)
-    fidx = ring.field_indices()
-    return [[[omega[j][k].partial(fidx[s]) for s in range(n)] for k in range(n)] for j in range(n)]
+    return [[[omega[j][k].partial(s) for s in range(n)] for k in range(n)] for j in range(n)]
 
 
 def phi_sum(ring: PolyRing, *factors, skew: bool = False) -> list:
@@ -314,10 +306,10 @@ def schouten_terms(omega, domega):
             yield key, pairs
 
 
-def _first_field(p: Poly, fidx) -> Optional[int]:
+def _first_field(p: Poly, nfields: int) -> Optional[int]:
     """The least r such that a term of p has a positive exponent of the
-    field variable at index fidx[r], or None when p is constant in u."""
-    return min((r for e in p.terms for r, i in enumerate(fidx) if e[i]), default=None)
+    field variable u^r, or None when p is constant in u."""
+    return min((r for e in p.terms for r in range(nfields) if e[r]), default=None)
 
 
 def hamiltonian_report(ring: PolyRing, skew: Optional[tuple], schouten: Optional[tuple],
@@ -340,8 +332,7 @@ def hamiltonian_report(ring: PolyRing, skew: Optional[tuple], schouten: Optional
          if phi[i][j][k].terms != phi[k][i][j].terms),
         None,
     ))
-    fidx = ring.field_indices()
-    keys = ((i, j, k, _first_field(phi[i][j][k], fidx)) for i in range(n) for j in range(n)
+    keys = ((i, j, k, _first_field(phi[i][j][k], ring.nfields)) for i in range(n) for j in range(n)
             for k in range(j if skew is None else 0, n))
     report.add("phi-constant", next((key for key in keys if key[3] is not None), None))
     return report
@@ -376,9 +367,8 @@ def apply_to_density(op: PolyOperator, h: Poly) -> Tuple[PolyMatrix, List[Poly]]
     if h.ring != ring:
         raise ShapeMismatchError("density lives in a different ring")
     n = op.n
-    fidx = ring.field_indices()
-    grad = [h.partial(fidx[j]) for j in range(n)]
-    hess = [[grad[j].partial(fidx[k]) for k in range(n)] for j in range(n)]
+    grad = [h.partial(j) for j in range(n)]
+    hess = [[grad[j].partial(k) for k in range(n)] for j in range(n)]
     v = [[dot(ring, [(op.g[i][j], hess[j][k]) for j in range(n)]) for k in range(n)]
          for i in range(n)]
     w = [dot(ring, [(op.omega[i][j], grad[j]) for j in range(n)]) for i in range(n)]
@@ -445,10 +435,9 @@ def transform_poly_operator(op: PolyOperator, a: Sequence[Sequence]) -> PolyOper
     d = join_field_tags(ring.d, field_tag(x for row in amat for x in row),
                         "operator over sqrt({}) moved by a matrix over sqrt({})")
     if d != ring.d:
-        ring = PolyRing([ring.names[i] for i in ring.field_indices()],
-                        [ring.names[i] for i in ring.param_indices()], d=d)
+        ring = PolyRing(ring.names[:ring.nfields], ring.names[ring.nfields:], d=d)
         op = op.embedded(ring)
-    fnames = [ring.names[i] for i in ring.field_indices()]
+    fnames = ring.names[:ring.nfields]
     uvars = [ring.var(name) for name in fnames]
     subs_map = {
         fnames[l]: dot(ring, [(b[l][m], uvars[m]) for m in range(n)]) for l in range(n)
@@ -482,10 +471,9 @@ def operator_casimir_functionals(op: DarbouxOperator) -> List[linalg.Vector]:
 def nonaffine_entry(ring: PolyRing, omega: PolyMatrix) -> Optional[Tuple[int, int]]:
     """The first (i, j) with omega[i][j] of degree above 1 in the field
     variables, or None when omega is affine in u (has a Darboux form)."""
-    fidx = ring.field_indices()
     for i, row in enumerate(omega):
         for j, entry in enumerate(row):
-            if entry.degree_on(fidx) > 1:
+            if entry.degree_on(range(ring.nfields)) > 1:
                 return i, j
     return None
 

@@ -123,17 +123,16 @@ def unify_operators(a: PolyOperator, b: PolyOperator) -> Tuple[PolyOperator, Pol
     if a.n != b.n:
         raise ShapeMismatchError("operators disagree in dimension")
     d = join_field_tags(a.ring.d, b.ring.d, "operators live over sqrt({}) and sqrt({})")
-    params_a = [a.ring.names[i] for i in a.ring.param_indices()]
+    params_a = list(a.ring.names[a.ring.nfields:])
     rename = {}
     taken = set(params_a) | set(a.ring.names)
     params_b = []
-    for p in (b.ring.names[i] for i in b.ring.param_indices()):
+    for p in b.ring.names[b.ring.nfields:]:
         q = p
         while q in taken:
             q = q + "_b"
         rename[p] = q
         taken.add(q)
         params_b.append(q)
-    fields = [a.ring.names[i] for i in a.ring.field_indices()]
-    ring = PolyRing(fields, params_a + params_b, d=d)
+    ring = PolyRing(a.ring.names[:a.ring.nfields], params_a + params_b, d=d)
     return a.embedded(ring), b.embedded(ring, rename)

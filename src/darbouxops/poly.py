@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials with exact Q(sqrt(d)) coefficients.
 
-Indeterminates are fixed per ring and tagged either FIELD (a field variable
-u^i of the operator) or PARAM (a formal parameter such as alpha, f23 or a
-pencil weight lambda).  Monomials are exponent tuples; the canonical order
-is graded lexicographic with field variables first, parameters after, in
-declaration order.  Zero coefficients are never stored.
+Indeterminates are fixed per ring: the field variables u^i of the
+operator first, then the formal parameters (such as alpha, f23 or a pencil
+weight lambda), in declaration order; a ring stores the number of field
+variables, `nfields`.  Monomials are exponent tuples; the canonical order
+is graded lexicographic in that order.  Zero coefficients are never stored.
 
 Products and sums of products go through one integer kernel, `dot`.  Each
 operand is written once in the integer form of `scalars.to_integers`, one
@@ -55,9 +55,11 @@ from .scalars import (
     MINUS_ONE,
     ONE,
     ZERO,
+    Frozen,
     Scalar,
     _int,
     _literal_power,
+    _power,
     _printable,
     from_integers,
     join_field_tags,
@@ -66,27 +68,23 @@ from .scalars import (
     validate_field_tag,
 )
 
-FIELD = "field"
-PARAM = "param"
-
 # Largest exponent of a product operand; see the module docstring.
 MAX_EXPONENT = 2**15 - 1
 
 
-class PolyRing:
-    __slots__ = ("names", "kinds", "d", "_index", "_zero_exp", "_exp_struct", "_exp_high")
+class PolyRing(Frozen):
+    __slots__ = ("names", "nfields", "d", "_index", "_zero_exp", "_exp_struct", "_exp_high")
 
     def __init__(self, field_vars: Iterable[str], params: Iterable[str] = (), d: int = 0):
         field_vars, params = tuple(field_vars), tuple(params)
         names = field_vars + params
-        kinds = (FIELD,) * len(field_vars) + (PARAM,) * len(params)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate indeterminate names in {names}")
         for name in names:
             if not _readable_name(name):
                 raise ValueError(f"indeterminate name {name!r} cannot be read in a polynomial")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "nfields", len(field_vars))
         object.__setattr__(self, "d", validate_field_tag(d))
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(self, "_zero_exp", (0,) * len(names))
@@ -95,19 +93,20 @@ class PolyRing:
         object.__setattr__(self, "_exp_struct", struct.Struct(f"<{len(names)}H"))
         object.__setattr__(self, "_exp_high", int.from_bytes(b"\x00\x80" * len(names), "little"))
 
-    def __setattr__(self, *_):
-        raise AttributeError("PolyRing is immutable")
+    def __reduce__(self):
+        # through the constructor: the packing `struct.Struct` cannot be pickled
+        return PolyRing, (self.names[:self.nfields], self.names[self.nfields:], self.d)
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
             and self.names == other.names
-            and self.kinds == other.kinds
+            and self.nfields == other.nfields
             and self.d == other.d
         )
 
     def __hash__(self):
-        return hash((self.names, self.kinds, self.d))
+        return hash((self.names, self.nfields, self.d))
 
     def __repr__(self):
         return f"PolyRing(names={self.names}, d={self.d})"
@@ -117,10 +116,10 @@ class PolyRing:
         return len(self.names)
 
     def field_indices(self) -> tuple:
-        return tuple(i for i, k in enumerate(self.kinds) if k == FIELD)
+        return tuple(range(self.nfields))
 
     def param_indices(self) -> tuple:
-        return tuple(i for i, k in enumerate(self.kinds) if k == PARAM)
+        return tuple(range(self.nfields, len(self.names)))
 
     def index(self, name: str) -> int:
         try:
@@ -152,16 +151,15 @@ class PolyRing:
         return parse_poly(self, text)
 
     def extend_params(self, extra: Iterable[str]) -> "PolyRing":
-        fields = [n for n, k in zip(self.names, self.kinds) if k == FIELD]
-        params = [n for n, k in zip(self.names, self.kinds) if k == PARAM]
-        return PolyRing(fields, params + list(extra), d=self.d)
+        return PolyRing(self.names[:self.nfields], self.names[self.nfields:] + tuple(extra),
+                        d=self.d)
 
 
 def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-class Poly:
+class Poly(Frozen):
     # `_ints` caches the integer form used by `dot`; None until first needed.
     __slots__ = ("ring", "terms", "_ints")
 
@@ -169,9 +167,6 @@ class Poly:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
         object.__setattr__(self, "_ints", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Poly is immutable")
 
     # -- coercion ------------------------------------------------------
 
@@ -247,17 +242,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("poly powers must be non-negative integers")
-        out = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, self.ring.one, "poly")
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):

@@ -74,7 +74,43 @@ def _too_long_to_print() -> UnprintableValueError:
     )
 
 
-class Scalar:
+class Frozen:
+    """Base of the immutable value types: setting an attribute raises
+    AttributeError, and a copy or a pickle is rebuilt from the slots (`_thaw`)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _thaw, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+
+def _thaw(cls, values):
+    """The `cls` value whose slots hold `values`, in `cls.__slots__` order."""
+    value = object.__new__(cls)
+    for name, item in zip(cls.__slots__, values):
+        object.__setattr__(value, name, item)
+    return value
+
+
+def _power(base, n, one, kind: str):
+    """base**n from `one` by square and multiply, a product per set bit of n and a
+    squaring per bit below the top one; ValueError naming `kind` unless n is an int >= 0."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"{kind} powers must be non-negative integers")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+class Scalar(Frozen):
     """Immutable element of Q(sqrt(d))."""
 
     __slots__ = ("a", "b", "d")
@@ -94,9 +130,6 @@ class Scalar:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Scalar is immutable")
 
     # -- helpers -------------------------------------------------------
 
@@ -209,17 +242,7 @@ class Scalar:
         return other * self.inverse()
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("scalar powers must be non-negative integers")
-        out = Scalar(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, ONE, "scalar")
 
     # -- comparisons ---------------------------------------------------
 
@@ -240,44 +263,46 @@ class Scalar:
 
     # -- formatting ----------------------------------------------------
 
-    def __str__(self):
+    def _render(self, style) -> str:
+        """a + b*sqrt(d) printed by `style` (`_TEXT_NUMBER`, `_LATEX_NUMBER`): its
+        number printer, then the product sign and radical format after a |b| != 1."""
+        number, times, root = style
         try:
-            if not self.d:
-                # a shared literal: zeros are the bulk of printed output
-                return str(self.a) if self.a else "0"
-            rad = f"sqrt({self.d})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.d})"
-            rad = ("-" if self.b < 0 else "") + rad
-            if self.a == 0:
-                return rad
-            if self.b < 0:
-                return f"{self.a}{rad}"
-            return f"{self.a}+{rad}"
+            a, b = self.a, self.b
+            if not b:
+                return number(a)
+            rad = ("" if abs(b) == 1 else number(abs(b)) + times) + root.format(self.d)
+            sign = "-" if b < 0 else ""
+            return sign + rad if not a else number(a) + (sign or "+") + rad
         except ValueError:  # Python's limit on int-string digits; arithmetic can pass it
+            raise _too_long_to_print() from None
+
+    def __str__(self):
+        if self.d:
+            return self._render(_TEXT_NUMBER)
+        try:
+            # a shared literal: zeros are the bulk of printed output
+            return str(self.a) if self.a else "0"
+        except ValueError:  # the digit limit, as in `_render`
             raise _too_long_to_print() from None
 
     def __repr__(self):
         return f"Scalar({self})"
 
     def latex(self) -> str:
-        def frac(q: Fraction, radical: str = "") -> str:
-            sign = "-" if q < 0 else ""
-            q = abs(q)
-            if q.denominator == 1:
-                body = "" if (q == 1 and radical) else str(q.numerator)
-            else:
-                num = "" if (q.numerator == 1 and radical) else str(q.numerator)
-                return f"{sign}\\frac{{{num or 1}}}{{{q.denominator}}}{radical}"
-            return f"{sign}{body}{radical}"
+        return self._render(_LATEX_NUMBER)
 
-        try:
-            if self.b == 0:
-                return frac(self.a)
-            rad = frac(self.b, f"\\sqrt{{{self.d}}}")
-            if self.a == 0:
-                return rad
-            return frac(self.a) + ("+" if self.b > 0 else "") + rad
-        except ValueError:  # the digit limit, as in __str__
-            raise _too_long_to_print() from None
+
+def _latex_number(q: Fraction) -> str:
+    """q in LaTeX: an integer in digits, a fraction as \\frac{|p|}{q} after its sign."""
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{'-' if q < 0 else ''}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+
+
+# `Scalar._render` styles: the number printer, the product sign and the radical.
+_TEXT_NUMBER = (str, "*", "sqrt({})")
+_LATEX_NUMBER = (_latex_number, "", "\\sqrt{{{}}}")
 
 
 _new = object.__new__

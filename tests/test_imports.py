@@ -7,7 +7,9 @@ unless the line says `# noqa` (a re-export), and every top-level function
 and class of the package is read somewhere outside its own definition.
 The package modules form layers (`LAYERS`): each imports only modules
 below its own, at any depth, so no law drifts back into a lower layer
-behind a function-level import.
+behind a function-level import.  The immutability rule is written once:
+only `scalars.Frozen` defines `__setattr__`, and every class that writes
+its own slots derives from it.
 """
 
 import ast
@@ -161,3 +163,49 @@ def test_the_layer_check_sees_a_lazy_import(tmp_path):
                    "    import darbouxops.invariants\n    from darbouxops import cli\n")
     assert _layer_violations([lie]) == [
         "lie:6 imports operators", "lie:7 imports invariants", "lie:8 imports cli"]
+
+
+def _immutability_violations(paths: list) -> list:
+    """Classes other than `scalars.Frozen` that define `__setattr__`, and classes
+    whose methods call `object.__setattr__(self, ...)` but do not derive from `Frozen`."""
+    found = []
+    for path in paths:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            where = f"{path.stem}.{cls.name}"
+            if where != "scalars.Frozen" and any(
+                    isinstance(f, ast.FunctionDef) and f.name == "__setattr__" for f in cls.body):
+                found.append(f"{where} defines __setattr__")
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                     for b in cls.bases}
+            writes = any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object" and node.args
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"
+                for node in ast.walk(cls))
+            if writes and "Frozen" not in bases:
+                found.append(f"{where} writes its slots but does not derive from Frozen")
+    return sorted(found)
+
+
+def test_only_frozen_defines_setattr():
+    modules = sorted((ROOT / "src" / "darbouxops").glob("*.py"))
+    assert _immutability_violations(modules) == []
+
+
+def test_the_immutability_check_sees_a_guard_of_its_own(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from . import scalars\nfrom .scalars import Frozen\n\n\n"
+                   "class Kept(Frozen):\n    def __init__(self):\n"
+                   "        object.__setattr__(self, 'x', 1)\n\n\n"
+                   "class Qualified(scalars.Frozen):\n    def __init__(self):\n"
+                   "        object.__setattr__(self, 'x', 1)\n\n\n"
+                   "class Guarded(Frozen):\n    def __setattr__(self, *_):\n"
+                   "        raise AttributeError('Guarded is immutable')\n\n\n"
+                   "class Loose:\n    def __init__(self):\n"
+                   "        object.__setattr__(self, 'x', 1)\n")
+    assert _immutability_violations([mod]) == [
+        "mod.Guarded defines __setattr__",
+        "mod.Loose writes its slots but does not derive from Frozen"]

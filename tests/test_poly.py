@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +339,16 @@ def test_ring_from_generators():
     assert ring.names == ("u1", "u2", "a")
     assert ring.field_indices() == (0, 1)
     assert ring.param_indices() == (2,)
+
+
+def test_ring_layout_is_part_of_its_value():
+    """The same names split differently into field variables and parameters
+    make different rings, with different hashes."""
+    a, b = PolyRing(["u1", "u2"], ["a"]), PolyRing(["u1"], ["u2", "a"])
+    assert a.names == b.names
+    assert a != b and hash(a) != hash(b)
+    assert (a.field_indices(), b.field_indices()) == ((0, 1), (0,))
+    assert (a.param_indices(), b.param_indices()) == ((2,), (1, 2))
 
 
 def test_ring_mismatch_rejected(ring):
@@ -853,3 +864,44 @@ def test_constants_of_different_rings_compare_by_value(a, b, order):
     u1 = [ring.var("u1") for ring in rings]
     assert all((x == y) == (x.ring == y.ring) for x in u1 for y in u1)
     assert all(x != ring.const(value) for x in u1 for ring in rings)
+
+
+def _reference_power(p, n):
+    """The Poly power loop `scalars._power` replaced, kept as its reference."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("poly powers must be non-negative integers")
+    out = p.ring.one
+    base = p
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+@st.composite
+def _power_bases(draw):
+    """Up to three terms in u1 and a over Q or Q(sqrt(d))."""
+    d = draw(st.sampled_from([0, 2, 3]))
+    ring = PolyRing(["u1"], ["a"], d=d)
+    return Poly(ring, {(draw(st.integers(0, 2)), draw(st.integers(0, 1))):
+                       draw(_print_coefficients(d)) for _ in range(draw(st.integers(0, 3)))})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_power_bases(), st.one_of(st.integers(-2, 9), st.just(2.0)))
+def test_power_matches_reference(p, n):
+    """The same power, or the same error, from the same number of products."""
+    outcomes = []
+    kernel = poly_module.dot
+    for power in (lambda: p**n, lambda: _reference_power(p, n)):
+        calls = []
+        with mock.patch.object(poly_module, "dot",
+                               lambda *a, **k: calls.append(1) or kernel(*a, **k)):
+            try:
+                outcomes.append((power(), len(calls)))
+            except ValueError as exc:
+                outcomes.append((str(exc), len(calls)))
+    assert outcomes[0] == outcomes[1]

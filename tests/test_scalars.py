@@ -2,6 +2,7 @@ import re
 import sys
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -281,6 +282,109 @@ def test_unprintable_value_is_typed(value):
     for show in (str, Scalar.latex):
         with pytest.raises(UnprintableValueError):
             show(value)
+
+
+def _reference_str(s):
+    """The text printer `_render` replaced, kept as its reference."""
+    try:
+        if not s.d:
+            return str(s.a) if s.a else "0"
+        rad = f"sqrt({s.d})" if abs(s.b) == 1 else f"{abs(s.b)}*sqrt({s.d})"
+        rad = ("-" if s.b < 0 else "") + rad
+        if s.a == 0:
+            return rad
+        if s.b < 0:
+            return f"{s.a}{rad}"
+        return f"{s.a}+{rad}"
+    except ValueError:
+        raise UnprintableValueError("digit limit") from None
+
+
+def _reference_latex(s):
+    """The LaTeX printer `_render` replaced, kept as its reference."""
+    def frac(q, radical=""):
+        sign = "-" if q < 0 else ""
+        q = abs(q)
+        if q.denominator == 1:
+            body = "" if (q == 1 and radical) else str(q.numerator)
+        else:
+            num = "" if (q.numerator == 1 and radical) else str(q.numerator)
+            return f"{sign}\\frac{{{num or 1}}}{{{q.denominator}}}{radical}"
+        return f"{sign}{body}{radical}"
+
+    try:
+        if s.b == 0:
+            return frac(s.a)
+        rad = frac(s.b, f"\\sqrt{{{s.d}}}")
+        if s.a == 0:
+            return rad
+        return frac(s.a) + ("+" if s.b > 0 else "") + rad
+    except ValueError:
+        raise UnprintableValueError("digit limit") from None
+
+
+# parts of printed values: 0 and +-1 (a radical printed without its
+# coefficient) as well as negative and fractional rationals
+_PRINT_PARTS = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), rationals)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_PRINT_PARTS, _PRINT_PARTS, st.sampled_from([0, 2, 3]))
+def test_printers_match_reference(a, b, d):
+    s = Scalar(a, b, d)
+    assert str(s) == _reference_str(s)
+    assert s.latex() == _reference_latex(s)
+
+
+def test_printers_at_the_digit_limit():
+    """A part of exactly `limit` digits prints as the references print it; one
+    digit more is an UnprintableValueError from both printers, in either part."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no int-string digit limit set")
+    top = 10**limit - 1
+    for x, error in ((top, False), (top + 1, True)):
+        for value in (Scalar(-x), Scalar(Fraction(1, x)), Scalar(1, x, 2), Scalar(x, -1, 3),
+                      Scalar(0, Fraction(-1, x), 3)):
+            for show, reference in ((str, _reference_str), (Scalar.latex, _reference_latex)):
+                if error:
+                    with pytest.raises(UnprintableValueError):
+                        show(value)
+                else:
+                    assert show(value) == reference(value)
+
+
+def _reference_power(x, n):
+    """The Scalar power loop `scalars._power` replaced, kept as its reference."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("scalar powers must be non-negative integers")
+    out = Scalar(1)
+    base = x
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRINT_PARTS, _PRINT_PARTS, st.sampled_from([0, 2, 3]),
+       st.one_of(st.integers(-3, 40), st.just(1.0)))
+def test_power_matches_reference(a, b, d, n):
+    """The same power, or the same error, from the same number of products."""
+    x = Scalar(a, b, d)
+    outcomes = []
+    product = Scalar.__mul__
+    for power in (lambda: x**n, lambda: _reference_power(x, n)):
+        calls = []
+        with mock.patch.object(Scalar, "__mul__", lambda s, o: calls.append(1) or product(s, o)):
+            try:
+                outcomes.append((power(), len(calls)))
+            except ValueError as exc:
+                outcomes.append((str(exc), len(calls)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_join_field_tags():
