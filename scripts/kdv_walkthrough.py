@@ -38,12 +38,12 @@ def main() -> int:
     print("operator A verifies:", ops.verify_darboux(a).passed)
     print("operator B verifies:", ops.verify_darboux(b).passed)
 
-    dar, gen = pencil.pencil_compatible_both(a, b)
+    pa = a.to_poly_operator()
+    pb = b.to_poly_operator()
+    dar, gen = pencil.pencil_compatible_both(pa, pb)
     print("pencil (Darboux criterion):", dar.passed)
     print("pencil (lambda criterion): ", gen.passed)
 
-    pa = a.to_poly_operator()
-    pb = b.to_poly_operator()
     va, wa = ops.apply_to_density(pa, helpers.kdv_density_A())
     vb, wb = ops.apply_to_density(pb, helpers.kdv_density_B())
     print("\nA applied to its density:")

@@ -251,24 +251,27 @@ def cmd_operator(args) -> int:
 
 def cmd_pencil(args) -> int:
     """Each route prints {"compatible", "conditions", "lambda_check"}: the
-    Darboux route its mixed conditions, the lambda route its report."""
+    Darboux route its mixed conditions, the lambda route its report.  In
+    `both` each operand is checked once (`pencil_compatible_both`)."""
     a, b = pencil.unify_operators(io_json.load_operator(args.a), io_json.load_operator(args.b))
+    if args.mode == "both":
+        dar, lam = pencil.pencil_compatible_both(a, b)
+    elif args.mode == "darboux":
+        dar, lam = pencil.pencil_compatible_darboux(*pencil.darboux_operands(a, b)), None
+    else:
+        dar, lam = None, pencil.pencil_compatible_general(a, b)
     payload = {}
     lines = []
-    if args.mode in ("darboux", "both"):
-        if any(ops.nonaffine_entry(a.ring, op.omega) is not None for op in (a, b)):
-            raise InvalidOperandError("darboux mode needs affine omega on both operands")
-        rep = pencil.pencil_compatible_darboux(ops.darboux_view(a), ops.darboux_view(b))
-        payload["darboux"] = {"compatible": rep.passed,
-                              "conditions": [c.record() for c in rep.conditions],
+    if dar is not None:
+        payload["darboux"] = {"compatible": dar.passed,
+                              "conditions": [c.record() for c in dar.conditions],
                               "lambda_check": None}
-        lines.append(f"darboux criterion: {'compatible' if rep.passed else 'NOT compatible'}")
-        lines.extend(_condition_line(cond) for cond in rep.conditions)
-    if args.mode in ("lambda", "both"):
-        rep = pencil.pencil_compatible_general(a, b)
-        payload["lambda"] = {"compatible": rep.passed, "conditions": [],
-                             "lambda_check": rep.as_dict()}
-        lines.append(f"lambda criterion: {'compatible' if rep.passed else 'NOT compatible'}")
+        lines.append(f"darboux criterion: {'compatible' if dar.passed else 'NOT compatible'}")
+        lines.extend(_condition_line(cond) for cond in dar.conditions)
+    if lam is not None:
+        payload["lambda"] = {"compatible": lam.passed, "conditions": [],
+                             "lambda_check": lam.as_dict()}
+        lines.append(f"lambda criterion: {'compatible' if lam.passed else 'NOT compatible'}")
     _emit(args, payload, lines)
     return EXIT_OK if all(route["compatible"] for route in payload.values()) else EXIT_FAIL
 

@@ -153,7 +153,29 @@ def _check_shape(ring: PolyRing, n: int, *blocks: Tuple[object, int]) -> None:
         raise ShapeMismatchError("operator blocks disagree in dimension")
 
 
-class DarbouxOperator(Frozen):
+def _tupled(x):
+    return tuple(map(_tupled, x)) if isinstance(x, list) else x
+
+
+class _EntryEquality:
+    """Value equality and a hash over the ring and the entries (the slots),
+    consistent with `Poly`: operators of one type compare entry by entry."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(_tupled(getattr(self, name)) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class DarbouxOperator(_EntryEquality, Frozen):
     """Validated triple (c, eta, f); omega = c.u + f."""
 
     __slots__ = ("ring", "n", "c", "eta", "f")
@@ -226,7 +248,7 @@ def verify_darboux(op) -> VerificationReport:
     return report
 
 
-class PolyOperator(Frozen):
+class PolyOperator(_EntryEquality, Frozen):
     """g d_x + omega(u) with g constant symmetric and b = 0."""
 
     __slots__ = ("ring", "n", "g", "omega")

@@ -150,7 +150,7 @@ def test_criterion_5ab_kdv_operators_and_pencil():
     a, b = helpers.kdv_A(), helpers.kdv_B()
     ok = ops.verify_darboux(a).passed and ops.verify_darboux(b).passed
     ok = ok and a.ring.d == 2
-    dar, gen = pencil.pencil_compatible_both(a, b)
+    dar, gen = pencil.pencil_compatible_both(a.to_poly_operator(), b.to_poly_operator())
     ok = ok and dar.passed and gen.passed
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0

@@ -761,3 +761,29 @@ def test_pencil_both_pins_moduli_entry_over_sqrt3(tmp_path):
         ("phi-cyclic-symmetry", [1, 2, 2], None),
         ("phi-constant", None, None),
     ]
+
+
+def test_pencil_both_is_the_two_routes_run_separately(tmp_path, capsys, exit_files):
+    """`--mode both` prints the darboux and the lambda JSON of the two routes
+    run alone, exits as they do, and refuses a non-Hamiltonian operand with
+    the Darboux route's stderr line: a compatible pair, an incompatible
+    moduli pair and a pair with a non-Hamiltonian operand."""
+    moduli = str(tmp_path / "moduli.json")
+    io_json.dump_operator(catalog.catalog_get("A_{6,11}").operator().to_poly_operator(), moduli)
+    pairs = [(exit_files["A"], exit_files["A"]), (moduli, moduli),
+             (exit_files["A"], exit_files["Bbad"])]
+    codes = []
+    for pair in pairs:
+        runs = {}
+        for mode in ("darboux", "lambda", "both"):
+            code = cli.main(["--format", "json", "pencil", *pair, "--mode", mode])
+            out = capsys.readouterr()
+            runs[mode] = code, json.loads(out.out) if out.out else {}, out.err
+        (code_d, out_d, err_d), (code_l, out_l, err_l) = runs["darboux"], runs["lambda"]
+        assert runs["both"] == (max(code_d, code_l), {**out_d, **out_l} if not err_d else {},
+                                err_d or err_l)
+        codes.append(runs["both"][0])
+    assert codes == [0, 1, 1]
+    # the third pair is refused, by each route with its own verifier's names
+    assert err_d.startswith("INVALID_OPERAND: ") and err_l.startswith("INVALID_OPERAND: ")
+    assert err_d != err_l

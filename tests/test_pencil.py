@@ -15,7 +15,7 @@ from darbouxops.scalars import Scalar
 
 def test_kdv_pair_compatible_both_routes():
     a, b = helpers.kdv_A(), helpers.kdv_B()
-    dar, gen = pencil.pencil_compatible_both(a, b)
+    dar, gen = pencil.pencil_compatible_both(a.to_poly_operator(), b.to_poly_operator())
     assert dar.passed
     assert gen.passed
     assert [c.name for c in dar.conditions] == ["mixed-jacobi", "mixed-cocycle", "mixed-metric"]
@@ -35,7 +35,7 @@ def test_zero_operator_compatible_with_anything():
         [[0] * 3 for _ in range(3)],
         [[0] * 3 for _ in range(3)],
     )
-    dar, gen = pencil.pencil_compatible_both(a, zero)
+    dar, gen = pencil.pencil_compatible_both(a.to_poly_operator(), zero.to_poly_operator())
     assert dar.passed and gen.passed
 
 
@@ -546,3 +546,76 @@ def test_lambda_route_matches_sympy_expansion(data):
         expected[name] = next((key for key in sorted(coeffs) if coeffs[key][1] != 0), None)
     assert {c.name: c.first_violation for c in rep.conditions} == expected
     assert rep.passed == all(key is None for key in expected.values())
+
+
+# -- `pencil_compatible_both`: each operand checked once ---------------------
+
+
+@st.composite
+def _mutated_catalog_operator(draw):
+    """A catalog operator of dimension 2..4 moved by an invertible matrix
+    over Q(sqrt(d)), d in {2, 3, 5}, and the same operator with one mutation:
+    a symmetric bump of g (eta), or a constant (f) or a u^k term (omega)
+    added to omega^{ij}, mirrored into omega^{ji} or not."""
+    dim = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.sampled_from((2, 3, 5)))
+    small = st.integers(-1, 1)
+    a = [[Scalar(draw(small) + (2 if i == j else 0), draw(small), d) for j in range(dim)]
+         for i in range(dim)]
+    assume(linalg.det(a))
+    names = [rec["name"] for rec in catalog_data.ENTRIES if rec["dim"] == dim]
+    op = ops.transform_poly_operator(
+        catalog.catalog_get(draw(st.sampled_from(names))).operator().to_poly_operator(), a)
+    ring = op.ring
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    kind = draw(st.sampled_from(("eta", "f", "omega")))
+    bump = ring.const(draw(st.sampled_from((1, -2, Fraction(1, 2)))))
+    g, omega = [row[:] for row in op.g], [row[:] for row in op.omega]
+    if kind == "eta":
+        g[i][j] = g[i][j] + bump
+        g[j][i] = g[i][j]
+    else:
+        if kind == "omega":
+            bump = bump * ring.var(draw(st.sampled_from(ring.names[:ring.nfields])))
+        omega[i][j] = omega[i][j] + bump
+        if draw(st.booleans()):
+            omega[j][i] = omega[j][i] - bump
+    return op, ops.PolyOperator(ring, g, omega)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mutated_catalog_operator())
+def test_darboux_view_check_decides_hamiltonianity(pair):
+    """On affine omega, the one operand check of `pencil_compatible_both`
+    (`verify_darboux` of the Darboux view) has the verdict of `verify_hamiltonian`."""
+    op, mutated = pair
+    assert ops.verify_hamiltonian(op).passed
+    for x in (op, mutated):
+        assert ops.verify_darboux(ops.darboux_view(x)).passed == ops.verify_hamiltonian(x).passed
+
+
+def _counted(monkeypatch, *names):
+    """Replace each verifier `pencil` calls by name with one recording its operand."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counting(op, *rest, _name=name, _fn=getattr(pencil, name)):
+            calls[_name].append(op)
+            return _fn(op, *rest)
+        monkeypatch.setattr(pencil, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("route, verifier", [
+    ("both", "verify_darboux"), ("darboux", "verify_darboux"), ("lambda", "verify_hamiltonian")])
+def test_each_route_checks_each_operand_once(monkeypatch, route, verifier):
+    """`both` checks each operand once, with `verify_darboux` of its Darboux
+    view; a route run alone checks its operands with its own verifier."""
+    a, b = (x.to_poly_operator() for x in (helpers.kdv_A(), helpers.kdv_B()))
+    calls = _counted(monkeypatch, "verify_darboux", "verify_hamiltonian")
+    run = {"both": lambda: pencil.pencil_compatible_both(a, b),
+           "darboux": lambda: pencil.pencil_compatible_darboux(*pencil.darboux_operands(a, b)),
+           "lambda": lambda: pencil.pencil_compatible_general(a, b)}[route]
+    assert all(rep.passed for rep in (run() if route == "both" else [run()]))
+    operands = [a, b] if verifier == "verify_hamiltonian" else [ops.darboux_view(a),
+                                                                 ops.darboux_view(b)]
+    assert calls == {name: operands if name == verifier else [] for name in calls}

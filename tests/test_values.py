@@ -14,7 +14,6 @@ import pytest
 
 from darbouxops import lie
 from darbouxops.catalog import catalog_get, verify_entry
-from darbouxops.operators import DarbouxOperator, PolyOperator
 from darbouxops.poly import PolyRing, dot
 from darbouxops.scalars import Scalar
 
@@ -50,25 +49,14 @@ VALUES = {
 }
 
 
-def _tuples(x):
-    return tuple(_tuples(y) for y in x) if isinstance(x, (list, tuple)) else x
-
-
-def _value(x):
-    """x, or for an operator, which defines no equality of its own, its slots."""
-    if isinstance(x, (DarbouxOperator, PolyOperator)):
-        return tuple(_tuples(getattr(x, name)) for name in type(x).__slots__)
-    return x
-
-
 @pytest.mark.parametrize("trip", ROUND_TRIPS)
 @pytest.mark.parametrize("name", VALUES)
 def test_round_trip_gives_an_equal_value(name, trip):
     x = VALUES[name]()
     y = ROUND_TRIPS[trip](x)
     assert type(y) is type(x)
-    assert _value(y) == _value(x)
-    assert hash(_value(y)) == hash(_value(x))
+    assert y == x
+    assert hash(y) == hash(x)
 
 
 @pytest.mark.parametrize("trip", ROUND_TRIPS)
@@ -98,3 +86,12 @@ def test_setting_an_attribute_raises(name):
         setattr(x, type(x).__slots__[0], None)
     with pytest.raises(AttributeError, match=message):
         x.extra = None
+
+
+def test_operators_compare_by_type_ring_and_entries():
+    op = catalog_get("A_{6,13}").operator()
+    other = catalog_get("A_{6,13}").operator()
+    assert op is not other and op == other and hash(op) == hash(other)
+    assert op.to_poly_operator() == other.to_poly_operator()
+    assert op.to_poly_operator() != op
+    assert catalog_get("A_{6,11}").operator() != op
